@@ -4,14 +4,12 @@ simulated annealing with reflective boundary conditions."""
 from .anneal import (
     AnnealConfig,
     AnnealResult,
-    AnnealState,
     Trace,
     acceptance_probability,
     fixed_temperature_chain,
     gibbs_density,
     propose,
     run,
-    step,
 )
 from .domain import BoxDomain
 from .objectives import (
@@ -38,7 +36,6 @@ from .trainer import FitReport, TrainConfig, evaluate_fit, gradient, train
 __all__ = [
     "AnnealConfig",
     "AnnealResult",
-    "AnnealState",
     "BoxDomain",
     "Dataset",
     "FitReport",
@@ -68,7 +65,6 @@ __all__ = [
     "propose",
     "run",
     "sample_dataset",
-    "step",
     "train",
 ]
 

@@ -7,7 +7,8 @@ wander outside the box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +32,14 @@ class AnnealConfig:
     cooling: str = "theorem"  # T_i = T0*delta^i; "algorithm1": T_i = T_{i-1}*delta^i
 
     def __post_init__(self):
-        if not (0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
+        if not 0 < self.t_min < self.t_max < math.inf:
+            raise ValueError("need 0 < t_min < t_max < inf")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be at least 1")
-        if self.proposal_variance is not None and self.proposal_variance <= 0:
-            raise ValueError("proposal_variance must be positive")
+        if self.proposal_variance is not None and not 0 < self.proposal_variance < math.inf:
+            raise ValueError("proposal_variance must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.cooling not in COOLINGS:
@@ -62,16 +63,6 @@ class AnnealConfig:
             else:
                 t = t * self.delta**i
         return levels
-
-
-@dataclass
-class AnnealState:
-    current: np.ndarray
-    current_value: float
-    best: np.ndarray
-    best_value: float
-    temperature: float
-    iteration: int
 
 
 @dataclass
@@ -132,41 +123,50 @@ def acceptance_probability(delta_f: float, temperature: float) -> float:
     return float(np.exp(-delta_f / temperature))
 
 
-def _transition(current, current_value, f, domain, mode, variance, temperature, rng):
-    """One propose/reflect/accept step; exactly one objective evaluation."""
-    y = propose(current, variance, rng)
-    if mode == "reflected":
-        y = domain.reflect(y)
-    fy = f(y)
-    q = acceptance_probability(fy - current_value, temperature)
-    accepted = rng.uniform() <= q
-    if accepted:
-        return y, fy, accepted
-    return current, current_value, accepted
-
-
-def step(
-    state: AnnealState,
+def _chain(
     f: Objective,
     domain: BoxDomain,
-    cfg: AnnealConfig,
-    rng: np.random.Generator,
-) -> AnnealState:
-    variance = cfg.resolve_variance(domain)
-    current, value, _ = _transition(
-        state.current, state.current_value, f, domain, cfg.mode, variance, state.temperature, rng
-    )
-    best, best_value = state.best, state.best_value
-    if value < best_value:
-        best, best_value = current.copy(), value
-    return AnnealState(
-        current=current,
-        current_value=value,
-        best=best,
-        best_value=best_value,
-        temperature=state.temperature,
-        iteration=state.iteration + 1,
-    )
+    temperatures: np.ndarray,
+    variance: float,
+    reflect: bool,
+    seed: int,
+) -> tuple[Trace, np.ndarray, float]:
+    """The Metropolis chain: one step per entry of ``temperatures``.
+
+    The start point is uniform on the box. Each step draws one Gaussian
+    proposal, folds it into the box when ``reflect`` is set, evaluates f once
+    and then draws one uniform for the acceptance test. Returns the trace and
+    the best point and value seen, start point included.
+    """
+    if f.dim != domain.dim:
+        raise ValueError(f"objective dimension {f.dim} != domain dimension {domain.dim}")
+    rng = np.random.default_rng(seed)
+    n_steps = len(temperatures)
+    x = domain.sample_uniform(rng)
+    fx = f(x)
+    best, best_value = x.copy(), fx
+
+    points = np.empty((n_steps, domain.dim))
+    values = np.empty(n_steps)
+    accepted = np.empty(n_steps, dtype=bool)
+    best_values = np.empty(n_steps)
+    for i, t in enumerate(temperatures.tolist()):
+        y = propose(x, variance, rng)
+        if reflect:
+            y = domain.reflect(y)
+        fy = f(y)
+        acc = rng.uniform() <= acceptance_probability(fy - fx, t)
+        if acc:
+            x, fx = y, fy
+            if fx < best_value:
+                best, best_value = x.copy(), fx
+        points[i] = x
+        values[i] = fx
+        accepted[i] = acc
+        best_values[i] = best_value
+
+    trace = Trace(np.arange(1, n_steps + 1), temperatures, points, values, accepted, best_values)
+    return trace, best, best_value
 
 
 def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> AnnealResult:
@@ -175,50 +175,17 @@ def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> AnnealResult:
     The start point is uniform on the box; total objective evaluations are
     1 + inner_iters * number of temperature levels.
     """
-    if f.dim != domain.dim:
-        raise ValueError(f"objective dimension {f.dim} != domain dimension {domain.dim}")
-    rng = np.random.default_rng(cfg.seed)
-    variance = cfg.resolve_variance(domain)
-    levels = cfg.temperature_levels()
-    n_steps = cfg.inner_iters * len(levels)
-    d = domain.dim
-
-    x = domain.sample_uniform(rng)
-    fx = f(x)
-    best, best_value = x.copy(), fx
-
-    iters = np.arange(1, n_steps + 1)
-    temps = np.repeat(levels, cfg.inner_iters)
-    points = np.empty((n_steps, d))
-    values = np.empty(n_steps)
-    accepted = np.empty(n_steps, dtype=bool)
-    best_values = np.empty(n_steps)
-
-    i = 0
-    for t in levels:
-        for _ in range(cfg.inner_iters):
-            x, fx, acc = _transition(x, fx, f, domain, cfg.mode, variance, t, rng)
-            if fx < best_value:
-                best, best_value = x.copy(), fx
-            points[i] = x
-            values[i] = fx
-            accepted[i] = acc
-            best_values[i] = best_value
-            i += 1
-
-    trace = Trace(iters, temps, points, values, accepted, best_values)
+    temperatures = np.repeat(cfg.temperature_levels(), cfg.inner_iters)
+    trace, best, best_value = _chain(
+        f, domain, temperatures, cfg.resolve_variance(domain), cfg.mode == "reflected", cfg.seed
+    )
     return AnnealResult(
         best=best,
         best_value=best_value,
         trace=trace,
-        eval_count=1 + n_steps,
+        eval_count=1 + len(trace),
         config=cfg,
     )
-
-
-def run_seeds(f: Objective, domain: BoxDomain, cfg: AnnealConfig, seeds) -> list[AnnealResult]:
-    """Independent chains, one per seed, aggregated deterministically by seed order."""
-    return [run(f, domain, replace(cfg, seed=int(s))) for s in seeds]
 
 
 def fixed_temperature_chain(
@@ -231,22 +198,21 @@ def fixed_temperature_chain(
     burn_in: int = 0,
 ) -> np.ndarray:
     """Reflected Metropolis chain at one fixed temperature; returns post-burn-in points."""
-    rng = np.random.default_rng(seed)
-    x = domain.sample_uniform(rng)
-    fx = f(x)
-    total = burn_in + n_steps
-    out = np.empty((n_steps, domain.dim))
-    # pre-drawn randomness keeps the inner loop lean
-    steps = rng.normal(0.0, np.sqrt(variance), size=(total, domain.dim))
-    unifs = rng.uniform(size=total)
-    for i in range(total):
-        y = domain.reflect(x + steps[i])
-        fy = f(y)
-        if fy <= fx or unifs[i] <= np.exp(-(fy - fx) / temperature):
-            x, fx = y, fy
-        if i >= burn_in:
-            out[i - burn_in] = x
-    return out
+    temperatures = np.full(burn_in + n_steps, float(temperature))
+    trace, _, _ = _chain(f, domain, temperatures, variance, True, seed)
+    return trace.points[burn_in:]
+
+
+def max_excursion(trace: Trace, domain: BoxDomain) -> float:
+    """Largest componentwise overshoot of any trace point outside the box."""
+    over = np.maximum(trace.points - domain.upper, 0.0)
+    under = np.maximum(domain.lower - trace.points, 0.0)
+    return float(np.max(np.maximum(over, under)))
+
+
+def iterations_to_best(trace: Trace) -> int:
+    """Iteration at which the chain first held its lowest value."""
+    return int(trace.iterations[int(np.argmin(trace.values))])
 
 
 def gibbs_density(

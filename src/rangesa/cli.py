@@ -11,15 +11,13 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .anneal import AnnealConfig, run
+from .anneal import AnnealConfig, iterations_to_best, max_excursion, run
 from .domain import BoxDomain
-from .objectives import Dataset, builtin, sample_dataset
-from .presets import preset
+from .objectives import Dataset, Objective, builtin, sample_dataset
+from .presets import Preset, preset
 from .range_analysis import GridBudgetExceeded, estimate_range, grid_oracle
 from .resnet import ResNet, WeightFormatError
 from .trainer import TrainConfig, evaluate_fit, save_loss_history, train
@@ -60,7 +58,13 @@ def _merged_options(args: argparse.Namespace) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        opts.update(json.loads(path.read_text()))
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"malformed config file {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+        opts.update(doc)
     for key, value in vars(args).items():
         if key in ("config", "command", "func"):
             continue
@@ -69,47 +73,75 @@ def _merged_options(args: argparse.Namespace) -> dict:
     return opts
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _require(opts: dict, key: str):
     if opts.get(key) is None:
-        raise UsageError(f"missing required option --{key.replace('_', '-')}")
+        raise UsageError(f"missing required option {_flag(key)}")
     return opts[key]
 
 
-def _load_objective(opts: dict):
-    """Objective plus its default domain from --fn or --weights."""
+def _opt(opts: dict, key: str, default):
+    """The option's value, or the default when it is absent (not when it is 0)."""
+    value = opts.get(key)
+    return default if value is None else value
+
+
+def _positive(opts: dict, key: str, default, kind=int):
+    """A count or scale option that must be above 0."""
+    value = kind(_opt(opts, key, default))
+    if not value > 0:
+        raise UsageError(f"{_flag(key)} must be positive, got {value}")
+    return value
+
+
+def _builtin(fn: str) -> tuple[Objective, Preset]:
+    try:
+        return builtin(fn), preset(fn)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
+    """Objective from --fn or --weights, and the domain to search it on."""
     fn = opts.get("fn")
     weights = opts.get("weights")
     if (fn is None) == (weights is None):
         raise UsageError("exactly one of --fn or --weights is required")
     if fn is not None:
-        try:
-            objective = builtin(fn)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        default_domain = preset(fn).train_domain
-        return objective, default_domain
-    net = ResNet.load(weights)
-    return net.as_objective(name=Path(weights).stem), None
+        objective, p = _builtin(fn)
+        default_domain = p.train_domain
+    else:
+        objective = ResNet.load(weights).as_objective(name=Path(weights).stem)
+        default_domain = None
+    return objective, _resolve_domain(opts, default_domain, objective.dim)
 
 
-def _resolve_domain(opts: dict, default: BoxDomain | None) -> BoxDomain:
-    if opts.get("domain") is not None:
-        return parse_domain(opts["domain"])
-    if default is None:
-        raise UsageError("--domain is required when the objective comes from a weights file")
-    return default
+def _resolve_domain(opts: dict, default: BoxDomain | None, dim: int) -> BoxDomain:
+    """--domain, which must have ``dim`` dimensions, or else the default."""
+    if opts.get("domain") is None:
+        if default is None:
+            raise UsageError("--domain is required when the objective comes from a weights file")
+        return default
+    domain = parse_domain(opts["domain"])
+    if domain.dim != dim:
+        raise UsageError(f"domain dimension {domain.dim} != objective dimension {dim}")
+    return domain
+
+
+def _config(cls, opts: dict, keys, **fixed):
+    """``cls(**fixed)`` with every given option among ``keys``; bad values are usage errors."""
+    kwargs = {k: opts[k] for k in keys if opts.get(k) is not None}
+    try:
+        return cls(**fixed, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _anneal_config(opts: dict) -> AnnealConfig:
-    kwargs = {}
-    for key in ("t_max", "t_min", "delta", "inner_iters", "proposal_variance",
-                "seed", "mode", "cooling"):
-        if opts.get(key) is not None:
-            kwargs[key] = opts[key]
-    try:
-        return AnnealConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _config(AnnealConfig, opts, [f.name for f in fields(AnnealConfig)])
 
 
 def _out_dir(opts: dict) -> Path:
@@ -127,21 +159,22 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _write_fit_report(out: Path, report, opts: dict) -> None:
+    _write_json(out / "fit_report.json", {**report.to_json_dict(), "config": _echo_config(opts)})
+    log.info("fit: MAE %.4f, MSE %.4f", report.mae, report.mse)
+
+
 # --- commands ----------------------------------------------------------
 
 
 def cmd_generate_data(args) -> int:
     opts = _merged_options(args)
     fn = _require(opts, "fn")
-    try:
-        objective = builtin(fn)
-        p = preset(fn)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    domain = _resolve_domain(opts, p.train_domain)
-    m = int(opts.get("m") or p.default_m)
-    noise_sd = float(opts.get("noise_sd", 0.1) if opts.get("noise_sd") is not None else 0.1)
-    seed = int(opts.get("seed") or 0)
+    objective, p = _builtin(fn)
+    domain = _resolve_domain(opts, p.train_domain, objective.dim)
+    m = _positive(opts, "m", p.default_m)
+    noise_sd = float(_opt(opts, "noise_sd", 0.1))
+    seed = int(_opt(opts, "seed", 0))
     out = _out_dir(opts)
 
     data = sample_dataset(objective, domain, m=m, noise_sd=noise_sd, seed=seed)
@@ -159,16 +192,9 @@ def cmd_train(args) -> int:
         raise UsageError(
             f"dataset dimension {data.dim} does not match preset {p.name} ({p.objective.dim})"
         )
-    seed = int(opts.get("seed") or 0)
-    width_scale = float(opts.get("width_scale") or 1.0)
-    cfg_kwargs = {}
-    for key in ("learning_rate", "epochs", "batch_size"):
-        if opts.get(key) is not None:
-            cfg_kwargs[key] = opts[key]
-    try:
-        cfg = TrainConfig(seed=seed, **cfg_kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    seed = int(_opt(opts, "seed", 0))
+    width_scale = _positive(opts, "width_scale", 1.0, float)
+    cfg = _config(TrainConfig, opts, ("learning_rate", "epochs", "batch_size"), seed=seed)
     out = _out_dir(opts)
 
     net = p.architecture(seed=seed, width_scale=width_scale)
@@ -180,41 +206,28 @@ def cmd_train(args) -> int:
     net.save(out / "weights.json")
     save_loss_history(history, out / "loss_history.csv")
     report = evaluate_fit(net, p.objective, p.eval_domain, n=p.eval_n, seed=seed)
-    doc = report.to_json_dict()
-    doc["config"] = _echo_config(opts)
-    _write_json(out / "fit_report.json", doc)
-    log.info("fit: MAE %.4f, MSE %.4f", report.mae, report.mse)
+    _write_fit_report(out, report, opts)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     opts = _merged_options(args)
     net = ResNet.load(_require(opts, "weights"))
-    fn = _require(opts, "fn")
-    try:
-        objective = builtin(fn)
-        p = preset(fn)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    domain = _resolve_domain(opts, p.eval_domain)
-    n = int(opts.get("n") or p.eval_n)
-    seed = int(opts.get("seed") or 0)
+    objective, p = _builtin(_require(opts, "fn"))
+    domain = _resolve_domain(opts, p.eval_domain, objective.dim)
+    n = _positive(opts, "n", p.eval_n)
+    seed = int(_opt(opts, "seed", 0))
     out = _out_dir(opts)
 
-    report = evaluate_fit(net, objective, domain, n=n, seed=seed)
-    doc = report.to_json_dict()
-    doc["config"] = _echo_config(opts)
-    _write_json(out / "fit_report.json", doc)
-    log.info("fit: MAE %.4f, MSE %.4f", report.mae, report.mse)
+    _write_fit_report(out, evaluate_fit(net, objective, domain, n=n, seed=seed), opts)
     return EXIT_OK
 
 
 def cmd_estimate_range(args) -> int:
     opts = _merged_options(args)
-    objective, default_domain = _load_objective(opts)
-    domain = _resolve_domain(opts, default_domain)
+    objective, domain = _load_objective(opts)
     cfg = _anneal_config(opts)
-    n_seeds = int(opts.get("n_seeds") or 10)
+    n_seeds = _positive(opts, "n_seeds", 10)
     out = _out_dir(opts)
 
     t0 = time.perf_counter()
@@ -233,8 +246,7 @@ def cmd_estimate_range(args) -> int:
 
 def cmd_oracle(args) -> int:
     opts = _merged_options(args)
-    objective, default_domain = _load_objective(opts)
-    domain = _resolve_domain(opts, default_domain)
+    objective, domain = _load_objective(opts)
     points_per_dim = int(_require(opts, "points_per_dim"))
     out = _out_dir(opts)
 
@@ -248,23 +260,11 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def max_excursion(trace, domain: BoxDomain) -> float:
-    """Largest componentwise overshoot of any trace point outside the box."""
-    over = np.maximum(trace.points - domain.upper, 0.0)
-    under = np.maximum(domain.lower - trace.points, 0.0)
-    return float(np.max(np.maximum(over, under)))
-
-
-def iterations_to_best(trace) -> int:
-    return int(trace.iterations[int(np.argmin(trace.values))])
-
-
 def cmd_compare(args) -> int:
     opts = _merged_options(args)
-    objective, default_domain = _load_objective(opts)
-    domain = _resolve_domain(opts, default_domain)
+    objective, domain = _load_objective(opts)
     cfg = _anneal_config(opts)
-    n_seeds = int(opts.get("n_seeds") or 10)
+    n_seeds = _positive(opts, "n_seeds", 10)
     out = _out_dir(opts)
 
     rows = []
@@ -282,12 +282,8 @@ def cmd_compare(args) -> int:
                     "max_excursion": max_excursion(r.trace, domain),
                 }
             )
-    lines = ["seed,mode,best_value,iters_to_best,max_excursion"]
-    for row in rows:
-        lines.append(
-            f"{row['seed']},{row['mode']},{repr(row['best_value'])},"
-            f"{row['iters_to_best']},{repr(row['max_excursion'])}"
-        )
+    # str of a Python float is its shortest round-trip repr
+    lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
     (out / "compare_summary.csv").write_text("\n".join(lines) + "\n")
     _write_json(out / "compare_summary.json", {"rows": rows, "config": _echo_config(opts)})
     return EXIT_OK
@@ -381,10 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, WeightFormatError, GridBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, WeightFormatError, GridBudgetExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure

@@ -1,13 +1,11 @@
 """Range estimation: paired min/max annealing runs and the brute-force grid oracle."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .anneal import AnnealConfig, run
+from .anneal import AnnealConfig, AnnealResult, run
 from .domain import BoxDomain
 from .objectives import Objective
 
@@ -16,6 +14,18 @@ GRID_BUDGET = 10**8
 
 class GridBudgetExceeded(ValueError):
     """Raised when the requested tensor grid is larger than the evaluation budget."""
+
+
+def _best_finite(runs: list[AnnealResult]) -> AnnealResult:
+    """The run with the lowest finite best value, the first one on ties.
+
+    NaN and infinite values are never chosen; ValueError when none is finite.
+    """
+    values = np.array([r.best_value for r in runs])
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise ValueError("the objective returned no finite value")
+    return runs[int(np.argmin(np.where(finite, values, np.inf)))]
 
 
 @dataclass
@@ -45,20 +55,8 @@ class RangeResult:
             "seeds_used": self.seeds_used,
         }
         if config is not None:
-            doc["config"] = {
-                "t_max": config.t_max,
-                "t_min": config.t_min,
-                "delta": config.delta,
-                "inner_iters": config.inner_iters,
-                "proposal_variance": config.proposal_variance,
-                "seed": config.seed,
-                "mode": config.mode,
-                "cooling": config.cooling,
-            }
+            doc["config"] = asdict(config)
         return doc
-
-    def save(self, path, config: AnnealConfig | None = None) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(config), indent=2, sort_keys=True) + "\n")
 
 
 def estimate_range(
@@ -71,8 +69,10 @@ def estimate_range(
     """Estimate [f_min, f_max] via n_seeds annealing runs on f and on -f.
 
     The negated runs reuse the same seeds, so estimate_range(-f) swaps and
-    negates the interval exactly. Both argpoints are re-validated by a fresh
-    evaluation of f.
+    negates the interval exactly. Each endpoint comes from the chain with the
+    lowest finite best value (the first seed on ties); ValueError when no chain
+    saw a finite value. Both argpoints are re-validated by a fresh evaluation
+    of f.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
@@ -81,9 +81,7 @@ def estimate_range(
     min_runs = [run(f, domain, replace(cfg, seed=s)) for s in seeds]
     max_runs = [run(neg, domain, replace(cfg, seed=s)) for s in seeds]
 
-    best_min = min(min_runs, key=lambda r: r.best_value)
-    best_max = min(max_runs, key=lambda r: r.best_value)
-    x_min, x_max = best_min.best, best_max.best
+    x_min, x_max = _best_finite(min_runs).best, _best_finite(max_runs).best
 
     result = RangeResult(
         f_min=f(x_min),
@@ -115,9 +113,6 @@ class OracleResult:
             "n_points": self.n_points,
         }
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
-
 
 def grid_oracle(
     f: Objective,
@@ -128,6 +123,7 @@ def grid_oracle(
     """Exhaustive evaluation on the uniform tensor grid (endpoints included).
 
     Deterministic; ties resolve to the first grid point in row-major order.
+    Only finite values count; ValueError when the grid has none.
     """
     if points_per_dim < 2:
         raise ValueError("points_per_dim must be at least 2")
@@ -151,12 +147,15 @@ def grid_oracle(
             coords[:, j] = axes[j][rem % points_per_dim]
             rem = rem // points_per_dim
         vals = f.evaluate_many(coords)
-        k = int(np.argmin(vals))
-        if vals[k] < min_value:
+        finite = np.isfinite(vals)
+        k = int(np.argmin(np.where(finite, vals, np.inf)))
+        if finite[k] and vals[k] < min_value:
             min_value, min_point = float(vals[k]), coords[k].copy()
-        k = int(np.argmax(vals))
-        if vals[k] > max_value:
+        k = int(np.argmax(np.where(finite, vals, -np.inf)))
+        if finite[k] and vals[k] > max_value:
             max_value, max_point = float(vals[k]), coords[k].copy()
+    if min_point is None:
+        raise ValueError("the objective returned no finite value on the grid")
     return OracleResult(
         min_value=min_value,
         min_point=min_point,

@@ -107,42 +107,37 @@ class ResNet:
     def widths(self) -> list[int]:
         return [self.input_dim] + [lyr.out_width for lyr in self.layers]
 
-    def forward(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"expected input of dimension {self.input_dim}, got shape {x.shape}")
-        act, _ = _ACT_FNS[self.activation]
-        h = x
-        for idx, lyr in enumerate(self.layers, start=1):
-            z = lyr.weights @ h + lyr.bias
-            a = act(z) if lyr.has_activation else z
-            h = a + h if lyr.has_skip else a
-            if not np.all(np.isfinite(h)):
-                raise FloatingPointError(f"non-finite value at layer {idx}")
-        return float(h[0])
+    def forward(self, X, cache: list | None = None):
+        """Network output at a (d,) point (a float) or an (n, d) batch (an (n,) array).
 
-    def forward_batch(self, X) -> np.ndarray:
+        When ``cache`` is a list, each layer's input and pre-activation
+        ``(h_in, z)`` is appended to it for backpropagation. Raises
+        FloatingPointError naming the first non-finite layer when the output
+        is not finite; training runs through here, so ``train`` may raise it too.
+        """
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise ValueError(f"expected (n, {self.input_dim}) batch, got shape {X.shape}")
+        if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
+            raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
         act, _ = _ACT_FNS[self.activation]
         h = X
-        for idx, lyr in enumerate(self.layers, start=1):
+        for lyr in self.layers:
             z = h @ lyr.weights.T + lyr.bias
+            if cache is not None:
+                cache.append((h, z))
             a = act(z) if lyr.has_activation else z
             h = a + h if lyr.has_skip else a
-            if not np.all(np.isfinite(h)):
-                raise FloatingPointError(f"non-finite value at layer {idx}")
-        return h[:, 0]
+        if not np.all(np.isfinite(h)):
+            if cache is None:
+                self.forward(X, cache=[])  # walks the layers again, recording them, and raises
+            # layer k's output is the input recorded for layer k + 1; the last one is h
+            outputs = [h_in for h_in, _ in cache[len(cache) - len(self.layers) + 1 :]] + [h]
+            layer = next(k for k, o in enumerate(outputs, start=1) if not np.all(np.isfinite(o)))
+            raise FloatingPointError(f"non-finite value at layer {layer}")
+        out = h[..., 0]
+        return out if out.ndim else float(out)
 
     def as_objective(self, name: str | None = None) -> Objective:
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                return self.forward(x)
-            return self.forward_batch(x)
-
-        return Objective(fn, self.input_dim, name=name or "resnet")
+        return Objective(self.forward, self.input_dim, name=name or "resnet")
 
     def copy(self) -> "ResNet":
         return ResNet(
@@ -246,6 +241,8 @@ def build_resnet(
 
 
 def _scaled(hidden: list[int], width_scale: float) -> list[int]:
+    if not width_scale > 0:
+        raise ValueError(f"width_scale must be positive, got {width_scale}")
     return [max(1, int(round(h * width_scale))) for h in hidden]
 
 

@@ -1,7 +1,6 @@
 """MSE training with Adam, manual backprop, and fit metrics on fresh points."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,23 +58,6 @@ class FitReport:
             "eval_seed": self.eval_seed,
         }
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def _forward_cached(net: ResNet, X: np.ndarray):
-    """Batch forward keeping per-layer inputs and pre-activations for backprop."""
-    act, _ = _ACT_FNS[net.activation]
-    h = X
-    cache = []
-    for lyr in net.layers:
-        z = h @ lyr.weights.T + lyr.bias
-        a = act(z) if lyr.has_activation else z
-        out = a + h if lyr.has_skip else a
-        cache.append((h, z))
-        h = out
-    return h[:, 0], cache
-
 
 def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray, reduction="mean"):
     """Squared-error loss and its gradient w.r.t. every weight and bias.
@@ -84,7 +66,8 @@ def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray, reductio
     reduction "mean" gives the training MSE; "sum" the plain squared error.
     """
     _, act_deriv = _ACT_FNS[net.activation]
-    out, cache = _forward_cached(net, X)
+    cache = []
+    out = net.forward(X, cache)
     resid = out - targets
     n = len(X)
     scale = 2.0 / n if reduction == "mean" else 2.0
@@ -128,7 +111,9 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     """Train a copy of the network by Adam on MSE; returns (net, loss history).
 
     Deterministic for fixed config and dataset: row order is shuffled by the
-    seeded generator and all reductions run in fixed order.
+    seeded generator and all reductions run in fixed order. Raises
+    TrainingDiverged on a non-finite loss, or the forward pass's
+    FloatingPointError when the network output itself is not finite.
     """
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
@@ -179,9 +164,11 @@ def evaluate_fit(
     """MAE/MSE between the network and the target on fresh uniform points."""
     if f.dim != net.input_dim or eval_domain.dim != net.input_dim:
         raise ValueError("objective, domain and network dimensions must agree")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     X = eval_domain.sample_uniform(rng, n)
-    err = net.forward_batch(X) - f.evaluate_many(X)
+    err = net.forward(X) - f.evaluate_many(X)
     return FitReport(
         mae=float(np.mean(np.abs(err))),
         mse=float(np.mean(err**2)),

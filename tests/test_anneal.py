@@ -3,7 +3,6 @@ import pytest
 
 from rangesa import (
     AnnealConfig,
-    AnnealState,
     BoxDomain,
     Objective,
     acceptance_probability,
@@ -12,7 +11,6 @@ from rangesa import (
     gibbs_density,
     propose,
     run,
-    step,
 )
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
@@ -34,6 +32,9 @@ class TestConfig:
             {"proposal_variance": -1.0},
             {"mode": "bogus"},
             {"cooling": "bogus"},
+            {"t_max": np.inf},
+            {"t_min": np.nan},
+            {"proposal_variance": np.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -115,64 +116,66 @@ class TestAcceptanceProbability:
             acceptance_probability(1.0, 0.0)
 
 
+def _recorded_sphere():
+    """The sphere plus the list of every value it returned, in call order."""
+    seen = []
+
+    def fn(x):
+        v = float(np.sum(np.asarray(x) ** 2))
+        seen.append(v)
+        return v
+
+    return Objective(fn, 2, name="sphere"), seen
+
+
+def _cold_config(temperature, variance, seed):
+    # a single temperature level of 200 steps
+    return AnnealConfig(
+        t_max=2 * temperature, t_min=temperature, delta=0.5,
+        inner_iters=200, proposal_variance=variance, seed=seed,
+    )
+
+
 class TestStep:
+    """Per-step properties of the chain, read off run traces."""
+
     dom = BoxDomain(((-1, 1), (-1, 1)))
 
-    def _state(self, x, f, temperature=1.0):
-        fx = f(np.asarray(x, dtype=float))
-        return AnnealState(
-            current=np.asarray(x, dtype=float),
-            current_value=fx,
-            best=np.asarray(x, dtype=float),
-            best_value=fx,
-            temperature=temperature,
-            iteration=0,
-        )
+    def _steps(self, cfg):
+        # value held before each step, value proposed, accepted flag
+        f, seen = _recorded_sphere()
+        res = run(f, self.dom, cfg)
+        held = np.concatenate([[seen[0]], res.trace.values[:-1]])
+        return res, held, np.array(seen[1:]), res.trace.accepted
 
     def test_downhill_always_accepted(self):
         # at near-zero temperature only the q = 1 branch can move the chain,
         # so every move must be strictly downhill, and moves do happen
-        rng = np.random.default_rng(3)
-        state = self._state([1.0, 1.0], SPHERE, temperature=1e-300)
-        cfg = AnnealConfig(proposal_variance=0.01)
-        moved = 0
-        for _ in range(200):
-            new = step(state, SPHERE, self.dom, cfg, rng)
-            if not np.array_equal(new.current, state.current):
-                assert new.current_value < state.current_value
-                moved += 1
-            state = new
-        assert moved >= 5
+        res, held, proposed, accepted = self._steps(_cold_config(1e-300, 0.01, seed=3))
+        assert np.all(accepted[proposed < held])
+        assert np.all(res.trace.values[accepted] < held[accepted])
+        assert accepted.sum() >= 5
 
     def test_cold_chain_rejects_uphill(self):
-        rng = np.random.default_rng(4)
-        state = self._state([0.0, 0.0], SPHERE, temperature=1e-12)
-        cfg = AnnealConfig(proposal_variance=0.04)
-        rejections = 0
-        for _ in range(200):
-            new = step(state, SPHERE, self.dom, cfg, rng)
-            if np.array_equal(new.current, state.current):
-                rejections += 1
-            state = new
-        assert rejections >= 195
+        res, held, proposed, accepted = self._steps(_cold_config(1e-12, 0.04, seed=4))
+        uphill = proposed > held
+        assert not np.any(accepted[uphill])
+        assert np.all(res.trace.values[~accepted] == held[~accepted])
+        assert uphill.sum() >= 150  # the chain settles and then mostly proposes uphill
 
     def test_reflected_stays_inside(self):
-        rng = np.random.default_rng(5)
-        state = self._state([0.9, 0.9], SPHERE)
-        cfg = AnnealConfig(proposal_variance=1.0)
-        for _ in range(500):
-            state = step(state, SPHERE, self.dom, cfg, rng)
-            assert self.dom.contains(state.current)
+        res = run(SPHERE, self.dom, AnnealConfig(seed=5, proposal_variance=1.0, t_min=1.0))
+        assert np.all(self.dom.contains(res.trace.points))
+        pts = fixed_temperature_chain(SPHERE, self.dom, 1.0, 1.0, 500, seed=5)
+        assert np.all(self.dom.contains(pts))
 
     def test_best_value_never_increases(self):
-        rng = np.random.default_rng(6)
-        state = self._state([0.5, 0.5], SPHERE)
-        cfg = AnnealConfig()
-        best = state.best_value
-        for _ in range(200):
-            state = step(state, SPHERE, self.dom, cfg, rng)
-            assert state.best_value <= best
-            best = state.best_value
+        f, seen = _recorded_sphere()
+        res = run(f, self.dom, AnnealConfig(seed=6))
+        best = res.trace.best_values
+        assert np.all(np.diff(best) <= 0)
+        assert np.array_equal(best, np.minimum.accumulate(np.minimum(res.trace.values, seen[0])))
+        assert res.best_value == best[-1] == SPHERE(res.best)
 
 
 class TestRun:

@@ -192,3 +192,49 @@ def test_both_fn_and_weights_rejected(tmp_path, tiny_weights):
     rc = main(["estimate-range", "--fn", "ackley", "--weights", str(tiny_weights),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate-range"], ["oracle", "--points-per-dim", "5"], ["compare"], ["generate-data"]],
+)
+def test_domain_dimension_mismatch_exits_2(tmp_path, capsys, argv):
+    rc = main(argv + ["--fn", "ackley", "--domain=-1,1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "domain dimension 1 != objective dimension 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_bad_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    rc = main(["estimate-range", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config file" in capsys.readouterr().err
+
+
+def test_infinite_temperature_exits_2(tmp_path, capsys):
+    rc = main(["estimate-range", "--fn", "ackley", "--t-max", "inf", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "t_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate-data", "--fn", "ackley", "--m", "0"], "--m"),
+        (["estimate-range", "--fn", "ackley", "--n-seeds", "0"], "--n-seeds"),
+        (["compare", "--fn", "ackley", "--n-seeds", "0"], "--n-seeds"),
+        (["evaluate", "--weights", "WEIGHTS", "--fn", "ackley", "--n", "0"], "--n"),
+        (["train", "--preset", "ackley", "--data", "DATA", "--width-scale", "0"], "--width-scale"),
+    ],
+)
+def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
+    data = tmp_path / "ackley_data.csv"
+    sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 20, 0.0, 1).save(data)
+    argv = [{"WEIGHTS": str(tiny_weights), "DATA": str(data)}.get(a, a) for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {flag} must be positive" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -102,3 +102,39 @@ def test_range_result_orders_endpoints():
             f_min=1.0, f_max=0.0, x_min=np.zeros(2), x_max=np.zeros(2),
             eval_count=0, seeds_used=[0],
         )
+
+
+def _nan_left(x):
+    # sphere on the right half of the square, NaN where x1 < 0
+    x = np.asarray(x, dtype=float)
+    return np.where(x[..., 0] < 0, np.nan, np.sum(x**2, axis=-1))
+
+
+NAN_LEFT = Objective(_nan_left, 2, name="nan_left")
+ALL_NAN = Objective(lambda x: np.full(np.shape(x)[:-1], np.nan), 2, name="all_nan")
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_estimate_range_skips_nan_chains(seed):
+    # the first chain starts at a NaN and never moves; the others stay finite
+    dom = BoxDomain.cube(-1, 1, 2)
+    cfg = AnnealConfig(seed=seed, delta=0.7)
+    res, traces = estimate_range(NAN_LEFT, dom, cfg, n_seeds=4, return_traces=True)
+    assert np.isnan(traces["min"][0].best_value)
+    finite_mins = [r.best_value for r in traces["min"] if np.isfinite(r.best_value)]
+    finite_maxs = [-r.best_value for r in traces["max"] if np.isfinite(r.best_value)]
+    assert res.f_min == min(finite_mins) and res.f_max == max(finite_maxs)
+    assert res.x_min[0] >= 0 and res.x_max[0] >= 0
+    with pytest.raises(ValueError, match="no finite"):
+        estimate_range(ALL_NAN, dom, cfg, n_seeds=2)
+
+
+def test_grid_oracle_skips_nan_values():
+    dom = BoxDomain.cube(-1, 1, 2)
+    res = grid_oracle(NAN_LEFT, dom, 5)
+    assert res.min_value == 0.0 and np.array_equal(res.min_point, [0.0, 0.0])
+    # (1, -1) and (1, 1) tie at 2; the first in row-major order wins
+    assert res.max_value == 2.0 and np.array_equal(res.max_point, [1.0, -1.0])
+    assert res.to_json_dict()["max_point"] == [1.0, -1.0]
+    with pytest.raises(ValueError, match="no finite"):
+        grid_oracle(ALL_NAN, dom, 5)

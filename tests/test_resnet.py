@@ -54,7 +54,7 @@ def test_forward_deterministic():
 def test_forward_batch_matches_single():
     net = build_resnet([2, 16, 16, 1], seed=6)
     X = np.random.default_rng(0).uniform(-2, 2, size=(20, 2))
-    batch = net.forward_batch(X)
+    batch = net.forward(X)
     single = np.array([net.forward(x) for x in X])
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-12)
 
@@ -71,6 +71,37 @@ def test_nonfinite_error_names_layer():
     net = ResNet([big, out])
     with pytest.raises(FloatingPointError, match="layer 1"):
         net.forward(np.array([1e308, 1e308]))
+
+
+def test_nonfinite_batch_names_middle_layer():
+    ident = Layer(np.eye(2), np.zeros(2), False, False)
+    big = Layer(np.full((2, 2), 1e308), np.zeros(2), False, False)
+    out = Layer(np.ones((1, 2)), np.zeros(1), False, False)
+    net = ResNet([ident, big, out])
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(FloatingPointError, match="layer 2"):
+        net.forward(X)
+    with pytest.raises(FloatingPointError, match="layer 2"):
+        net.forward(X, cache=[])
+
+
+def test_forward_cache_holds_layer_inputs_and_preactivations():
+    net = build_resnet([2, 4, 4, 1], seed=7)
+    X = np.random.default_rng(2).uniform(-1, 1, size=(5, 2))
+    cache = []
+    out = net.forward(X, cache)
+    assert len(cache) == len(net.layers)
+    assert np.array_equal(cache[0][0], X)
+    for lyr, (h_in, z) in zip(net.layers, cache):
+        assert np.array_equal(z, h_in @ lyr.weights.T + lyr.bias)
+    assert np.array_equal(out, cache[-1][1][:, 0])
+    assert np.array_equal(cache[2][0], np.maximum(cache[1][1], 0.0) + cache[1][0])
+
+
+def test_nonpositive_width_scale_rejected():
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="width_scale"):
+            architecture_ackley(width_scale=scale)
 
 
 def test_skip_requires_equal_widths():
@@ -141,7 +172,7 @@ class TestSerialization:
         net.save(path)
         back = ResNet.load(path)
         X = np.random.default_rng(1).uniform(-3, 3, size=(50, 2))
-        assert np.array_equal(net.forward_batch(X), back.forward_batch(X))
+        assert np.array_equal(net.forward(X), back.forward(X))
 
     def test_truncated_file(self, tmp_path):
         net = build_resnet([2, 4, 1], seed=0)

@@ -5,7 +5,6 @@ from rangesa import BoxDomain, Objective, TrainConfig, builtin, evaluate_fit, sa
 from rangesa.resnet import Layer, ResNet, build_resnet
 from rangesa.trainer import (
     TrainingDiverged,
-    _forward_cached,
     flatten_gradients,
     gradient,
     loss_and_gradients,
@@ -44,7 +43,8 @@ def finite_difference(net, x, target, h=1e-5):
 
 
 def min_preactivation(net, x):
-    _, cache = _forward_cached(net, np.asarray(x)[None, :])
+    cache = []
+    net.forward(np.asarray(x)[None, :], cache)
     return min(np.min(np.abs(z)) for _, z in cache)
 
 
@@ -123,7 +123,7 @@ class TestTrain:
         net = build_resnet([2, 8, 8, 1], seed=0)
         net, history = train(net, data, TrainConfig(epochs=2000, learning_rate=0.01, seed=0))
         assert history[-1] < 1e-2
-        assert np.max(np.abs(net.forward_batch(data.inputs) - 2.5)) < 0.2
+        assert np.max(np.abs(net.forward(data.inputs) - 2.5)) < 0.2
 
     def test_loss_decreases_without_noise(self):
         f = builtin("ackley")
@@ -186,3 +186,8 @@ class TestEvaluateFit:
         net = build_resnet([2, 4, 1], seed=0)
         with pytest.raises(ValueError):
             evaluate_fit(net, builtin("multimin"), BoxDomain.cube(-3, 3, 3), n=10, seed=0)
+
+    def test_zero_points_rejected(self):
+        net = build_resnet([2, 4, 1], seed=0)
+        with pytest.raises(ValueError, match="n must be"):
+            evaluate_fit(net, builtin("ackley"), BoxDomain.cube(-5, 5, 2), n=0, seed=0)
