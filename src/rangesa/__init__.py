@@ -8,7 +8,6 @@ from .anneal import (
     acceptance_probability,
     fixed_temperature_chain,
     gibbs_density,
-    propose,
     run,
 )
 from .domain import BoxDomain
@@ -62,7 +61,6 @@ __all__ = [
     "gradient",
     "grid_oracle",
     "multi_minima",
-    "propose",
     "run",
     "sample_dataset",
     "train",

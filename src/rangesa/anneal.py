@@ -1,14 +1,15 @@
 """Simulated annealing with reflective boundary conditions.
 
-The chain proposes Gaussian steps, folds them back into the box (reflected
+A chain proposes Gaussian steps, folds them back into the box (reflected
 mode), and accepts with the Metropolis rule under a geometrically decreasing
 temperature. Classical mode runs the identical loop without the fold and may
-wander outside the box.
+wander outside the box. One kernel advances a batch of chains in lockstep,
+with one objective call per step for the whole batch.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +53,13 @@ class AnnealConfig:
 
     def temperature_levels(self) -> list[float]:
         """Temperatures visited by the outer loop, strictly decreasing."""
-        levels = []
-        t = self.t_max
-        i = 0
+        levels, t = [], self.t_max
         while t > self.t_min:
             levels.append(t)
-            i += 1
             if self.cooling == "theorem":
-                t = self.t_max * self.delta**i
+                t = self.t_max * self.delta ** len(levels)
             else:
-                t = t * self.delta**i
+                t = t * self.delta ** len(levels)
         return levels
 
 
@@ -80,22 +78,21 @@ class Trace:
         return len(self.iterations)
 
     def to_csv(self, path) -> None:
-        d = self.points.shape[1]
-        header = "iter,temperature," + ",".join(f"x{j+1}" for j in range(d)) + ",value,accepted,best_value"
-        lines = [header]
-        for i in range(len(self)):
-            lines.append(
-                ",".join(
-                    [str(int(self.iterations[i])), repr(float(self.temperatures[i]))]
-                    + [repr(float(v)) for v in self.points[i]]
-                    + [
-                        repr(float(self.values[i])),
-                        str(int(self.accepted[i])),
-                        repr(float(self.best_values[i])),
-                    ]
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        """One line per step, floats as shortest repr, formatted by column 1,000 rows at a time."""
+        cols = "iter,temperature," + ",".join(f"x{j+1}" for j in range(self.points.shape[1]))
+        with Path(path).open("w") as fh:
+            fh.write(cols + ",value,accepted,best_value\n")
+            for start in range(0, len(self), 1000):
+                rows = slice(start, start + 1000)
+                fields = [
+                    map(str, self.iterations[rows].tolist()),
+                    map(repr, self.temperatures[rows].tolist()),
+                    *(map(repr, col.tolist()) for col in self.points[rows].T),
+                    map(repr, self.values[rows].tolist()),
+                    map(str, self.accepted[rows].astype(int).tolist()),
+                    map(repr, self.best_values[rows].tolist()),
+                ]
+                fh.write("".join(",".join(line) + "\n" for line in zip(*fields)))
 
 
 @dataclass
@@ -107,66 +104,76 @@ class AnnealResult:
     config: AnnealConfig
 
 
-def propose(x: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Isotropic Gaussian step around x with the given per-coordinate variance."""
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    return x + rng.normal(0.0, np.sqrt(variance), size=x.shape)
+def acceptance_probability(delta_f, temperature):
+    """Metropolis rule exp(-max(dF, 0) / T), elementwise on arrays (a float for scalars).
 
-
-def acceptance_probability(delta_f: float, temperature: float) -> float:
-    """Metropolis rule: 1 for downhill moves, exp(-dF/T) for uphill."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if delta_f <= 0:
-        return 1.0
-    return float(np.exp(-delta_f / temperature))
-
-
-def _chain(
-    f: Objective,
-    domain: BoxDomain,
-    temperatures: np.ndarray,
-    variance: float,
-    reflect: bool,
-    seed: int,
-) -> tuple[Trace, np.ndarray, float]:
-    """The Metropolis chain: one step per entry of ``temperatures``.
-
-    The start point is uniform on the box. Each step draws one Gaussian
-    proposal, folds it into the box when ``reflect`` is set, evaluates f once
-    and then draws one uniform for the acceptance test. Returns the trace and
-    the best point and value seen, start point included.
+    Downhill moves get 1; a NaN difference gives NaN, which no uniform draw accepts.
     """
-    if f.dim != domain.dim:
-        raise ValueError(f"objective dimension {f.dim} != domain dimension {domain.dim}")
-    rng = np.random.default_rng(seed)
-    n_steps = len(temperatures)
-    x = domain.sample_uniform(rng)
-    fx = f(x)
-    best, best_value = x.copy(), fx
+    if not ((temperature > 0).all() if isinstance(temperature, np.ndarray) else temperature > 0):
+        raise ValueError("temperature must be positive")
+    q = np.exp(np.maximum(delta_f, 0.0) / -temperature)
+    return q if isinstance(q, np.ndarray) else float(q)
 
-    points = np.empty((n_steps, domain.dim))
-    values = np.empty(n_steps)
-    accepted = np.empty(n_steps, dtype=bool)
-    best_values = np.empty(n_steps)
-    for i, t in enumerate(temperatures.tolist()):
-        y = propose(x, variance, rng)
-        if reflect:
-            y = domain.reflect(y)
-        fy = f(y)
-        acc = rng.uniform() <= acceptance_probability(fy - fx, t)
-        if acc:
-            x, fx = y, fy
-            if fx < best_value:
-                best, best_value = x.copy(), fx
-        points[i] = x
-        values[i] = fx
-        accepted[i] = acc
-        best_values[i] = best_value
 
-    trace = Trace(np.arange(1, n_steps + 1), temperatures, points, values, accepted, best_values)
-    return trace, best, best_value
+def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
+    """Annealing runs advanced in lockstep, one per config; configs differ only in seed and mode.
+
+    Run c minimizes ``signs[c] * f`` (default +1; -1 maximizes f). Its own
+    ``default_rng(seed)`` draws the uniform start, then per temperature level
+    inner_iters x d Gaussian increments and then inner_iters uniforms, so its
+    path depends only on its seed and the values it sees, never on the batch.
+    Each step proposes for every run, folds the reflected ones, evaluates f
+    once on the batch and applies the acceptance rule to all rows at once.
+    """
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed, mode=cfg.mode) != cfg for c in cfgs):
+        raise ValueError("runs in one batch may differ only in seed and mode")
+    levels, m, d, n = cfg.temperature_levels(), cfg.inner_iters, domain.dim, len(cfgs)
+    sd = np.sqrt(cfg.resolve_variance(domain))
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    signs = np.ones(n) if signs is None else np.asarray(signs, dtype=float)
+    fold = np.array([[c.mode == "reflected"] for c in cfgs])
+    fold_all, fold_any = bool(fold.all()), bool(fold.any())
+
+    # step-major storage; row 0 holds the start, row i every run's state after step i
+    points = np.empty((1 + len(levels) * m, n, d))
+    values = np.empty(points.shape[:2])
+    accepted = np.zeros(points.shape[:2], dtype=bool)
+    x = points[0] = np.array([domain.sample_uniform(rng) for rng in rngs])
+    fx = values[0] = signs * f.evaluate_many(x)
+    i = 0
+    for t in levels:
+        noise = np.stack([rng.normal(0.0, sd, size=(m, d)) for rng in rngs], axis=1)
+        uniforms = np.stack([rng.uniform(size=m) for rng in rngs], axis=1)
+        for k in range(m):
+            y = x + noise[k]
+            if fold_any:
+                y = domain.reflect(y) if fold_all else np.where(fold, domain.reflect(y), y)
+            fy = signs * f.evaluate_many(y)
+            acc = uniforms[k] <= acceptance_probability(fy - fx, t)
+            taken = np.count_nonzero(acc)
+            if 0 < taken < n:  # merge only when needed: a lone chain never does
+                y, fy = np.where(acc[:, None], y, x), np.where(acc, fy, fx)
+            if taken:
+                x, fx = y, fy
+            i += 1
+            points[i], values[i], accepted[i] = x, fx, acc
+
+    # the best state is where the running minimum is first reached (NaN stays NaN)
+    best_values = np.minimum.accumulate(values)
+    first = np.argmin(values, axis=0)
+    temperatures, iterations = np.repeat(levels, m), np.arange(1, i + 1)
+    return [
+        AnnealResult(
+            best=points[j, c].copy(),
+            best_value=float(values[j, c]),
+            trace=Trace(iterations, temperatures, points[1:, c], values[1:, c], accepted[1:, c],
+                        best_values[1:, c]),
+            eval_count=1 + i,
+            config=cfg,
+        )
+        for c, (j, cfg) in enumerate(zip(first, cfgs))
+    ]
 
 
 def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> AnnealResult:
@@ -175,17 +182,7 @@ def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> AnnealResult:
     The start point is uniform on the box; total objective evaluations are
     1 + inner_iters * number of temperature levels.
     """
-    temperatures = np.repeat(cfg.temperature_levels(), cfg.inner_iters)
-    trace, best, best_value = _chain(
-        f, domain, temperatures, cfg.resolve_variance(domain), cfg.mode == "reflected", cfg.seed
-    )
-    return AnnealResult(
-        best=best,
-        best_value=best_value,
-        trace=trace,
-        eval_count=1 + len(trace),
-        config=cfg,
-    )
+    return _chains(f, domain, [cfg])[0]
 
 
 def fixed_temperature_chain(
@@ -198,9 +195,10 @@ def fixed_temperature_chain(
     burn_in: int = 0,
 ) -> np.ndarray:
     """Reflected Metropolis chain at one fixed temperature; returns post-burn-in points."""
-    temperatures = np.full(burn_in + n_steps, float(temperature))
-    trace, _, _ = _chain(f, domain, temperatures, variance, True, seed)
-    return trace.points[burn_in:]
+    # a schedule of one level: T, then T / 2, which is not above t_min
+    cfg = AnnealConfig(t_max=temperature, t_min=temperature / 2, delta=0.5,
+                       inner_iters=burn_in + n_steps, proposal_variance=variance, seed=seed)
+    return run(f, domain, cfg).trace.points[burn_in:]
 
 
 def max_excursion(trace: Trace, domain: BoxDomain) -> float:

@@ -14,7 +14,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .anneal import AnnealConfig, iterations_to_best, max_excursion, run
+from .anneal import AnnealConfig, _chains, iterations_to_best, max_excursion
 from .domain import BoxDomain
 from .objectives import Dataset, Objective, builtin, sample_dataset
 from .presets import Preset, preset
@@ -33,6 +33,11 @@ class UsageError(ValueError):
     """Bad configuration or arguments; maps to exit code 2."""
 
 
+def _check(ok, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
 def parse_domain(spec) -> BoxDomain:
     """Accept 'l1,u1,...,ld,ud' strings or [[l, u], ...] lists."""
     if isinstance(spec, str):
@@ -40,8 +45,8 @@ def parse_domain(spec) -> BoxDomain:
             vals = [float(v) for v in spec.split(",")]
         except ValueError:
             raise UsageError(f"cannot parse domain {spec!r}") from None
-        if len(vals) % 2 != 0 or not vals:
-            raise UsageError("domain needs an even number of values: l1,u1,...,ld,ud")
+        _check(vals and len(vals) % 2 == 0,
+               "domain needs an even number of values: l1,u1,...,ld,ud")
         pairs = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
     else:
         pairs = tuple(tuple(map(float, b)) for b in spec)
@@ -56,14 +61,12 @@ def _merged_options(args: argparse.Namespace) -> dict:
     opts = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+        _check(path.exists(), f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed config file {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
+        _check(isinstance(doc, dict), f"config file {path} must hold a JSON object")
         opts.update(doc)
     for key, value in vars(args).items():
         if key in ("config", "command", "func"):
@@ -78,8 +81,7 @@ def _flag(key: str) -> str:
 
 
 def _require(opts: dict, key: str):
-    if opts.get(key) is None:
-        raise UsageError(f"missing required option {_flag(key)}")
+    _check(opts.get(key) is not None, f"missing required option {_flag(key)}")
     return opts[key]
 
 
@@ -92,8 +94,7 @@ def _opt(opts: dict, key: str, default):
 def _positive(opts: dict, key: str, default, kind=int):
     """A count or scale option that must be above 0."""
     value = kind(_opt(opts, key, default))
-    if not value > 0:
-        raise UsageError(f"{_flag(key)} must be positive, got {value}")
+    _check(value > 0, f"{_flag(key)} must be positive, got {value}")
     return value
 
 
@@ -108,8 +109,7 @@ def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
     """Objective from --fn or --weights, and the domain to search it on."""
     fn = opts.get("fn")
     weights = opts.get("weights")
-    if (fn is None) == (weights is None):
-        raise UsageError("exactly one of --fn or --weights is required")
+    _check((fn is None) != (weights is None), "exactly one of --fn or --weights is required")
     if fn is not None:
         objective, p = _builtin(fn)
         default_domain = p.train_domain
@@ -122,12 +122,11 @@ def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
 def _resolve_domain(opts: dict, default: BoxDomain | None, dim: int) -> BoxDomain:
     """--domain, which must have ``dim`` dimensions, or else the default."""
     if opts.get("domain") is None:
-        if default is None:
-            raise UsageError("--domain is required when the objective comes from a weights file")
+        _check(default is not None,
+               "--domain is required when the objective comes from a weights file")
         return default
     domain = parse_domain(opts["domain"])
-    if domain.dim != dim:
-        raise UsageError(f"domain dimension {domain.dim} != objective dimension {dim}")
+    _check(domain.dim == dim, f"domain dimension {domain.dim} != objective dimension {dim}")
     return domain
 
 
@@ -174,6 +173,7 @@ def cmd_generate_data(args) -> int:
     domain = _resolve_domain(opts, p.train_domain, objective.dim)
     m = _positive(opts, "m", p.default_m)
     noise_sd = float(_opt(opts, "noise_sd", 0.1))
+    _check(0 <= noise_sd < float("inf"), f"--noise-sd must be finite and >= 0, got {noise_sd}")
     seed = int(_opt(opts, "seed", 0))
     out = _out_dir(opts)
 
@@ -188,10 +188,8 @@ def cmd_train(args) -> int:
     opts = _merged_options(args)
     p = preset(_require(opts, "preset"))
     data = Dataset.load(_require(opts, "data"))
-    if data.dim != p.objective.dim:
-        raise UsageError(
-            f"dataset dimension {data.dim} does not match preset {p.name} ({p.objective.dim})"
-        )
+    _check(data.dim == p.objective.dim,
+           f"dataset dimension {data.dim} does not match preset {p.name} ({p.objective.dim})")
     seed = int(_opt(opts, "seed", 0))
     width_scale = _positive(opts, "width_scale", 1.0, float)
     cfg = _config(TrainConfig, opts, ("learning_rate", "epochs", "batch_size"), seed=seed)
@@ -214,6 +212,8 @@ def cmd_evaluate(args) -> int:
     opts = _merged_options(args)
     net = ResNet.load(_require(opts, "weights"))
     objective, p = _builtin(_require(opts, "fn"))
+    _check(net.input_dim == objective.dim,
+           f"network input dimension {net.input_dim} != objective dimension {objective.dim}")
     domain = _resolve_domain(opts, p.eval_domain, objective.dim)
     n = _positive(opts, "n", p.eval_n)
     seed = int(_opt(opts, "seed", 0))
@@ -248,6 +248,7 @@ def cmd_oracle(args) -> int:
     opts = _merged_options(args)
     objective, domain = _load_objective(opts)
     points_per_dim = int(_require(opts, "points_per_dim"))
+    _check(points_per_dim >= 2, f"--points-per-dim must be at least 2, got {points_per_dim}")
     out = _out_dir(opts)
 
     t0 = time.perf_counter()
@@ -267,21 +268,15 @@ def cmd_compare(args) -> int:
     n_seeds = _positive(opts, "n_seeds", 10)
     out = _out_dir(opts)
 
+    cfgs = [replace(cfg, seed=cfg.seed + k, mode=mode)
+            for k in range(n_seeds) for mode in ("reflected", "classical")]
     rows = []
-    for k in range(n_seeds):
-        seed = cfg.seed + k
-        for mode in ("reflected", "classical"):
-            r = run(objective, domain, replace(cfg, seed=seed, mode=mode))
-            r.trace.to_csv(out / f"trace_{mode}_seed{seed}.csv")
-            rows.append(
-                {
-                    "seed": seed,
-                    "mode": mode,
-                    "best_value": r.best_value,
-                    "iters_to_best": iterations_to_best(r.trace),
-                    "max_excursion": max_excursion(r.trace, domain),
-                }
-            )
+    for r in _chains(objective, domain, cfgs):
+        seed, mode = r.config.seed, r.config.mode
+        r.trace.to_csv(out / f"trace_{mode}_seed{seed}.csv")
+        rows.append({"seed": seed, "mode": mode, "best_value": r.best_value,
+                     "iters_to_best": iterations_to_best(r.trace),
+                     "max_excursion": max_excursion(r.trace, domain)})
     # str of a Python float is its shortest round-trip repr
     lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
     (out / "compare_summary.csv").write_text("\n".join(lines) + "\n")

@@ -61,18 +61,21 @@ class BoxDomain:
     def reflect(self, y) -> np.ndarray:
         """Fold an arbitrary real vector into the box, component-wise.
 
-        Points already inside are returned unchanged. The map is the
+        Components already inside are returned unchanged. The map is the
         period-2(u-l) triangle wave per coordinate: the fractional offset
         ``t = (y - l) mod 2(u - l)`` maps to ``l + t`` when ``t <= u - l``
         and to ``u - (t - (u - l))`` otherwise.
         """
         y = np.asarray(y, dtype=float)
         self._check_dim(y)
+        inside = (y >= self._lower) & (y <= self._upper)
+        if np.count_nonzero(inside) == inside.size:  # cheaper than inside.all() on small arrays
+            return y.copy()
         w = self._widths
         t = np.mod(y - self._lower, 2.0 * w)
         folded = self._lower + np.where(t <= w, t, 2.0 * w - t)
         # rounding at the period seam must never produce a point outside the box
-        return np.clip(folded, self._lower, self._upper)
+        return np.where(inside, y, np.clip(folded, self._lower, self._upper))
 
     def sample_uniform(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         size = self.dim if n is None else (n, self.dim)

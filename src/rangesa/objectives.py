@@ -13,9 +13,10 @@ from .domain import BoxDomain
 class Objective:
     """A scalar black-box function on R^d.
 
-    Wraps a vectorized callable taking an (..., d) array and returning (...)
-    values. Evaluation must be deterministic; the annealer only ever queries
-    points, never gradients.
+    Wraps a vectorized callable taking an (n, d) batch and returning (n,)
+    values; a single point is evaluated as a batch of one row. Evaluation
+    must be deterministic; the annealer only ever queries points, never
+    gradients.
     """
 
     def __init__(self, fn, dim: int, name: str | None = None):
@@ -27,13 +28,17 @@ class Objective:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
-        return float(self._fn(x))
+        return float(self.evaluate_many(x[None, :])[0])
 
     def evaluate_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) batch, got shape {X.shape}")
-        return np.asarray(self._fn(X), dtype=float)
+        values = np.asarray(self._fn(X), dtype=float)
+        if values.shape != X.shape[:1]:
+            raise ValueError(f"objective returned shape {values.shape} for {len(X)} points, "
+                             f"expected ({len(X)},)")
+        return values
 
     def negated(self) -> "Objective":
         name = f"neg_{self.name}" if self.name else None
@@ -43,19 +48,21 @@ class Objective:
         return f"Objective(name={self.name!r}, dim={self.dim})"
 
 
-def _split2(p):
+def _points(p, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 2:
-        raise ValueError(f"expected 2-dimensional input, got shape {p.shape}")
-    return p[..., 0], p[..., 1]
+    if p.shape[-1] != d:
+        raise ValueError(f"expected {d}-dimensional input, got shape {p.shape}")
+    return p
 
 
 def ackley(p):
     """Ackley benchmark on R^2; global minimum 0 at the origin."""
-    x1, x2 = _split2(p)
+    # each ufunc call covers both coordinates: the per-coordinate arithmetic, fewer calls
+    p = _points(p, 2)
+    sq, c = p * p, np.cos(2.0 * np.pi * p)
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(0.5 * (x1**2 + x2**2)))
-        - np.exp(0.5 * (np.cos(2.0 * np.pi * x1) + np.cos(2.0 * np.pi * x2)))
+        -20.0 * np.exp(-0.2 * np.sqrt(0.5 * (sq[..., 0] + sq[..., 1])))
+        - np.exp(0.5 * (c[..., 0] + c[..., 1]))
         + np.e
         + 20.0
     )
@@ -63,17 +70,14 @@ def ackley(p):
 
 def drop_wave(p):
     """Drop-Wave benchmark on R^2; multimodal, range within [-1, 0]."""
-    x1, x2 = _split2(p)
-    r2 = x1**2 + x2**2
+    p = _points(p, 2)
+    r2 = p[..., 0] ** 2 + p[..., 1] ** 2
     return -(1.0 + np.cos(12.0 * np.sqrt(r2))) / (0.5 * r2 + 2.0)
 
 
 def multi_minima(p):
     """Separable quartic on R^3 with 8 global minima at (+-1, +-1, +-1)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 3:
-        raise ValueError(f"expected 3-dimensional input, got shape {p.shape}")
-    return np.sum((p**2 - 1.0) ** 2, axis=-1)
+    return np.sum((_points(p, 3) ** 2 - 1.0) ** 2, axis=-1)
 
 
 BUILTIN_OBJECTIVES = {

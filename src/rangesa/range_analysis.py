@@ -5,7 +5,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .anneal import AnnealConfig, AnnealResult, run
+from .anneal import AnnealConfig, AnnealResult, _chains
 from .domain import BoxDomain
 from .objectives import Objective
 
@@ -66,20 +66,19 @@ def estimate_range(
     n_seeds: int = 10,
     return_traces: bool = False,
 ):
-    """Estimate [f_min, f_max] via n_seeds annealing runs on f and on -f.
+    """Estimate [f_min, f_max] via n_seeds annealing runs on f and on -f, all in one batch.
 
-    The negated runs reuse the same seeds, so estimate_range(-f) swaps and
-    negates the interval exactly. Each endpoint comes from the chain with the
-    lowest finite best value (the first seed on ties); ValueError when no chain
-    saw a finite value. Both argpoints are re-validated by a fresh evaluation
-    of f.
+    The runs on -f reuse the same seeds, so estimate_range(-f) swaps and negates
+    the interval exactly. Each endpoint comes from the chain with the lowest
+    finite best value (the first seed on ties); ValueError when no chain saw a
+    finite value. Both argpoints are re-validated by a fresh evaluation of f.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     seeds = [cfg.seed + k for k in range(n_seeds)]
-    neg = f.negated()
-    min_runs = [run(f, domain, replace(cfg, seed=s)) for s in seeds]
-    max_runs = [run(neg, domain, replace(cfg, seed=s)) for s in seeds]
+    cfgs = [replace(cfg, seed=s) for s in seeds]
+    runs = _chains(f, domain, cfgs * 2, [1] * n_seeds + [-1] * n_seeds)
+    min_runs, max_runs = runs[:n_seeds], runs[n_seeds:]
 
     x_min, x_max = _best_finite(min_runs).best, _best_finite(max_runs).best
 

@@ -175,6 +175,8 @@ class ResNet:
             doc = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise WeightFormatError(f"malformed weight file {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise WeightFormatError(f"weight file {path} must hold a JSON object")
         try:
             version = doc["format_version"]
             if version != WEIGHT_FORMAT_VERSION:
@@ -204,7 +206,7 @@ class ResNet:
             net = cls(layers=layers, activation=doc["activation"])
         except KeyError as exc:
             raise WeightFormatError(f"weight file missing field {exc}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise WeightFormatError(str(exc)) from exc
         return net
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from rangesa import (
     builtin,
     fixed_temperature_chain,
     gibbs_density,
-    propose,
     run,
 )
+from rangesa.anneal import MODES, Trace, _chains, max_excursion
+from rangesa.cli import main
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
 PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")
@@ -68,28 +71,38 @@ class TestConfig:
         assert cfg.resolve_variance(dom) == pytest.approx((0.1 * 2) ** 2)
 
 
+def _increments(variance, n_steps, seeds=(0,)):
+    """Gaussian proposal increments of classical chains at T = 1e300, where every
+    move is accepted, so consecutive trace points differ by exactly one increment."""
+    cfg = AnnealConfig(t_max=1e300, t_min=5e299, delta=0.5, inner_iters=n_steps,
+                       proposal_variance=variance, mode="classical")
+    runs = _chains(SPHERE, BoxDomain.cube(-1, 1, 2), [replace(cfg, seed=s) for s in seeds])
+    assert all(r.trace.accepted.all() for r in runs)
+    return np.concatenate([np.diff(r.trace.points, axis=0) for r in runs])
+
+
 class TestPropose:
+    """The kernel's proposal increments."""
+
     def test_concentrates_as_variance_vanishes(self):
-        rng = np.random.default_rng(0)
-        x = np.array([0.5, -0.5])
-        dists = [np.linalg.norm(propose(x, 1e-10, rng) - x) for _ in range(100)]
+        dists = np.linalg.norm(_increments(1e-10, 101), axis=1)
         assert max(dists) < 1e-4
 
     def test_empirical_variance_matches(self):
-        rng = np.random.default_rng(1)
-        x = np.zeros(2)
-        draws = np.array([propose(x, 0.25, rng) for _ in range(10**5)])
+        draws = _increments(0.25, 5001, seeds=range(20))
+        assert len(draws) == 10**5
         var = draws.var(axis=0)
         assert np.all(np.abs(var - 0.25) / 0.25 < 0.05)
 
     def test_seed_determinism(self):
-        a = [propose(np.zeros(2), 1.0, np.random.default_rng(7)) for _ in range(5)]
-        b = [propose(np.zeros(2), 1.0, np.random.default_rng(7)) for _ in range(5)]
-        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        a, b = _increments(1.0, 6, seeds=(7,)), _increments(1.0, 6, seeds=(7,))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, _increments(1.0, 6, seeds=(8,)))
 
     def test_bad_variance(self):
-        with pytest.raises(ValueError):
-            propose(np.zeros(2), 0.0, np.random.default_rng(0))
+        for variance in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                fixed_temperature_chain(SPHERE, BoxDomain.cube(-1, 1, 2), 1.0, variance, 10)
 
 
 class TestAcceptanceProbability:
@@ -115,14 +128,28 @@ class TestAcceptanceProbability:
         with pytest.raises(ValueError):
             acceptance_probability(1.0, 0.0)
 
+    def test_array_form_matches_scalar_rule(self):
+        rng = np.random.default_rng(3)
+        df = np.concatenate([rng.normal(size=500) * 10, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        t = rng.uniform(1e-6, 100, size=len(df))
+        got = acceptance_probability(df, t)
+        assert isinstance(got, np.ndarray) and got.shape == df.shape
+        expect = [acceptance_probability(float(a), float(b)) for a, b in zip(df, t)]
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert np.isnan(got[-1])  # NaN rejects: no uniform draw is <= NaN
+        assert np.array_equal(acceptance_probability(df, 0.5),
+                              [acceptance_probability(float(a), 0.5) for a in df], equal_nan=True)
+        with pytest.raises(ValueError):
+            acceptance_probability(df[:2], np.array([1.0, 0.0]))
+
 
 def _recorded_sphere():
-    """The sphere plus the list of every value it returned, in call order."""
+    """The sphere plus the list of every value it returned, one per row, in call order."""
     seen = []
 
-    def fn(x):
-        v = float(np.sum(np.asarray(x) ** 2))
-        seen.append(v)
+    def fn(X):
+        v = np.sum(np.asarray(X) ** 2, axis=-1)
+        seen.extend(v.tolist())
         return v
 
     return Objective(fn, 2, name="sphere"), seen
@@ -224,8 +251,7 @@ class TestRun:
 
         def watched(x):
             x = np.asarray(x)
-            if x.ndim == 1:
-                seen.append(x.copy())
+            seen.extend(x.copy())
             return np.sum(x**2, axis=-1)
 
         f = Objective(watched, 2, name="watched")
@@ -252,6 +278,82 @@ class TestRun:
         assert header == "iter,temperature,x1,x2,value,accepted,best_value"
         assert np.array_equal(raw[:, 2:4], res.trace.points)
         assert np.array_equal(raw[:, 4], res.trace.values)
+
+
+def _rowwise_csv(trace):
+    # the trace writer's former row-by-row formatting, kept as the reference
+    xs = ",".join(f"x{j+1}" for j in range(trace.points.shape[1]))
+    lines = ["iter,temperature," + xs + ",value,accepted,best_value"]
+    for i in range(len(trace)):
+        lines.append(",".join(
+            [str(int(trace.iterations[i])), repr(float(trace.temperatures[i]))]
+            + [repr(float(v)) for v in trace.points[i]]
+            + [repr(float(trace.values[i])), str(int(trace.accepted[i])),
+               repr(float(trace.best_values[i]))]
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_matches_rowwise_formatting(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 2500  # crosses the writer's chunk boundaries
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1.5e300]
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    values[998:998 + len(special)] = special
+    points = rng.normal(size=(n, 3))
+    points[1000, :] = [np.nan, -0.0, np.inf]
+    trace = Trace(np.arange(1, n + 1), np.repeat([10.0, 0.5, 1e-3], [1000, 1000, 500]), points,
+                  values, rng.uniform(size=n) < 0.5, np.minimum.accumulate(values))
+    trace.to_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text() == _rowwise_csv(trace)
+    empty = Trace(np.arange(1, 1), np.empty(0), np.empty((0, 2)), np.empty(0),
+                  np.empty(0, dtype=bool), np.empty(0))
+    empty.to_csv(tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_text() == _rowwise_csv(empty)
+
+
+def _assert_same_run(a, b):
+    for name in ("iterations", "temperatures", "points", "values", "accepted", "best_values"):
+        assert np.array_equal(getattr(a.trace, name), getattr(b.trace, name)), name
+    assert np.array_equal(a.best, b.best)
+    assert a.best_value == b.best_value and a.eval_count == b.eval_count
+
+
+class TestBatch:
+    """Chains advanced in lockstep equal the same chains run one at a time."""
+
+    dom = BoxDomain.cube(-4, 4, 2)
+    cfg = AnnealConfig(t_min=0.5, proposal_variance=4.0)
+
+    def test_mixed_modes_equal_single_runs(self):
+        f = builtin("ackley")
+        cfgs = [replace(self.cfg, seed=s, mode=m) for s in (4, 5, 6) for m in MODES]
+        runs = _chains(f, self.dom, cfgs)
+        assert [r.config for r in runs] == cfgs
+        for r in runs:
+            _assert_same_run(r, run(f, self.dom, r.config))
+        assert max_excursion(runs[1].trace, self.dom) > 0  # classical rows do leave the box
+
+    def test_compare_chains_equal_single_runs(self, tmp_path):
+        rc = main(["compare", "--fn", "ackley", "--n-seeds", "2", "--seed", "4", "--t-min", "0.5",
+                   "--variance", "4.0", "--out", str(tmp_path)])
+        assert rc == 0
+        for seed in (4, 5):
+            for mode in MODES:
+                run(builtin("ackley"), self.dom, replace(self.cfg, seed=seed, mode=mode)) \
+                    .trace.to_csv(tmp_path / "single.csv")
+                batch = tmp_path / f"trace_{mode}_seed{seed}.csv"
+                assert batch.read_bytes() == (tmp_path / "single.csv").read_bytes()
+
+    def test_schedules_must_match(self):
+        with pytest.raises(ValueError, match="seed and mode"):
+            _chains(SPHERE, self.dom, [self.cfg, replace(self.cfg, delta=0.9)])
+
+    def test_point_only_callable_rejected(self):
+        # a callable that reduces the whole batch to one value must not reach the chains
+        f = Objective(lambda x: float(np.sum(np.asarray(x) ** 2)), 2)
+        with pytest.raises(ValueError, match="shape"):
+            run(f, self.dom, self.cfg)
 
 
 class TestGibbsDensity:

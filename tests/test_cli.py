@@ -238,3 +238,33 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
     assert rc == 2
     assert f"error: {flag} must be positive" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_one_point_per_dim_exits_2(tmp_path, capsys):
+    rc = main(["oracle", "--fn", "ackley", "--points-per-dim", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--points-per-dim must be at least 2" in capsys.readouterr().err
+
+
+def test_negative_noise_exits_2(tmp_path, capsys):
+    rc = main(["generate-data", "--fn", "ackley", "--noise-sd", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--noise-sd must be finite and >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_evaluate_network_dimension_mismatch_exits_2(tmp_path, capsys, tiny_weights):
+    rc = main(["evaluate", "--weights", str(tiny_weights), "--fn", "multimin",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "network input dimension 2 != objective dimension 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 3, {"format_version": 1, "layers": [1]}])
+def test_non_object_weights_exits_2(tmp_path, capsys, doc):
+    bad = tmp_path / "weights.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["estimate-range", "--weights", str(bad), "--domain=-1,1,-1,1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -127,6 +127,9 @@ def test_reflect_componentwise(dim, seed):
     y2[0] = rng.uniform(-20, 20)
     r1, r2 = d.reflect(y1), d.reflect(y2)
     assert np.array_equal(r1[1:], r2[1:])
+    # and row i of a batch depends only on row i, whether or not other rows leave the box
+    batch = np.stack([y1, y2, d.sample_uniform(rng)])
+    assert np.array_equal(d.reflect(batch), [d.reflect(row) for row in batch])
 
 
 def test_sample_uniform_inside():

@@ -129,3 +129,15 @@ def test_objective_dimension_check():
         f(np.zeros(3))
     with pytest.raises(ValueError):
         f.evaluate_many(np.zeros((5, 3)))
+
+
+def test_objective_must_return_one_value_per_row():
+    # a callable written for one point would broadcast its value to every row
+    f = Objective(lambda x: float(np.sum(np.asarray(x) ** 2)), 2)
+    with pytest.raises(ValueError, match=r"expected \(3,\)"):
+        f.evaluate_many(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        Objective(lambda x: x, 2).evaluate_many(np.ones((3, 2)))
+    g = Objective(lambda x: np.sum(x**2, axis=-1), 2)
+    assert g(np.array([1.0, 2.0])) == 5.0
+    assert np.array_equal(g.evaluate_many(np.ones((3, 2))), [2.0, 2.0, 2.0])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rangesa import AnnealConfig, BoxDomain, Objective, builtin, estimate_range, grid_oracle
+from rangesa import (
+    AnnealConfig, BoxDomain, Objective, builtin, estimate_range, grid_oracle, run,
+)
 from rangesa.range_analysis import GridBudgetExceeded, RangeResult
 
 
@@ -74,6 +76,23 @@ class TestEstimateRange:
         assert b.f_max == -a.f_min
         assert np.array_equal(b.x_min, a.x_max)
         assert np.array_equal(b.x_max, a.x_min)
+
+    def test_chains_equal_single_runs(self):
+        # the 2 x n_seeds lockstep chains are the runs on f and on -f, bit for bit
+        f = builtin("ackley")
+        dom = BoxDomain.cube(-4, 4, 2)
+        cfg = AnnealConfig(seed=7, t_min=0.05)
+        res, traces = estimate_range(f, dom, cfg, n_seeds=3, return_traces=True)
+        for kind, g in (("min", f), ("max", f.negated())):
+            assert [r.config.seed for r in traces[kind]] == [7, 8, 9]
+            for r in traces[kind]:
+                single = run(g, dom, r.config)
+                for name in ("iterations", "temperatures", "points", "values", "accepted",
+                             "best_values"):
+                    assert np.array_equal(getattr(r.trace, name), getattr(single.trace, name))
+                assert np.array_equal(r.best, single.best) and r.best_value == single.best_value
+                assert r.eval_count == single.eval_count
+        assert res.eval_count == 6 * traces["min"][0].eval_count + 2
 
     def test_interval_type_and_seed_bookkeeping(self):
         f = builtin("ackley")

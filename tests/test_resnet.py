@@ -201,3 +201,10 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(WeightFormatError, match="bias"):
             ResNet.load(path)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "text", {"format_version": 1, "layers": [1]}])
+    def test_json_of_wrong_shape(self, tmp_path, doc):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError):
+            ResNet.load(path)
