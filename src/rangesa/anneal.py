@@ -19,6 +19,12 @@ from .objectives import Objective
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
+EVAL_BUDGET = 10**7  # chain steps x chains in one batch
+START_REDRAWS = 100  # extra start draws for a chain whose start value is not finite
+
+
+class EvalBudgetExceeded(ValueError):
+    """Raised when a batch of annealing runs would take more steps than EVAL_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,14 @@ class AnnealConfig:
         if self.proposal_variance is not None:
             return self.proposal_variance
         return (0.1 * float(np.min(domain.widths))) ** 2
+
+    def _max_levels(self) -> int:
+        """An upper bound on len(temperature_levels()), found without visiting the levels."""
+        # level i has T0 * delta^e(i) > t_min, with e(i) = i (theorem) or i(i+1)/2 (algorithm1)
+        e = (math.log(self.t_min) - math.log(self.t_max)) / math.log(self.delta)
+        if self.cooling == "algorithm1":
+            e = (math.sqrt(1.0 + 8.0 * e) - 1.0) / 2.0
+        return math.ceil(e) + 1  # one more for rounding near the last level
 
     def temperature_levels(self) -> list[float]:
         """Temperatures visited by the outer loop, strictly decreasing."""
@@ -119,15 +133,25 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
     """Annealing runs advanced in lockstep, one per config; configs differ only in seed and mode.
 
     Run c minimizes ``signs[c] * f`` (default +1; -1 maximizes f). Its own
-    ``default_rng(seed)`` draws the uniform start, then per temperature level
+    ``default_rng(seed)`` draws the uniform start, redrawn up to START_REDRAWS
+    times while its value is not finite, then per temperature level
     inner_iters x d Gaussian increments and then inner_iters uniforms, so its
     path depends only on its seed and the values it sees, never on the batch.
     Each step proposes for every run, folds the reflected ones, evaluates f
     once on the batch and applies the acceptance rule to all rows at once.
+    Raises EvalBudgetExceeded, before any work, when the batch could take
+    more than EVAL_BUDGET chain steps.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed, mode=cfg.mode) != cfg for c in cfgs):
         raise ValueError("runs in one batch may differ only in seed and mode")
+    max_levels = cfg._max_levels()
+    if max_levels * cfg.inner_iters * len(cfgs) > EVAL_BUDGET:
+        raise EvalBudgetExceeded(
+            f"{len(cfgs)} chains of up to {max_levels} temperature levels x "
+            f"{cfg.inner_iters} steps exceed the budget of {EVAL_BUDGET} chain steps; "
+            "lower delta or inner_iters, or raise t_min"
+        )
     levels, m, d, n = cfg.temperature_levels(), cfg.inner_iters, domain.dim, len(cfgs)
     sd = np.sqrt(cfg.resolve_variance(domain))
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
@@ -139,8 +163,17 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
     points = np.empty((1 + len(levels) * m, n, d))
     values = np.empty(points.shape[:2])
     accepted = np.zeros(points.shape[:2], dtype=bool)
-    x = points[0] = np.array([domain.sample_uniform(rng) for rng in rngs])
-    fx = values[0] = signs * f.evaluate_many(x)
+    x = np.array([domain.sample_uniform(rng) for rng in rngs])
+    fx = signs * f.evaluate_many(x)
+    start_evals = np.ones(n, dtype=int)
+    for _ in range(START_REDRAWS):  # a chain at a NaN start would reject every move
+        bad = np.flatnonzero(~np.isfinite(fx))
+        if not len(bad):
+            break
+        x[bad] = [domain.sample_uniform(rngs[c]) for c in bad]
+        fx[bad] = signs[bad] * f.evaluate_many(x[bad])
+        start_evals[bad] += 1
+    points[0], values[0] = x, fx
     i = 0
     for t in levels:
         noise = np.stack([rng.normal(0.0, sd, size=(m, d)) for rng in rngs], axis=1)
@@ -169,7 +202,7 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
             best_value=float(values[j, c]),
             trace=Trace(iterations, temperatures, points[1:, c], values[1:, c], accepted[1:, c],
                         best_values[1:, c]),
-            eval_count=1 + i,
+            eval_count=int(start_evals[c]) + i,
             config=cfg,
         )
         for c, (j, cfg) in enumerate(zip(first, cfgs))
@@ -180,7 +213,7 @@ def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> AnnealResult:
     """Full annealing loop: N inner steps per temperature level, then cool.
 
     The start point is uniform on the box; total objective evaluations are
-    1 + inner_iters * number of temperature levels.
+    1 + inner_iters * number of temperature levels, plus any start redraws.
     """
     return _chains(f, domain, [cfg])[0]
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .anneal import AnnealConfig, _chains, iterations_to_best, max_excursion
+from .anneal import AnnealConfig, EvalBudgetExceeded, _chains, iterations_to_best, max_excursion
 from .domain import BoxDomain
 from .objectives import Dataset, Objective, builtin, sample_dataset
 from .presets import Preset, preset
@@ -372,7 +372,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, WeightFormatError, GridBudgetExceeded, FileNotFoundError) as exc:
+    except (UsageError, WeightFormatError, GridBudgetExceeded, EvalBudgetExceeded,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure

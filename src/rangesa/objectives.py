@@ -40,10 +40,6 @@ class Objective:
                              f"expected ({len(X)},)")
         return values
 
-    def negated(self) -> "Objective":
-        name = f"neg_{self.name}" if self.name else None
-        return Objective(lambda x: -self._fn(x), self.dim, name=name)
-
     def __repr__(self):
         return f"Objective(name={self.name!r}, dim={self.dim})"
 

@@ -22,8 +22,8 @@ class WeightFormatError(ValueError):
     """Raised when a weight file is malformed or violates the width chain."""
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 def _relu_deriv(z):
@@ -31,8 +31,12 @@ def _relu_deriv(z):
     return (z > 0.0).astype(float)
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z, out=None):
+    # 1 / (1 + exp(-z)), one operation at a time so that ``out=z`` works in place
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _sigmoid_deriv(z):
@@ -111,9 +115,11 @@ class ResNet:
         """Network output at a (d,) point (a float) or an (n, d) batch (an (n,) array).
 
         When ``cache`` is a list, each layer's input and pre-activation
-        ``(h_in, z)`` is appended to it for backpropagation. Raises
-        FloatingPointError naming the first non-finite layer when the output
-        is not finite; training runs through here, so ``train`` may raise it too.
+        ``(h_in, z)`` is appended to it for backpropagation. Without a cache
+        each layer allocates one array, the matmul result, and applies the
+        bias, activation and skip to it in place. Raises FloatingPointError
+        naming the first non-finite layer when the output is not finite;
+        training runs through here, so ``train`` may raise it too.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
@@ -121,11 +127,17 @@ class ResNet:
         act, _ = _ACT_FNS[self.activation]
         h = X
         for lyr in self.layers:
-            z = h @ lyr.weights.T + lyr.bias
+            z = h @ lyr.weights.T
+            z += lyr.bias
             if cache is not None:
                 cache.append((h, z))
-            a = act(z) if lyr.has_activation else z
-            h = a + h if lyr.has_skip else a
+                # the recorded z stays as it is: what follows works on a new array
+                z = act(z) if lyr.has_activation else z.copy()
+            elif lyr.has_activation:
+                act(z, out=z)
+            if lyr.has_skip:
+                z += h
+            h = z
         if not np.all(np.isfinite(h)):
             if cache is None:
                 self.forward(X, cache=[])  # walks the layers again, recording them, and raises

@@ -13,7 +13,7 @@ from rangesa import (
     gibbs_density,
     run,
 )
-from rangesa.anneal import MODES, Trace, _chains, max_excursion
+from rangesa.anneal import MODES, EvalBudgetExceeded, Trace, _chains, max_excursion
 from rangesa.cli import main
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
@@ -64,6 +64,17 @@ class TestConfig:
             levels = AnnealConfig(cooling=cooling).temperature_levels()
             arr = np.array(levels)
             assert np.all(arr > 0) and np.all(np.diff(arr) < 0)
+
+    @pytest.mark.parametrize("cooling", ["theorem", "algorithm1"])
+    @pytest.mark.parametrize(
+        "t_max, t_min, delta",
+        [(10.0, 1e-3, 0.95), (1.0, 0.5, 0.5), (2.0, 1.0, 0.5), (1.0, 1 / 64, 0.5),
+         (1e10, 1e-10, 0.999), (3.0, 2.9, 0.9999), (1e5, 1e-5, 0.01)],
+    )
+    def test_level_bound_covers_levels(self, t_max, t_min, delta, cooling):
+        cfg = AnnealConfig(t_max=t_max, t_min=t_min, delta=delta, cooling=cooling)
+        n = len(cfg.temperature_levels())
+        assert n <= cfg._max_levels() <= n + 2
 
     def test_default_variance_from_domain(self):
         cfg = AnnealConfig()
@@ -348,6 +359,40 @@ class TestBatch:
     def test_schedules_must_match(self):
         with pytest.raises(ValueError, match="seed and mode"):
             _chains(SPHERE, self.dom, [self.cfg, replace(self.cfg, delta=0.9)])
+
+    def test_over_budget_refused_before_any_evaluation(self):
+        calls = []
+        f = Objective(lambda X: calls.append(X) or np.zeros(len(X)), 2)
+        one_level = replace(self.cfg, t_max=2.0, t_min=1.0, delta=0.5, inner_iters=10**5)
+        for cfgs in ([replace(self.cfg, delta=1 - 1e-12)],  # about 10^13 levels
+                     [replace(one_level, seed=s) for s in range(100)]):  # 100 x 2 x 10^5 bound
+            with pytest.raises(EvalBudgetExceeded, match="budget"):
+                _chains(f, self.dom, cfgs)
+        assert calls == []
+
+    def test_nan_start_redrawn_from_own_generator(self):
+        calls = []
+
+        def nan_left(X):
+            calls.append(X.copy())
+            return np.where(X[:, 0] < 0, np.nan, np.sum(X**2, axis=1))
+
+        cfgs = [replace(self.cfg, seed=s) for s in range(8)]
+        runs = _chains(Objective(nan_left, 2), self.dom, cfgs)
+        draws = []  # each chain's starts, replayed from its seed: drawn until one is finite
+        for cfg, r in zip(cfgs, runs):
+            rng = np.random.default_rng(cfg.seed)
+            draws.append([self.dom.sample_uniform(rng)])
+            while draws[-1][-1][0] < 0:
+                draws[-1].append(self.dom.sample_uniform(rng))
+            assert r.eval_count == len(draws[-1]) + len(r.trace)
+            assert np.isfinite(r.best_value)
+        assert max(map(len, draws)) > 1 and min(map(len, draws)) == 1
+        # call k evaluates draw k of every chain whose earlier draws were all NaN
+        for k in range(max(map(len, draws))):
+            assert np.array_equal(calls[k], [d[k] for d in draws if len(d) > k])
+        # then the steps evaluate every chain at once
+        assert all(len(X) == len(cfgs) for X in calls[max(map(len, draws)):])
 
     def test_point_only_callable_rejected(self):
         # a callable that reduces the whole batch to one value must not reach the chains

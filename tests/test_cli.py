@@ -240,6 +240,18 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("command", ["estimate-range", "compare"])
+@pytest.mark.parametrize("cooling", ["theorem", "algorithm1"])
+def test_annealing_over_budget_exits_2(tmp_path, capsys, command, cooling):
+    # about 10^13 (theorem) or 4 x 10^6 (algorithm1) levels: refused before the first step
+    rc = main([command, "--fn", "ackley", "--delta", "0.999999999999", "--cooling", cooling,
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "exceed the budget" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_one_point_per_dim_exits_2(tmp_path, capsys):
     rc = main(["oracle", "--fn", "ackley", "--points-per-dim", "1", "--out", str(tmp_path)])
     assert rc == 2

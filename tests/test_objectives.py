@@ -81,15 +81,6 @@ def test_builtin_unknown():
         builtin("foo")
 
 
-def test_negation_wrapper_swaps_argmin_argmax():
-    f = builtin("ackley")
-    g = f.negated()
-    pts = np.random.default_rng(7).uniform(-4, 4, size=(500, 2))
-    fv, gv = f.evaluate_many(pts), g.evaluate_many(pts)
-    assert np.argmin(gv) == np.argmax(fv)
-    assert np.argmax(gv) == np.argmin(fv)
-
-
 class TestSampleDataset:
     domain = BoxDomain(((-4, 4), (-4, 4)))
 

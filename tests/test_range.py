@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rangesa import (
-    AnnealConfig, BoxDomain, Objective, builtin, estimate_range, grid_oracle, run,
+    AnnealConfig, BoxDomain, Objective, architecture_dropwave, builtin, estimate_range,
+    grid_oracle, run,
 )
-from rangesa.range_analysis import GridBudgetExceeded, RangeResult
+from rangesa.anneal import START_REDRAWS
+from rangesa.range_analysis import ORACLE_CHUNK, GridBudgetExceeded, RangeResult
+
+
+def _negated(f):
+    return Objective(lambda X: -f.evaluate_many(X), f.dim)
 
 
 class TestGridOracle:
@@ -71,7 +79,7 @@ class TestEstimateRange:
         dom = BoxDomain.cube(-4, 4, 2)
         cfg = AnnealConfig(seed=2)
         a = estimate_range(f, dom, cfg, n_seeds=3)
-        b = estimate_range(f.negated(), dom, cfg, n_seeds=3)
+        b = estimate_range(_negated(f), dom, cfg, n_seeds=3)
         assert b.f_min == -a.f_max
         assert b.f_max == -a.f_min
         assert np.array_equal(b.x_min, a.x_max)
@@ -83,7 +91,7 @@ class TestEstimateRange:
         dom = BoxDomain.cube(-4, 4, 2)
         cfg = AnnealConfig(seed=7, t_min=0.05)
         res, traces = estimate_range(f, dom, cfg, n_seeds=3, return_traces=True)
-        for kind, g in (("min", f), ("max", f.negated())):
+        for kind, g in (("min", f), ("max", _negated(f))):
             assert [r.config.seed for r in traces[kind]] == [7, 8, 9]
             for r in traces[kind]:
                 single = run(g, dom, r.config)
@@ -131,19 +139,40 @@ def _nan_left(x):
 
 NAN_LEFT = Objective(_nan_left, 2, name="nan_left")
 ALL_NAN = Objective(lambda x: np.full(np.shape(x)[:-1], np.nan), 2, name="all_nan")
+# finite only on the strip x1 > 0.985, 0.75% of [-1, 1]^2
+NAN_BUT_STRIP = Objective(
+    lambda x: np.where(x[..., 0] > 0.985, np.sum(x**2, axis=-1), np.nan), 2, name="strip"
+)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_nan_start_is_redrawn(seed):
+    # these seeds draw their start in the NaN half: the chain redraws it, then moves
+    cfg = AnnealConfig(seed=seed, delta=0.7)
+    r = run(NAN_LEFT, BoxDomain.cube(-1, 1, 2), cfg)
+    assert np.isfinite(r.best_value) and r.best[0] >= 0
+    assert r.trace.accepted.any()
+    assert r.eval_count > 1 + len(r.trace)  # the redraws are counted
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_estimate_range_skips_nan_chains(seed):
-    # the first chain starts at a NaN and never moves; the others stay finite
+    # some chains find no finite start within their redraws and never move;
+    # the endpoints come from the others
     dom = BoxDomain.cube(-1, 1, 2)
     cfg = AnnealConfig(seed=seed, delta=0.7)
-    res, traces = estimate_range(NAN_LEFT, dom, cfg, n_seeds=4, return_traces=True)
-    assert np.isnan(traces["min"][0].best_value)
+    res, traces = estimate_range(NAN_BUT_STRIP, dom, cfg, n_seeds=4, return_traces=True)
+    for runs in traces.values():
+        nan = [np.isnan(r.best_value) for r in runs]
+        assert any(nan) and not all(nan)
+        for r, stuck in zip(runs, nan):
+            if stuck:
+                assert r.eval_count == 1 + START_REDRAWS + len(r.trace)
+                assert not r.trace.accepted.any()
     finite_mins = [r.best_value for r in traces["min"] if np.isfinite(r.best_value)]
     finite_maxs = [-r.best_value for r in traces["max"] if np.isfinite(r.best_value)]
     assert res.f_min == min(finite_mins) and res.f_max == max(finite_maxs)
-    assert res.x_min[0] >= 0 and res.x_max[0] >= 0
+    assert res.x_min[0] > 0.985 and res.x_max[0] > 0.985
     with pytest.raises(ValueError, match="no finite"):
         estimate_range(ALL_NAN, dom, cfg, n_seeds=2)
 
@@ -157,3 +186,45 @@ def test_grid_oracle_skips_nan_values():
     assert res.to_json_dict()["max_point"] == [1.0, -1.0]
     with pytest.raises(ValueError, match="no finite"):
         grid_oracle(ALL_NAN, dom, 5)
+
+
+def test_grid_oracle_first_extreme_across_chunks():
+    # 41^2 = 1,681 points span two chunks; f ties at its minimum on both sides of the
+    # chunk boundary and at its maximum within the second chunk
+    n = 41
+    axis = np.linspace(-1, 1, n)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    boundary = ORACLE_CHUNK
+    assert boundary < len(grid)
+    ties_min = {tuple(grid[boundary - 3]), tuple(grid[boundary + 2])}
+    ties_max = {tuple(grid[boundary + 5]), tuple(grid[len(grid) - 1])}
+
+    def fn(X):
+        v = np.sum(X, axis=1) * 0.1
+        for p in ties_min:
+            v[np.all(X == p, axis=1)] = -5.0
+        for p in ties_max:
+            v[np.all(X == p, axis=1)] = 5.0
+        return v
+
+    f = Objective(fn, 2)
+    res = grid_oracle(f, BoxDomain.cube(-1, 1, 2), n)
+    vals = f.evaluate_many(grid)
+    assert res.min_value == vals[np.argmin(vals)] == -5.0
+    assert np.array_equal(res.min_point, grid[np.argmin(vals)])
+    assert np.array_equal(res.min_point, grid[boundary - 3])
+    assert res.max_value == vals[np.argmax(vals)] == 5.0
+    assert np.array_equal(res.max_point, grid[np.argmax(vals)])
+    assert np.array_equal(res.max_point, grid[boundary + 5])
+
+
+def test_grid_oracle_memory_stays_in_chunks():
+    # a memory guard, not a timing gate: in 65,536-row chunks this call peaked at 208 MB
+    f = architecture_dropwave(seed=1, width_scale=0.25).as_objective()
+    tracemalloc.start()
+    try:
+        grid_oracle(f, BoxDomain.cube(-5.12, 5.12, 2), 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -12,6 +12,7 @@ from rangesa import (
     architecture_multimin,
     build_resnet,
 )
+from rangesa.resnet import ACTIVATIONS
 
 ACKLEY_WIDTHS = [2, 128, 256, 256, 256, 256, 128, 1]
 DROPWAVE_WIDTHS = [2, 128, 256, 256, 512, 512, 512, 256, 128, 1]
@@ -96,6 +97,55 @@ def test_forward_cache_holds_layer_inputs_and_preactivations():
         assert np.array_equal(z, h_in @ lyr.weights.T + lyr.bias)
     assert np.array_equal(out, cache[-1][1][:, 0])
     assert np.array_equal(cache[2][0], np.maximum(cache[1][1], 0.0) + cache[1][0])
+
+
+def _layer_formula(net, X):
+    """act(h @ W.T + b) (+ h) per layer, every step a new array."""
+    act = {"relu": lambda z: np.maximum(z, 0.0),
+           "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
+           "tanh": np.tanh}[net.activation]
+    h = X
+    for lyr in net.layers:
+        z = h @ lyr.weights.T + lyr.bias
+        a = act(z) if lyr.has_activation else z
+        h = a + h if lyr.has_skip else a
+    return h[..., 0]
+
+
+def _odd_skips_net(activation):
+    # a skip on the first layer (its input is the caller's array) and one without activation
+    rng = np.random.default_rng(8)
+    return ResNet([
+        Layer(rng.normal(size=(2, 2)), rng.normal(size=2), True, True),
+        Layer(rng.normal(size=(2, 2)), rng.normal(size=2), False, True),
+        Layer(rng.normal(size=(1, 2)), rng.normal(size=1), False, False),
+    ], activation=activation)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (5000, 2)])
+def test_forward_bit_identical_to_layer_formula(activation, shape):
+    X = np.random.default_rng(4).uniform(-3, 3, size=shape)
+    for net in (build_resnet([2, 16, 16, 32, 32, 1], activation=activation, seed=3),
+                _odd_skips_net(activation)):
+        X_before = X.copy()
+        out = net.forward(X)
+        assert np.array_equal(out, _layer_formula(net, X))
+        assert isinstance(out, float) if X.ndim == 1 else out.shape == shape[:1]
+        assert np.array_equal(X, X_before)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_forward_cache_is_never_overwritten(activation):
+    X = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
+    for net in (build_resnet([2, 8, 8, 1], activation=activation, seed=4),
+                _odd_skips_net(activation)):
+        cache = []
+        out = net.forward(X, cache)
+        assert cache[0][0] is X and len(cache) == len(net.layers)
+        for lyr, (h_in, z) in zip(net.layers, cache):
+            assert np.array_equal(z, h_in @ lyr.weights.T + lyr.bias)
+        assert np.array_equal(out, net.forward(X))
 
 
 def test_nonpositive_width_scale_rejected():
