@@ -4,11 +4,13 @@ simulated annealing with reflective boundary conditions."""
 from .anneal import (
     AnnealConfig,
     AnnealResult,
+    LevelSummary,
     Trace,
     acceptance_probability,
     fixed_temperature_chain,
     gibbs_density,
     run,
+    run_many,
 )
 from .domain import BoxDomain
 from .objectives import (
@@ -20,7 +22,7 @@ from .objectives import (
     multi_minima,
     sample_dataset,
 )
-from .range_analysis import OracleResult, RangeResult, estimate_range, grid_oracle
+from .range_analysis import OracleResult, RangeResult, compare_modes, estimate_range, grid_oracle
 from .resnet import (
     Layer,
     ResNet,
@@ -39,6 +41,7 @@ __all__ = [
     "Dataset",
     "FitReport",
     "Layer",
+    "LevelSummary",
     "Objective",
     "OracleResult",
     "RangeResult",
@@ -53,6 +56,7 @@ __all__ = [
     "architecture_multimin",
     "build_resnet",
     "builtin",
+    "compare_modes",
     "drop_wave",
     "estimate_range",
     "evaluate_fit",
@@ -62,6 +66,7 @@ __all__ = [
     "grid_oracle",
     "multi_minima",
     "run",
+    "run_many",
     "sample_dataset",
     "train",
 ]

@@ -9,7 +9,8 @@ with one objective call per step for the whole batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +71,15 @@ class AnnealConfig:
         levels, t = [], self.t_max
         while t > self.t_min:
             levels.append(t)
-            if self.cooling == "theorem":
-                t = self.t_max * self.delta ** len(levels)
-            else:
-                t = t * self.delta ** len(levels)
+            t = self._cooled(self.t_max if self.cooling == "theorem" else t, len(levels))
         return levels
+
+    def _cooled(self, t: float, n: int) -> float:
+        """t * delta^n; in log space once delta^n would leave the normal float range."""
+        factor = self.delta**n
+        if factor >= sys.float_info.min:
+            return t * factor
+        return math.exp(math.log(t) + n * math.log(self.delta))
 
 
 @dataclass
@@ -87,6 +92,7 @@ class Trace:
     values: np.ndarray
     accepted: np.ndarray  # bool
     best_values: np.ndarray
+    left_box: np.ndarray  # bool: the step's proposal, before any fold, lay outside the box
 
     def __len__(self):
         return len(self.iterations)
@@ -112,10 +118,56 @@ class Trace:
 @dataclass
 class AnnealResult:
     best: np.ndarray
-    best_value: float
+    best_value: float  # of sign * f, like the trace's values
     trace: Trace
     eval_count: int
     config: AnnealConfig
+    sign: float = 1.0  # -1: the run minimized -f
+
+
+@dataclass
+class LevelSummary:
+    """One row per chain per temperature level, with values in f's units.
+
+    Each row reduces the level's inner_iters steps of one chain's trace: the
+    share of accepted moves, the number of proposals that left the box
+    before any fold, the mean value held after each step and the best value
+    held by the level's end (the running maximum of f on a run with sign -1).
+    Levels count from 0, so level i of theorem cooling has T = t_max delta^i.
+    """
+
+    kind: np.ndarray
+    seed: np.ndarray
+    level: np.ndarray
+    temperature: np.ndarray
+    acceptance_rate: np.ndarray
+    left_box: np.ndarray
+    mean_value: np.ndarray
+    best_value: np.ndarray
+
+    @classmethod
+    def of(cls, labelled) -> "LevelSummary":
+        """Rows of (kind, AnnealResult) pairs, chain after chain."""
+        parts = []
+        for kind, r in labelled:
+            t, m = r.trace, r.config.inner_iters
+            n = len(t) // m
+            parts.append((
+                np.full(n, kind), np.full(n, r.config.seed), np.arange(n), t.temperatures[::m],
+                t.accepted.reshape(n, m).mean(axis=1), t.left_box.reshape(n, m).sum(axis=1),
+                r.sign * t.values.reshape(n, m).mean(axis=1), r.sign * t.best_values[m - 1::m],
+            ))
+        return cls(*(np.concatenate(col) for col in zip(*parts)))
+
+    def to_csv(self, path) -> None:
+        """One line per row, formatted by column; str of a Python float is its shortest repr."""
+        columns = [map(str, getattr(self, name).tolist()) for name in LEVEL_COLUMNS]
+        with Path(path).open("w") as fh:
+            fh.write(",".join(LEVEL_COLUMNS) + "\n")
+            fh.write("".join(",".join(line) + "\n" for line in zip(*columns)))
+
+
+LEVEL_COLUMNS = tuple(f.name for f in fields(LevelSummary))
 
 
 def acceptance_probability(delta_f, temperature):
@@ -129,7 +181,7 @@ def acceptance_probability(delta_f, temperature):
     return q if isinstance(q, np.ndarray) else float(q)
 
 
-def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
+def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
     """Annealing runs advanced in lockstep, one per config; configs differ only in seed and mode.
 
     Run c minimizes ``signs[c] * f`` (default +1; -1 maximizes f). Its own
@@ -139,6 +191,8 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
     path depends only on its seed and the values it sees, never on the batch.
     Each step proposes for every run, folds the reflected ones, evaluates f
     once on the batch and applies the acceptance rule to all rows at once.
+    After each level, the level's proposals are formed again from the stored
+    states with the same add, to mark those that left the box.
     Raises EvalBudgetExceeded, before any work, when the batch could take
     more than EVAL_BUDGET chain steps.
     """
@@ -163,6 +217,8 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
     points = np.empty((1 + len(levels) * m, n, d))
     values = np.empty(points.shape[:2])
     accepted = np.zeros(points.shape[:2], dtype=bool)
+    left_box = np.zeros(points.shape[:2], dtype=bool)
+    lower, upper = domain.lower, domain.upper
     x = np.array([domain.sample_uniform(rng) for rng in rngs])
     fx = signs * f.evaluate_many(x)
     start_evals = np.ones(n, dtype=int)
@@ -176,6 +232,7 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
     points[0], values[0] = x, fx
     i = 0
     for t in levels:
+        i0 = i
         noise = np.stack([rng.normal(0.0, sd, size=(m, d)) for rng in rngs], axis=1)
         uniforms = np.stack([rng.uniform(size=m) for rng in rngs], axis=1)
         for k in range(m):
@@ -191,6 +248,8 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
                 x, fx = y, fy
             i += 1
             points[i], values[i], accepted[i] = x, fx, acc
+        proposals = points[i0:i] + noise  # the level's steps, unfolded
+        left_box[i0 + 1:i + 1] = ((proposals < lower) | (proposals > upper)).any(axis=2)
 
     # the best state is where the running minimum is first reached (NaN stays NaN)
     best_values = np.minimum.accumulate(values)
@@ -201,9 +260,10 @@ def _chains(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRes
             best=points[j, c].copy(),
             best_value=float(values[j, c]),
             trace=Trace(iterations, temperatures, points[1:, c], values[1:, c], accepted[1:, c],
-                        best_values[1:, c]),
+                        best_values[1:, c], left_box[1:, c]),
             eval_count=int(start_evals[c]) + i,
             config=cfg,
+            sign=float(signs[c]),
         )
         for c, (j, cfg) in enumerate(zip(first, cfgs))
     ]
@@ -215,7 +275,7 @@ def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> AnnealResult:
     The start point is uniform on the box; total objective evaluations are
     1 + inner_iters * number of temperature levels, plus any start redraws.
     """
-    return _chains(f, domain, [cfg])[0]
+    return run_many(f, domain, [cfg])[0]
 
 
 def fixed_temperature_chain(

@@ -1,11 +1,14 @@
-"""Range estimation: paired min/max annealing runs and the brute-force grid oracle."""
+"""Range estimation: paired min/max annealing runs, the boundary-mode comparison and
+the brute-force grid oracle."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .anneal import AnnealConfig, AnnealResult, _chains
+from .anneal import (
+    MODES, AnnealConfig, AnnealResult, iterations_to_best, max_excursion, run_many,
+)
 from .domain import BoxDomain
 from .objectives import Objective
 
@@ -43,10 +46,30 @@ class RangeResult:
     eval_count: int
     seeds_used: list[int]
     interval_type: str = "inner"
+    # per kind ("min", "max"): each seed's best value in f's units, in seed order
+    seed_best_values: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.f_min > self.f_max:
             raise ValueError("f_min must not exceed f_max")
+
+    def _seed_agreement(self) -> dict:
+        """Per kind: the seeds' best values, their spread and the spread's share of the range.
+
+        Non-finite best values are written as None and left out of the spread;
+        the share is None when the range has zero width.
+        """
+        width = self.f_max - self.f_min
+        doc = {}
+        for kind, values in self.seed_best_values.items():
+            finite = [v for v in values if np.isfinite(v)]
+            spread = max(finite) - min(finite)
+            doc[kind] = {
+                "best_values": [v if np.isfinite(v) else None for v in values],
+                "spread": spread,
+                "spread_share_of_range": spread / width if width > 0 else None,
+            }
+        return doc
 
     def to_json_dict(self, config: AnnealConfig | None = None) -> dict:
         doc = {
@@ -58,6 +81,8 @@ class RangeResult:
             "eval_count": self.eval_count,
             "seeds_used": self.seeds_used,
         }
+        if self.seed_best_values:
+            doc["seed_agreement"] = self._seed_agreement()
         if config is not None:
             doc["config"] = asdict(config)
         return doc
@@ -81,7 +106,7 @@ def estimate_range(
         raise ValueError("need at least one seed")
     seeds = [cfg.seed + k for k in range(n_seeds)]
     cfgs = [replace(cfg, seed=s) for s in seeds]
-    runs = _chains(f, domain, cfgs * 2, [1] * n_seeds + [-1] * n_seeds)
+    runs = run_many(f, domain, cfgs * 2, [1] * n_seeds + [-1] * n_seeds)
     min_runs, max_runs = runs[:n_seeds], runs[n_seeds:]
 
     x_min, x_max = _best_finite(min_runs).best, _best_finite(max_runs).best
@@ -93,10 +118,35 @@ def estimate_range(
         x_max=x_max,
         eval_count=sum(r.eval_count for r in min_runs + max_runs) + 2,
         seeds_used=seeds,
+        seed_best_values={kind: [r.sign * r.best_value for r in kind_runs]
+                          for kind, kind_runs in (("min", min_runs), ("max", max_runs))},
     )
     if return_traces:
         return result, {"min": min_runs, "max": max_runs}
     return result
+
+
+def compare_modes(
+    f: Objective,
+    domain: BoxDomain,
+    cfg: AnnealConfig,
+    n_seeds: int = 10,
+) -> tuple[list[dict], list[AnnealResult]]:
+    """Reflected and classical runs of cfg on the seeds cfg.seed, cfg.seed + 1, ..., in one batch.
+
+    Returns one summary row per run, seed by seed and reflected first:
+    seed, mode, best value, the iteration that first held it
+    (``iterations_to_best``) and the largest overshoot outside the box
+    (``max_excursion``, 0 for reflected runs); and the runs themselves.
+    """
+    if n_seeds < 1:
+        raise ValueError("need at least one seed")
+    cfgs = [replace(cfg, seed=cfg.seed + k, mode=mode) for k in range(n_seeds) for mode in MODES]
+    runs = run_many(f, domain, cfgs)
+    rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
+             "iters_to_best": iterations_to_best(r.trace),
+             "max_excursion": max_excursion(r.trace, domain)} for r in runs]
+    return rows, runs
 
 
 @dataclass

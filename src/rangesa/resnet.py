@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,7 @@ class ResNet:
     def widths(self) -> list[int]:
         return [self.input_dim] + [lyr.out_width for lyr in self.layers]
 
-    def forward(self, X, cache: list | None = None):
+    def forward(self, X, cache: list | None = None, strict: bool = True):
         """Network output at a (d,) point (a float) or an (n, d) batch (an (n,) array).
 
         When ``cache`` is a list, each layer's input and pre-activation
@@ -119,7 +120,8 @@ class ResNet:
         each layer allocates one array, the matmul result, and applies the
         bias, activation and skip to it in place. Raises FloatingPointError
         naming the first non-finite layer when the output is not finite;
-        training runs through here, so ``train`` may raise it too.
+        training runs through here, so ``train`` may raise it too. With
+        ``strict=False`` non-finite outputs are returned as NaN instead.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
@@ -138,18 +140,26 @@ class ResNet:
             if lyr.has_skip:
                 z += h
             h = z
-        if not np.all(np.isfinite(h)):
-            if cache is None:
-                self.forward(X, cache=[])  # walks the layers again, recording them, and raises
-            # layer k's output is the input recorded for layer k + 1; the last one is h
-            outputs = [h_in for h_in, _ in cache[len(cache) - len(self.layers) + 1 :]] + [h]
-            layer = next(k for k, o in enumerate(outputs, start=1) if not np.all(np.isfinite(o)))
-            raise FloatingPointError(f"non-finite value at layer {layer}")
+        finite = np.isfinite(h)
+        if not finite.all():
+            if not strict:
+                h[~finite] = np.nan
+            else:
+                if cache is None:
+                    self.forward(X, cache=[])  # walks the layers again, recording them, raises
+                # layer k's output is the input recorded for layer k + 1; the last one is h
+                outputs = [h_in for h_in, _ in cache[len(cache) - len(self.layers) + 1 :]] + [h]
+                layer = next(k for k, o in enumerate(outputs, start=1)
+                             if not np.all(np.isfinite(o)))
+                raise FloatingPointError(f"non-finite value at layer {layer}")
         out = h[..., 0]
         return out if out.ndim else float(out)
 
     def as_objective(self, name: str | None = None) -> Objective:
-        return Objective(self.forward, self.input_dim, name=name or "resnet")
+        """The network as a black box; a row whose output overflows evaluates to NaN,
+        which the annealer rejects and the grid oracle skips."""
+        return Objective(partial(self.forward, strict=False), self.input_dim,
+                         name=name or "resnet")
 
     def copy(self) -> "ResNet":
         return ResNet(

@@ -264,24 +264,33 @@ def test_c10_classical_vs_reflected():
     report("C10", ok, f"reflected no faster in {20 - wins}/20 seeds; excursions ok={excursions_ok}")
 
 
+def _written(path):
+    return sorted(p.name for p in path.iterdir())
+
+
 def test_c11_command_determinism(tmp_path):
     data_args = ["generate-data", "--fn", "ackley", "--m", "60", "--seed", "5"]
+    range_args = ["estimate-range", "--fn", "ackley", "--n-seeds", "1", "--seed", "3",
+                  "--t-min", "0.2"]
+    compare_args = ["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "2",
+                    "--t-min", "0.5"]
+    # every file each command writes, by default and with --trace full
     reruns = {
         "generate-data": (data_args, ["ackley_data.csv", "ackley_data.meta.json"]),
-        "estimate-range": (
-            ["estimate-range", "--fn", "ackley", "--n-seeds", "1", "--seed", "3",
-             "--t-min", "0.2"],
-            ["range_result.json", "trace_min_seed3.csv", "trace_max_seed3.csv"],
+        "estimate-range": (range_args, ["levels.csv", "range_result.json"]),
+        "estimate-range-full": (
+            range_args + ["--trace", "full"],
+            ["levels.csv", "range_result.json", "trace_max_seed3.csv", "trace_min_seed3.csv"],
         ),
         "oracle": (
             ["oracle", "--fn", "ackley", "--points-per-dim", "21"],
             ["oracle.json"],
         ),
-        "compare": (
-            ["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "2",
-             "--t-min", "0.5"],
-            ["compare_summary.csv", "compare_summary.json",
-             "trace_reflected_seed2.csv", "trace_classical_seed2.csv"],
+        "compare": (compare_args, ["compare_summary.csv", "compare_summary.json", "levels.csv"]),
+        "compare-full": (
+            compare_args + ["--trace", "full"],
+            ["compare_summary.csv", "compare_summary.json", "levels.csv",
+             "trace_classical_seed2.csv", "trace_reflected_seed2.csv"],
         ),
     }
     all_ok = True
@@ -289,6 +298,7 @@ def test_c11_command_determinism(tmp_path):
         a, b = tmp_path / name / "a", tmp_path / name / "b"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
+        all_ok &= _written(a) == _written(b) == files
         for fname in files:
             all_ok &= (a / fname).read_bytes() == (b / fname).read_bytes()
 
@@ -299,12 +309,15 @@ def test_c11_command_determinism(tmp_path):
                    "--epochs", "3", "--width-scale", "0.05", "--seed", "1",
                    "--out", str(tmp_path / sub)])
         assert rc == 0
+    all_ok &= _written(tmp_path / "ta") == _written(tmp_path / "tb") == \
+        ["fit_report.json", "loss_history.csv", "weights.json"]
     for fname in ("weights.json", "loss_history.csv", "fit_report.json"):
         all_ok &= (tmp_path / "ta" / fname).read_bytes() == (tmp_path / "tb" / fname).read_bytes()
     for sub in ("ea", "eb"):
         rc = main(["evaluate", "--weights", str(tmp_path / "ta" / "weights.json"),
                    "--fn", "ackley", "--n", "40", "--seed", "2", "--out", str(tmp_path / sub)])
         assert rc == 0
+    all_ok &= _written(tmp_path / "ea") == _written(tmp_path / "eb") == ["fit_report.json"]
     all_ok &= (tmp_path / "ea" / "fit_report.json").read_bytes() == \
         (tmp_path / "eb" / "fit_report.json").read_bytes()
     report("C11", all_ok, "all commands byte-identical on rerun")

@@ -13,7 +13,7 @@ from rangesa import (
     gibbs_density,
     run,
 )
-from rangesa.anneal import MODES, EvalBudgetExceeded, Trace, _chains, max_excursion
+from rangesa.anneal import MODES, EvalBudgetExceeded, Trace, max_excursion, run_many
 from rangesa.cli import main
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
@@ -76,6 +76,36 @@ class TestConfig:
         n = len(cfg.temperature_levels())
         assert n <= cfg._max_levels() <= n + 2
 
+    def test_theorem_cooling_reaches_t_min_past_underflow(self):
+        # delta^n underflows after about 708,000 levels, long before T reaches t_min
+        cfg = AnnealConfig(t_max=1e300, t_min=1e-300, delta=0.999)
+        levels = np.array(cfg.temperature_levels())
+        assert len(levels) <= cfg._max_levels() <= len(levels) + 2
+        assert len(levels) > 1_380_000
+        assert np.all(np.diff(levels) < 0)
+        assert levels[-1] > 1e-300 and levels[-1] * 0.999 < 1e-300 * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AnnealConfig(),  # C5-C10, perfbench and the scripts
+            AnnealConfig(cooling="algorithm1"),
+            AnnealConfig(t_max=0.5, t_min=0.25, delta=0.5),  # C4's fixed temperature
+            AnnealConfig(t_min=0.2),  # C11 estimate-range
+            AnnealConfig(t_min=0.5),  # C11 compare
+            AnnealConfig(t_min=0.05),
+            AnnealConfig(t_min=1.0),
+            AnnealConfig(delta=0.7),
+            AnnealConfig(t_max=1e300, t_min=5e299, delta=0.5),
+        ],
+    )
+    def test_schedules_keep_their_direct_floats(self, cfg):
+        levels, t = [], cfg.t_max  # T_n = t_max * delta^n, or T_{n-1} * delta^n, in floats
+        while t > cfg.t_min:
+            levels.append(t)
+            t = (cfg.t_max if cfg.cooling == "theorem" else t) * cfg.delta ** len(levels)
+        assert cfg.temperature_levels() == levels
+
     def test_default_variance_from_domain(self):
         cfg = AnnealConfig()
         dom = BoxDomain(((-4, 4), (0, 2)))
@@ -87,7 +117,7 @@ def _increments(variance, n_steps, seeds=(0,)):
     move is accepted, so consecutive trace points differ by exactly one increment."""
     cfg = AnnealConfig(t_max=1e300, t_min=5e299, delta=0.5, inner_iters=n_steps,
                        proposal_variance=variance, mode="classical")
-    runs = _chains(SPHERE, BoxDomain.cube(-1, 1, 2), [replace(cfg, seed=s) for s in seeds])
+    runs = run_many(SPHERE, BoxDomain.cube(-1, 1, 2), [replace(cfg, seed=s) for s in seeds])
     assert all(r.trace.accepted.all() for r in runs)
     return np.concatenate([np.diff(r.trace.points, axis=0) for r in runs])
 
@@ -314,17 +344,19 @@ def test_trace_csv_matches_rowwise_formatting(tmp_path):
     points = rng.normal(size=(n, 3))
     points[1000, :] = [np.nan, -0.0, np.inf]
     trace = Trace(np.arange(1, n + 1), np.repeat([10.0, 0.5, 1e-3], [1000, 1000, 500]), points,
-                  values, rng.uniform(size=n) < 0.5, np.minimum.accumulate(values))
+                  values, rng.uniform(size=n) < 0.5, np.minimum.accumulate(values),
+                  rng.uniform(size=n) < 0.5)
     trace.to_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_text() == _rowwise_csv(trace)
     empty = Trace(np.arange(1, 1), np.empty(0), np.empty((0, 2)), np.empty(0),
-                  np.empty(0, dtype=bool), np.empty(0))
+                  np.empty(0, dtype=bool), np.empty(0), np.empty(0, dtype=bool))
     empty.to_csv(tmp_path / "e.csv")
     assert (tmp_path / "e.csv").read_text() == _rowwise_csv(empty)
 
 
 def _assert_same_run(a, b):
-    for name in ("iterations", "temperatures", "points", "values", "accepted", "best_values"):
+    for name in ("iterations", "temperatures", "points", "values", "accepted", "best_values",
+                 "left_box"):
         assert np.array_equal(getattr(a.trace, name), getattr(b.trace, name)), name
     assert np.array_equal(a.best, b.best)
     assert a.best_value == b.best_value and a.eval_count == b.eval_count
@@ -339,7 +371,7 @@ class TestBatch:
     def test_mixed_modes_equal_single_runs(self):
         f = builtin("ackley")
         cfgs = [replace(self.cfg, seed=s, mode=m) for s in (4, 5, 6) for m in MODES]
-        runs = _chains(f, self.dom, cfgs)
+        runs = run_many(f, self.dom, cfgs)
         assert [r.config for r in runs] == cfgs
         for r in runs:
             _assert_same_run(r, run(f, self.dom, r.config))
@@ -347,7 +379,7 @@ class TestBatch:
 
     def test_compare_chains_equal_single_runs(self, tmp_path):
         rc = main(["compare", "--fn", "ackley", "--n-seeds", "2", "--seed", "4", "--t-min", "0.5",
-                   "--variance", "4.0", "--out", str(tmp_path)])
+                   "--variance", "4.0", "--trace", "full", "--out", str(tmp_path)])
         assert rc == 0
         for seed in (4, 5):
             for mode in MODES:
@@ -358,7 +390,7 @@ class TestBatch:
 
     def test_schedules_must_match(self):
         with pytest.raises(ValueError, match="seed and mode"):
-            _chains(SPHERE, self.dom, [self.cfg, replace(self.cfg, delta=0.9)])
+            run_many(SPHERE, self.dom, [self.cfg, replace(self.cfg, delta=0.9)])
 
     def test_over_budget_refused_before_any_evaluation(self):
         calls = []
@@ -367,7 +399,7 @@ class TestBatch:
         for cfgs in ([replace(self.cfg, delta=1 - 1e-12)],  # about 10^13 levels
                      [replace(one_level, seed=s) for s in range(100)]):  # 100 x 2 x 10^5 bound
             with pytest.raises(EvalBudgetExceeded, match="budget"):
-                _chains(f, self.dom, cfgs)
+                run_many(f, self.dom, cfgs)
         assert calls == []
 
     def test_nan_start_redrawn_from_own_generator(self):
@@ -378,7 +410,7 @@ class TestBatch:
             return np.where(X[:, 0] < 0, np.nan, np.sum(X**2, axis=1))
 
         cfgs = [replace(self.cfg, seed=s) for s in range(8)]
-        runs = _chains(Objective(nan_left, 2), self.dom, cfgs)
+        runs = run_many(Objective(nan_left, 2), self.dom, cfgs)
         draws = []  # each chain's starts, replayed from its seed: drawn until one is finite
         for cfg, r in zip(cfgs, runs):
             rng = np.random.default_rng(cfg.seed)

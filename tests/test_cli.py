@@ -1,9 +1,12 @@
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rangesa import BoxDomain, builtin, sample_dataset
+from rangesa import AnnealConfig, BoxDomain, Objective, builtin, run, sample_dataset
+from rangesa.anneal import LEVEL_COLUMNS, MODES
 from rangesa.cli import main, parse_domain
 from rangesa.resnet import build_resnet
 
@@ -96,7 +99,7 @@ class TestTrainCommand:
 class TestEstimateRange:
     def test_builtin_objective(self, tmp_path):
         rc = main(["estimate-range", "--fn", "dropwave", "--n-seeds", "2",
-                   "--seed", "0", "--t-min", "0.05", "--out", str(tmp_path)])
+                   "--seed", "0", "--t-min", "0.05", "--trace", "full", "--out", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "range_result.json").read_text())
         assert doc["interval_type"] == "inner"
@@ -135,10 +138,11 @@ class TestEstimateRange:
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["estimate-range", "--fn", "ackley", "--n-seeds", "1",
-                "--seed", "2", "--t-min", "0.2"]
+                "--seed", "2", "--t-min", "0.2", "--trace", "full"]
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
-        for name in ("range_result.json", "trace_min_seed2.csv", "trace_max_seed2.csv"):
+        for name in ("range_result.json", "levels.csv", "trace_min_seed2.csv",
+                     "trace_max_seed2.csv"):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
 
 
@@ -179,9 +183,123 @@ class TestCompare:
 
     def test_shared_seed_pairs_traces(self, tmp_path):
         main(["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "9",
-              "--t-min", "1.0", "--out", str(tmp_path)])
+              "--t-min", "1.0", "--trace", "full", "--out", str(tmp_path)])
         assert (tmp_path / "trace_reflected_seed9.csv").exists()
         assert (tmp_path / "trace_classical_seed9.csv").exists()
+
+
+def read_levels(path):
+    """levels.csv as {(kind, seed): {column: array over levels}}."""
+    with path.open() as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == LEVEL_COLUMNS
+        rows = list(reader)
+    chains = {}
+    for row in rows:
+        chain = chains.setdefault((row["kind"], int(row["seed"])), {c: [] for c in LEVEL_COLUMNS})
+        for c in LEVEL_COLUMNS:
+            chain[c].append(row[c])
+    return {key: {c: np.array(v, dtype=object if c == "kind" else float) for c, v in cols.items()}
+            for key, cols in chains.items()}
+
+
+class TestLevels:
+    """levels.csv: one row per chain per temperature level, reduced from the chains' traces."""
+
+    dom = BoxDomain.cube(-4, 4, 2)
+    cfg = AnnealConfig(seed=3, t_min=0.5)
+    args = ["--fn", "ackley", "--n-seeds", "2", "--seed", "3", "--t-min", "0.5"]
+
+    def per_level(self, a):
+        return np.asarray(a).reshape(-1, self.cfg.inner_iters)
+
+    def test_estimate_range_rows_match_single_runs(self, tmp_path):
+        assert main(["estimate-range", *self.args, "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.csv", "range_result.json"]
+        chains = read_levels(tmp_path / "levels.csv")
+        n_levels = len(self.cfg.temperature_levels())
+        assert len((tmp_path / "levels.csv").read_text().splitlines()) == 1 + 4 * n_levels
+        assert sorted(chains) == [("max", 3), ("max", 4), ("min", 3), ("min", 4)]
+        f = builtin("ackley")
+        for (kind, seed), got in chains.items():
+            sign = 1.0 if kind == "min" else -1.0
+            g = f if kind == "min" else Objective(lambda X: -f.evaluate_many(X), 2)
+            trace = run(g, self.dom, replace(self.cfg, seed=seed)).trace
+            assert np.array_equal(got["level"], np.arange(n_levels))
+            assert np.array_equal(got["temperature"], self.cfg.temperature_levels())
+            assert np.array_equal(got["acceptance_rate"],
+                                  self.per_level(trace.accepted).sum(axis=1) / self.cfg.inner_iters)
+            assert np.array_equal(got["left_box"], self.per_level(trace.left_box).sum(axis=1))
+            assert np.array_equal(got["best_value"],
+                                  sign * self.per_level(trace.best_values)[:, -1])
+            assert np.array_equal(got["mean_value"],
+                                  self.per_level(sign * trace.values).mean(axis=1))
+
+    def test_max_rows_are_negated_back(self, tmp_path):
+        assert main(["estimate-range", *self.args, "--out", str(tmp_path)]) == 0
+        chains = read_levels(tmp_path / "levels.csv")
+        doc = json.loads((tmp_path / "range_result.json").read_text())
+        for kind, best in (("min", min), ("max", max)):
+            finals = [chains[(kind, seed)]["best_value"][-1] for seed in (3, 4)]
+            assert doc["seed_agreement"][kind]["best_values"] == finals
+            assert best(finals) == doc[f"f_{kind}"]
+            spread = max(finals) - min(finals)
+            assert doc["seed_agreement"][kind]["spread"] == spread
+            assert doc["seed_agreement"][kind]["spread_share_of_range"] == \
+                spread / (doc["f_max"] - doc["f_min"])
+        for seed in (3, 4):
+            top = chains[("max", seed)]
+            # a running maximum of f, above every level's mean value of f
+            assert np.all(np.diff(top["best_value"]) >= 0) and top["best_value"][-1] > 0
+            assert np.all(top["mean_value"] <= top["best_value"])
+            assert np.all(np.diff(chains[("min", seed)]["best_value"]) <= 0)
+
+    def test_left_box_zero_on_a_box_larger_than_every_proposal(self, tmp_path):
+        # steps of sd 0.01 from anywhere in [-100, 100]^2 come near no face of [-1e6, 1e6]^2
+        assert main(["compare", *self.args, "--domain=-1e6,1e6,-1e6,1e6", "--variance", "1e-4",
+                     "--out", str(tmp_path / "big")]) == 0
+        chains = read_levels(tmp_path / "big" / "levels.csv")
+        assert sorted(chains) == [(mode, seed) for mode in sorted(MODES) for seed in (3, 4)]
+        assert all(not c["left_box"].any() for c in chains.values())
+
+    def test_compare_left_box_counts_proposals_outside(self, tmp_path):
+        assert main(["compare", *self.args, "--variance", "4.0", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["compare_summary.csv", "compare_summary.json", "levels.csv"]
+        chains = read_levels(tmp_path / "levels.csv")
+        n_levels = len(self.cfg.temperature_levels())
+        assert all(len(c["level"]) == n_levels for c in chains.values()) and len(chains) == 4
+        for (mode, seed), got in chains.items():
+            r = run(builtin("ackley"), self.dom, replace(self.cfg, seed=seed, mode=mode,
+                                                         proposal_variance=4.0))
+            assert np.array_equal(got["left_box"], self.per_level(r.trace.left_box).sum(axis=1))
+            assert got["left_box"].sum() > 0
+            if mode == "classical":  # an accepted move to a point outside was such a proposal
+                outside = ~self.dom.contains(r.trace.points)
+                assert np.all(r.trace.left_box[r.trace.accepted & outside])
+                assert (r.trace.accepted & outside).any()
+
+
+@pytest.mark.parametrize("command", ["oracle", "train"])
+def test_artifacts_independent_of_input_directory(tmp_path, command):
+    data = sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 40, 0.1, 1)
+    net = build_resnet([2, 8, 8, 1], seed=3)
+    for where in ("a", "somewhere/much/deeper/b"):
+        inputs = tmp_path / where
+        inputs.mkdir(parents=True)
+        data.save(inputs / "ackley_data.csv")
+        net.save(inputs / "weights.json")
+        argv = (["oracle", "--weights", str(inputs / "weights.json"), "--domain=-1,1,-1,1",
+                 "--points-per-dim", "11"] if command == "oracle" else
+                ["train", "--preset", "ackley", "--data", str(inputs / "ackley_data.csv"),
+                 "--epochs", "2", "--width-scale", "0.05", "--seed", "1"])
+        assert main(argv + ["--out", str(inputs / "out")]) == 0
+    name = "oracle.json" if command == "oracle" else "fit_report.json"
+    doc = json.loads(read(tmp_path / "a" / "out" / name))
+    assert doc["config"].get("weights", doc["config"].get("data")) in ("weights.json",
+                                                                        "ackley_data.csv")
+    assert read(tmp_path / "a" / "out" / name) == \
+        read(tmp_path / "somewhere" / "much" / "deeper" / "b" / "out" / name)
 
 
 def test_missing_required_option_exits_2(tmp_path):

@@ -8,7 +8,9 @@ from rangesa import (
     grid_oracle, run,
 )
 from rangesa.anneal import START_REDRAWS
+from rangesa.cli import main
 from rangesa.range_analysis import ORACLE_CHUNK, GridBudgetExceeded, RangeResult
+from rangesa.resnet import build_resnet
 
 
 def _negated(f):
@@ -175,6 +177,28 @@ def test_estimate_range_skips_nan_chains(seed):
     assert res.x_min[0] > 0.985 and res.x_max[0] > 0.985
     with pytest.raises(ValueError, match="no finite"):
         estimate_range(ALL_NAN, dom, cfg, n_seeds=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_estimate_range_survives_network_overflow(tmp_path):
+    # 0 where x1 <= 0; where x1 > 0.113 the output 4 x 400 x1 x 1e306 overflows
+    net = build_resnet([2, 4, 1])
+    net.layers[0].weights[:] = [400.0, 0.0]
+    net.layers[1].weights[:] = 1e306
+    with pytest.raises(FloatingPointError, match="layer 2"):
+        net.forward(np.array([1.0, 0.0]))  # training and direct calls still raise
+    f = net.as_objective()
+    assert np.isnan(f(np.array([1.0, 0.0]))) and f(np.array([-1.0, 0.0])) == 0.0
+    assert np.array_equal(np.isnan(f.evaluate_many([[1.0, 0.0], [-1.0, 0.0]])), [True, False])
+
+    dom = BoxDomain.cube(-1, 1, 2)
+    res = estimate_range(f, dom, AnnealConfig(seed=0, delta=0.7), n_seeds=3)
+    assert res.f_min == 0.0 and 0.0 < res.f_max < np.inf
+    assert f(res.x_max) == res.f_max and dom.contains(res.x_max)
+    net.save(tmp_path / "weights.json")
+    assert main(["estimate-range", "--weights", str(tmp_path / "weights.json"),
+                 "--domain=-1,1,-1,1", "--n-seeds", "2", "--delta", "0.7",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_grid_oracle_skips_nan_values():
