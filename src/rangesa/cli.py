@@ -28,8 +28,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-TRACE_CHOICES = ("levels", "full")  # levels.csv only, or also one per-step CSV per chain
-PATH_OPTIONS = ("config", "data", "weights")  # echoed by file name only
+PATH_OPTIONS = ("data", "weights")  # echoed by file name only
 
 
 class UsageError(ValueError):
@@ -153,16 +152,10 @@ def _out_dir(opts: dict) -> Path:
 
 
 def _echo_config(opts: dict) -> dict:
-    # "out" and "trace" choose where and what to write, and input paths are cut to
-    # their file names, so artifacts stay byte-identical across directories
-    return {k: Path(v).name if k in PATH_OPTIONS else v for k, v in sorted(opts.items())
-            if k not in ("out", "trace") and not callable(v)}
-
-
-def _full_trace(opts: dict) -> bool:
-    trace = _opt(opts, "trace", "levels")
-    _check(trace in TRACE_CHOICES, f"--trace must be one of {', '.join(TRACE_CHOICES)}")
-    return trace == "full"
+    # "out" is left out and input paths are cut to their file names, so artifacts
+    # stay byte-identical across directories
+    return {k: Path(v).name if k in PATH_OPTIONS and isinstance(v, str) else v
+            for k, v in sorted(opts.items()) if k != "out" and not callable(v)}
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -239,7 +232,6 @@ def cmd_estimate_range(args) -> int:
     objective, domain = _load_objective(opts)
     cfg = _anneal_config(opts)
     n_seeds = _positive(opts, "n_seeds", 10)
-    full_trace = _full_trace(opts)
     out = _out_dir(opts)
 
     t0 = time.perf_counter()
@@ -252,9 +244,6 @@ def cmd_estimate_range(args) -> int:
     _write_json(out / "range_result.json", doc)
     labelled = [(kind, r) for kind, runs in traces.items() for r in runs]
     LevelSummary.of(labelled).to_csv(out / "levels.csv")
-    if full_trace:
-        for kind, r in labelled:
-            r.trace.to_csv(out / f"trace_{kind}_seed{r.config.seed}.csv")
     return EXIT_OK
 
 
@@ -280,14 +269,10 @@ def cmd_compare(args) -> int:
     objective, domain = _load_objective(opts)
     cfg = _anneal_config(opts)
     n_seeds = _positive(opts, "n_seeds", 10)
-    full_trace = _full_trace(opts)
     out = _out_dir(opts)
 
     rows, runs = compare_modes(objective, domain, cfg, n_seeds)
     LevelSummary.of((r.config.mode, r) for r in runs).to_csv(out / "levels.csv")
-    if full_trace:
-        for r in runs:
-            r.trace.to_csv(out / f"trace_{r.config.mode}_seed{r.config.seed}.csv")
     # str of a Python float is its shortest round-trip repr
     lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
     (out / "compare_summary.csv").write_text("\n".join(lines) + "\n")
@@ -319,9 +304,6 @@ def _add_anneal_flags(sp):
     sp.add_argument("--mode", choices=("reflected", "classical"))
     sp.add_argument("--cooling", choices=("theorem", "algorithm1"))
     sp.add_argument("--n-seeds", dest="n_seeds", type=int)
-    sp.add_argument("--trace", choices=TRACE_CHOICES,
-                    help="levels (default): one levels.csv row per chain per temperature "
-                    "level; full: also one per-step CSV per chain")
 
 
 def build_parser() -> argparse.ArgumentParser:

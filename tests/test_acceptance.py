@@ -270,27 +270,22 @@ def _written(path):
 
 def test_c11_command_determinism(tmp_path):
     data_args = ["generate-data", "--fn", "ackley", "--m", "60", "--seed", "5"]
-    range_args = ["estimate-range", "--fn", "ackley", "--n-seeds", "1", "--seed", "3",
-                  "--t-min", "0.2"]
-    compare_args = ["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "2",
-                    "--t-min", "0.5"]
-    # every file each command writes, by default and with --trace full
+    # every file each command writes
     reruns = {
         "generate-data": (data_args, ["ackley_data.csv", "ackley_data.meta.json"]),
-        "estimate-range": (range_args, ["levels.csv", "range_result.json"]),
-        "estimate-range-full": (
-            range_args + ["--trace", "full"],
-            ["levels.csv", "range_result.json", "trace_max_seed3.csv", "trace_min_seed3.csv"],
+        "estimate-range": (
+            ["estimate-range", "--fn", "ackley", "--n-seeds", "1", "--seed", "3",
+             "--t-min", "0.2"],
+            ["levels.csv", "range_result.json"],
         ),
         "oracle": (
             ["oracle", "--fn", "ackley", "--points-per-dim", "21"],
             ["oracle.json"],
         ),
-        "compare": (compare_args, ["compare_summary.csv", "compare_summary.json", "levels.csv"]),
-        "compare-full": (
-            compare_args + ["--trace", "full"],
-            ["compare_summary.csv", "compare_summary.json", "levels.csv",
-             "trace_classical_seed2.csv", "trace_reflected_seed2.csv"],
+        "compare": (
+            ["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "2",
+             "--t-min", "0.5"],
+            ["compare_summary.csv", "compare_summary.json", "levels.csv"],
         ),
     }
     all_ok = True

@@ -9,12 +9,12 @@ from rangesa import (
     Objective,
     acceptance_probability,
     builtin,
+    compare_modes,
     fixed_temperature_chain,
     gibbs_density,
     run,
 )
 from rangesa.anneal import MODES, EvalBudgetExceeded, Trace, max_excursion, run_many
-from rangesa.cli import main
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
 PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")
@@ -378,15 +378,14 @@ class TestBatch:
         assert max_excursion(runs[1].trace, self.dom) > 0  # classical rows do leave the box
 
     def test_compare_chains_equal_single_runs(self, tmp_path):
-        rc = main(["compare", "--fn", "ackley", "--n-seeds", "2", "--seed", "4", "--t-min", "0.5",
-                   "--variance", "4.0", "--trace", "full", "--out", str(tmp_path)])
-        assert rc == 0
-        for seed in (4, 5):
-            for mode in MODES:
-                run(builtin("ackley"), self.dom, replace(self.cfg, seed=seed, mode=mode)) \
-                    .trace.to_csv(tmp_path / "single.csv")
-                batch = tmp_path / f"trace_{mode}_seed{seed}.csv"
-                assert batch.read_bytes() == (tmp_path / "single.csv").read_bytes()
+        f = builtin("ackley")
+        _, runs = compare_modes(f, self.dom, replace(self.cfg, seed=4), n_seeds=2)
+        assert [(r.config.seed, r.config.mode) for r in runs] == \
+            [(seed, mode) for seed in (4, 5) for mode in MODES]
+        for r in runs:
+            run(f, self.dom, r.config).trace.to_csv(tmp_path / "single.csv")
+            r.trace.to_csv(tmp_path / "batch.csv")
+            assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
 
     def test_schedules_must_match(self):
         with pytest.raises(ValueError, match="seed and mode"):

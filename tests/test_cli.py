@@ -5,7 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rangesa import AnnealConfig, BoxDomain, Objective, builtin, run, sample_dataset
+from rangesa import (
+    AnnealConfig,
+    BoxDomain,
+    Objective,
+    builtin,
+    compare_modes,
+    estimate_range,
+    run,
+    sample_dataset,
+)
 from rangesa.anneal import LEVEL_COLUMNS, MODES
 from rangesa.cli import main, parse_domain
 from rangesa.resnet import build_resnet
@@ -99,13 +108,13 @@ class TestTrainCommand:
 class TestEstimateRange:
     def test_builtin_objective(self, tmp_path):
         rc = main(["estimate-range", "--fn", "dropwave", "--n-seeds", "2",
-                   "--seed", "0", "--t-min", "0.05", "--trace", "full", "--out", str(tmp_path)])
+                   "--seed", "0", "--t-min", "0.05", "--out", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "range_result.json").read_text())
         assert doc["interval_type"] == "inner"
         assert doc["f_min"] <= doc["f_max"]
-        assert (tmp_path / "trace_min_seed0.csv").exists()
-        assert (tmp_path / "trace_max_seed1.csv").exists()
+        assert sorted(read_levels(tmp_path / "levels.csv")) == \
+            [("max", 0), ("max", 1), ("min", 0), ("min", 1)]
 
     def test_weights_objective_requires_domain(self, tmp_path, tiny_weights):
         rc = main(["estimate-range", "--weights", str(tiny_weights), "--out", str(tmp_path)])
@@ -138,9 +147,14 @@ class TestEstimateRange:
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["estimate-range", "--fn", "ackley", "--n-seeds", "1",
-                "--seed", "2", "--t-min", "0.2", "--trace", "full"]
-        main(args + ["--out", str(tmp_path / "a")])
-        main(args + ["--out", str(tmp_path / "b")])
+                "--seed", "2", "--t-min", "0.2"]
+        cfg = AnnealConfig(seed=2, t_min=0.2)
+        for sub in ("a", "b"):
+            main(args + ["--out", str(tmp_path / sub)])
+            _, traces = estimate_range(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg,
+                                       n_seeds=1, return_traces=True)
+            for kind, (r,) in traces.items():
+                r.trace.to_csv(tmp_path / sub / f"trace_{kind}_seed2.csv")
         for name in ("range_result.json", "levels.csv", "trace_min_seed2.csv",
                      "trace_max_seed2.csv"):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
@@ -183,9 +197,13 @@ class TestCompare:
 
     def test_shared_seed_pairs_traces(self, tmp_path):
         main(["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "9",
-              "--t-min", "1.0", "--trace", "full", "--out", str(tmp_path)])
-        assert (tmp_path / "trace_reflected_seed9.csv").exists()
-        assert (tmp_path / "trace_classical_seed9.csv").exists()
+              "--t-min", "1.0", "--out", str(tmp_path)])
+        assert sorted(read_levels(tmp_path / "levels.csv")) == [("classical", 9), ("reflected", 9)]
+        _, runs = compare_modes(builtin("ackley"), BoxDomain.cube(-4, 4, 2),
+                                AnnealConfig(seed=9, t_min=1.0), n_seeds=1)
+        assert [(r.config.mode, r.config.seed) for r in runs] == [("reflected", 9),
+                                                                  ("classical", 9)]
+        assert all(len(r.trace) > 0 for r in runs)
 
 
 def read_levels(path):
@@ -300,6 +318,14 @@ def test_artifacts_independent_of_input_directory(tmp_path, command):
                                                                         "ackley_data.csv")
     assert read(tmp_path / "a" / "out" / name) == \
         read(tmp_path / "somewhere" / "much" / "deeper" / "b" / "out" / name)
+
+
+def test_null_path_in_config_echoed_as_null(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fn": "ackley", "weights": None, "points_per_dim": 5}))
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = json.loads(read(tmp_path / "oracle.json"))["config"]
+    assert config["weights"] is None and "config" not in config
 
 
 def test_missing_required_option_exits_2(tmp_path):
