@@ -181,6 +181,7 @@ def acceptance_probability(delta_f, temperature):
     return q if isinstance(q, np.ndarray) else float(q)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
     """Annealing runs advanced in lockstep, one per config; configs differ only in seed and mode.
 
@@ -194,7 +195,8 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     After each level, the level's proposals are formed again from the stored
     states with the same add, to mark those that left the box.
     Raises EvalBudgetExceeded, before any work, when the batch could take
-    more than EVAL_BUDGET chain steps.
+    more than EVAL_BUDGET chain steps. Overflow and NaN raise no numpy warning
+    here: a non-finite start is redrawn and a non-finite proposal rejected.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed, mode=cfg.mode) != cfg for c in cfgs):

@@ -16,7 +16,9 @@ class Objective:
     Wraps a vectorized callable taking an (n, d) batch and returning (n,)
     values; a single point is evaluated as a batch of one row. Evaluation
     must be deterministic; the annealer only ever queries points, never
-    gradients.
+    gradients. ``grid_oracle`` calls ``evaluate_many`` from max(1, cpus // n) threads at
+    once, n from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (one thread when neither is
+    set); the builtins and ``ResNet.as_objective`` are safe to call that way.
     """
 
     def __init__(self, fn, dim: int, name: str | None = None):

@@ -2,6 +2,7 @@
 the brute-force grid oracle."""
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -167,6 +168,13 @@ class OracleResult:
         }
 
 
+def _oracle_workers() -> int:
+    """max(1, cpus // BLAS threads); 1 when OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are unset."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // int(blas)) if blas and blas.isdigit() and int(blas) else 1
+
+
 def grid_oracle(
     f: Objective,
     domain: BoxDomain,
@@ -174,8 +182,8 @@ def grid_oracle(
 ) -> OracleResult:
     """Exhaustive evaluation on the uniform tensor grid (endpoints included).
 
-    Evaluated ORACLE_CHUNK rows at a time. Deterministic; ties resolve to
-    the first grid point in row-major order.
+    Evaluated ORACLE_CHUNK rows at a time by ``_oracle_workers()`` threads.
+    Deterministic; ties resolve to the first grid point in row-major order.
     Only finite values count; ValueError when the grid has none.
     """
     if points_per_dim < 2:
@@ -189,30 +197,32 @@ def grid_oracle(
         )
     axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in domain.bounds]
 
-    min_value = np.inf
-    max_value = -np.inf
-    min_point = max_point = None
-    for start in range(0, n_total, ORACLE_CHUNK):
-        idx = np.arange(start, min(start + ORACLE_CHUNK, n_total))
-        coords = np.empty((len(idx), d))
-        rem = idx
-        for j in range(d - 1, -1, -1):
-            coords[:, j] = axes[j][rem % points_per_dim]
-            rem = rem // points_per_dim
-        vals = f.evaluate_many(coords)
-        finite = np.isfinite(vals)
-        k = int(np.argmin(np.where(finite, vals, np.inf)))
-        if finite[k] and vals[k] < min_value:
-            min_value, min_point = float(vals[k]), coords[k].copy()
-        k = int(np.argmax(np.where(finite, vals, -np.inf)))
-        if finite[k] and vals[k] > max_value:
-            max_value, max_point = float(vals[k]), coords[k].copy()
-    if min_point is None:
+    def points(idx):  # grid points by row-major index
+        ijk = np.unravel_index(idx, (points_per_dim,) * d)
+        return np.stack([axis[i] for axis, i in zip(axes, ijk)], axis=1)
+
+    @np.errstate(over="ignore", invalid="ignore")  # set per call, so in each worker thread
+    def scan(first):  # (min, index) and (-max, index) over every workers-th chunk
+        best = [(np.inf, -1), (np.inf, -1)]
+        for start in range(first * ORACLE_CHUNK, n_total, workers * ORACLE_CHUNK):
+            vals = f.evaluate_many(points(np.arange(start, min(start + ORACLE_CHUNK, n_total))))
+            finite = np.isfinite(vals)
+            for j, v in enumerate((vals, -vals)):
+                k = int(np.argmin(np.where(finite, v, np.inf)))
+                if finite[k] and v[k] < best[j][0]:
+                    best[j] = (float(v[k]), start + k)
+        return best
+
+    workers = min(_oracle_workers(), -(-n_total // ORACLE_CHUNK))
+    if workers == 1:
+        scans = [scan(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # 384 KB of RSS: imported only here
+        with ThreadPoolExecutor(workers) as pool:  # one chunk in flight per worker
+            scans = list(pool.map(scan, range(workers)))
+    (min_value, i_min), (neg_max, i_max) = map(min, zip(*scans))  # ties: lowest index
+    if i_min < 0:
         raise ValueError("the objective returned no finite value on the grid")
-    return OracleResult(
-        min_value=min_value,
-        min_point=min_point,
-        max_value=max_value,
-        max_point=max_point,
-        n_points=n_total,
-    )
+    min_point, max_point = points(np.array([i_min, i_max]))
+    return OracleResult(min_value=min_value, min_point=min_point, max_value=-neg_max,
+                        max_point=max_point, n_points=n_total)

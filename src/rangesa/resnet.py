@@ -28,8 +28,8 @@ def _relu(z, out=None):
 
 
 def _relu_deriv(z):
-    # subgradient 0 at exactly 0
-    return (z > 0.0).astype(float)
+    # subgradient 0 at exactly 0; a bool mask, since g * mask equals g * 1.0 or g * 0.0
+    return z > 0.0
 
 
 def _sigmoid(z, out=None):

@@ -118,12 +118,17 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
     net = net.copy()
+    # every weight and bias becomes a view of one buffer, in flatten_gradients' order
+    arrays = [a for lyr in net.layers for a in (lyr.weights, lyr.bias)]
+    params = np.concatenate([a.ravel() for a in arrays])
+    views = np.split(params, np.cumsum([a.size for a in arrays])[:-1])
+    for lyr, w, b in zip(net.layers, views[::2], views[1::2]):
+        lyr.weights, lyr.bias = w.reshape(lyr.weights.shape), b
     n = len(data)
     batch = cfg.resolve_batch_size(n)
     rng = np.random.default_rng(cfg.seed)
 
-    m_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
-    v_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    m_state, v_state = np.zeros_like(params), np.zeros_like(params)
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
     t = 0
     history: list[float] = []
@@ -139,17 +144,12 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
             epoch_loss += loss * len(idx)
             t += 1
             lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-            for lyr, (mw, mb), (vw, vb), (dW, db) in zip(net.layers, m_state, v_state, grads):
-                mw *= b1
-                mw += (1 - b1) * dW
-                vw *= b2
-                vw += (1 - b2) * dW**2
-                lyr.weights -= lr_t * mw / (np.sqrt(vw) + eps)
-                mb *= b1
-                mb += (1 - b1) * db
-                vb *= b2
-                vb += (1 - b2) * db**2
-                lyr.bias -= lr_t * mb / (np.sqrt(vb) + eps)
+            g = flatten_gradients(grads)
+            m_state *= b1
+            m_state += (1 - b1) * g
+            v_state *= b2
+            v_state += (1 - b2) * g**2
+            params -= lr_t * m_state / (np.sqrt(v_state) + eps)
         history.append(epoch_loss / n)
     return net, history
 

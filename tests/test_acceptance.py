@@ -25,7 +25,7 @@ from rangesa import (
     fixed_temperature_chain,
     gibbs_density,
     grid_oracle,
-    run,
+    run_many,
     sample_dataset,
     train,
 )
@@ -151,8 +151,9 @@ def test_c4_fixed_temperature_stationarity():
 
 
 def _seeded_best_values(fn, dom, n_seeds=20, **cfg_kwargs):
+    # one lockstep batch: each run is bit-identical to run(..., replace(cfg, seed=s))
     cfg = AnnealConfig(**cfg_kwargs)
-    return [run(builtin(fn), dom, replace(cfg, seed=s)) for s in range(n_seeds)]
+    return run_many(builtin(fn), dom, [replace(cfg, seed=s) for s in range(n_seeds)])
 
 
 def test_c5_ackley_minimization():
@@ -205,7 +206,8 @@ def _ackley_pipeline(width_scale, epochs, time_budget, criterion):
 
     obj = net.as_objective()
     oracle = grid_oracle(obj, dom, 801)
-    sa_min = min(run(obj, dom, AnnealConfig(seed=s)).best_value for s in range(5))
+    runs = run_many(obj, dom, [AnnealConfig(seed=s) for s in range(5)])
+    sa_min = min(r.best_value for r in runs)
     gap = abs(sa_min - oracle.min_value)
     elapsed = time.perf_counter() - t0
     ok = gap <= 0.1 and fit.mae <= 2.0 and elapsed < time_budget
@@ -235,7 +237,8 @@ def test_c9_dropwave_pipeline():
 
     obj = net.as_objective()
     oracle = grid_oracle(obj, dom, 801)
-    sa_min = min(run(obj, dom, AnnealConfig(seed=s)).best_value for s in range(5))
+    runs = run_many(obj, dom, [AnnealConfig(seed=s) for s in range(5)])
+    sa_min = min(r.best_value for r in runs)
     gap = abs(sa_min - oracle.min_value)
     elapsed = time.perf_counter() - t0
     ok = fit.mae <= 0.1 and gap <= 0.05
@@ -254,9 +257,9 @@ def test_c10_classical_vs_reflected():
 
     wins = 0
     excursions_ok = True
-    for s in range(20):
-        refl = run(f, dom, replace(cfg, seed=s, mode="reflected"))
-        clas = run(f, dom, replace(cfg, seed=s, mode="classical"))
+    runs = run_many(f, dom, [replace(cfg, seed=s, mode=m) for s in range(20)
+                             for m in ("reflected", "classical")])
+    for refl, clas in zip(runs[::2], runs[1::2]):
         excursions_ok &= max_excursion(clas.trace, dom) > 0
         excursions_ok &= max_excursion(refl.trace, dom) == 0
         wins += iters_to(refl, oracle_min + 0.1) <= iters_to(clas, oracle_min + 0.1)

@@ -263,11 +263,8 @@ class TestRun:
         assert len(res.trace) == cfg.inner_iters * levels
 
     def test_sphere_minimization(self):
-        wins = 0
-        for s in range(20):
-            res = run(SPHERE, self.dom, AnnealConfig(seed=s))
-            if res.best_value <= 1e-2:
-                wins += 1
+        runs = run_many(SPHERE, self.dom, [AnnealConfig(seed=s) for s in range(20)])
+        wins = sum(res.best_value <= 1e-2 for res in runs)
         assert wins >= 19
 
     def test_trace_invariants(self):

@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from rangesa import (
 )
 from rangesa.anneal import START_REDRAWS
 from rangesa.cli import main
-from rangesa.range_analysis import ORACLE_CHUNK, GridBudgetExceeded, RangeResult
+from rangesa.range_analysis import (
+    ORACLE_CHUNK, GridBudgetExceeded, RangeResult, _oracle_workers,
+)
 from rangesa.resnet import build_resnet
 
 
@@ -179,12 +185,17 @@ def test_estimate_range_skips_nan_chains(seed):
         estimate_range(ALL_NAN, dom, cfg, n_seeds=2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_estimate_range_survives_network_overflow(tmp_path):
+def _overflowing_net():
     # 0 where x1 <= 0; where x1 > 0.113 the output 4 x 400 x1 x 1e306 overflows
     net = build_resnet([2, 4, 1])
     net.layers[0].weights[:] = [400.0, 0.0]
     net.layers[1].weights[:] = 1e306
+    return net
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_estimate_range_survives_network_overflow(tmp_path):
+    net = _overflowing_net()
     with pytest.raises(FloatingPointError, match="layer 2"):
         net.forward(np.array([1.0, 0.0]))  # training and direct calls still raise
     f = net.as_objective()
@@ -201,6 +212,20 @@ def test_estimate_range_survives_network_overflow(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("openblas", [None, "1"])
+def test_network_overflow_raises_no_warning(monkeypatch, openblas):
+    # the NaN rows and the Metropolis rule's overflow to exp(-inf) = 0 are expected;
+    # numpy's error state is per thread, so each oracle worker sets its own
+    _set_workers(monkeypatch, openblas=openblas)
+    f, dom = _overflowing_net().as_objective(), BoxDomain.cube(-1, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimate_range(f, dom, AnnealConfig(seed=0, delta=0.7), n_seeds=3)
+        oracle = grid_oracle(f, dom, 101)
+    assert res.f_min == oracle.min_value == 0.0
+    assert 0.0 < res.f_max < np.inf and 0.0 < oracle.max_value < np.inf
+
+
 def test_grid_oracle_skips_nan_values():
     dom = BoxDomain.cube(-1, 1, 2)
     res = grid_oracle(NAN_LEFT, dom, 5)
@@ -212,17 +237,8 @@ def test_grid_oracle_skips_nan_values():
         grid_oracle(ALL_NAN, dom, 5)
 
 
-def test_grid_oracle_first_extreme_across_chunks():
-    # 41^2 = 1,681 points span two chunks; f ties at its minimum on both sides of the
-    # chunk boundary and at its maximum within the second chunk
-    n = 41
-    axis = np.linspace(-1, 1, n)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    boundary = ORACLE_CHUNK
-    assert boundary < len(grid)
-    ties_min = {tuple(grid[boundary - 3]), tuple(grid[boundary + 2])}
-    ties_max = {tuple(grid[boundary + 5]), tuple(grid[len(grid) - 1])}
-
+def _with_ties(ties_min, ties_max):
+    """x1 + x2 scaled by 0.1, except -5 at the points ties_min and 5 at ties_max."""
     def fn(X):
         v = np.sum(X, axis=1) * 0.1
         for p in ties_min:
@@ -230,20 +246,129 @@ def test_grid_oracle_first_extreme_across_chunks():
         for p in ties_max:
             v[np.all(X == p, axis=1)] = 5.0
         return v
+    return Objective(fn, 2)
+
+
+def _grid(n):
+    axis = np.linspace(-1, 1, n)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _assert_whole_grid_extremes(res, f, grid):
+    vals = f.evaluate_many(grid)
+    assert res.min_value == vals[np.argmin(vals)]
+    assert np.array_equal(res.min_point, grid[np.argmin(vals)])
+    assert res.max_value == vals[np.argmax(vals)]
+    assert np.array_equal(res.max_point, grid[np.argmax(vals)])
+
+
+def _set_workers(monkeypatch, openblas=None, omp=None, cpus=4):
+    """Environment and CPU affinity for ``_oracle_workers``."""
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_grid_oracle_first_extreme_across_chunks():
+    # 41^2 = 1,681 points span two chunks; f ties at its minimum on both sides of the
+    # chunk boundary and at its maximum within the second chunk
+    n = 41
+    grid = _grid(n)
+    boundary = ORACLE_CHUNK
+    assert boundary < len(grid)
+    f = _with_ties({tuple(grid[boundary - 3]), tuple(grid[boundary + 2])},
+                   {tuple(grid[boundary + 5]), tuple(grid[len(grid) - 1])})
+    res = grid_oracle(f, BoxDomain.cube(-1, 1, 2), n)
+    _assert_whole_grid_extremes(res, f, grid)
+    assert res.min_value == -5.0 and np.array_equal(res.min_point, grid[boundary - 3])
+    assert res.max_value == 5.0 and np.array_equal(res.max_point, grid[boundary + 5])
+
+
+@pytest.mark.parametrize("env, workers", [
+    (dict(), 1),                            # BLAS may use every CPU: serial
+    (dict(openblas="1"), 4),
+    (dict(openblas="2"), 2),
+    (dict(openblas="8"), 1),
+    (dict(omp="1"), 4),
+    (dict(openblas="4", omp="1"), 1),       # OPENBLAS_NUM_THREADS first
+    (dict(openblas="1", cpus=1), 1),
+    (dict(openblas="0"), 1),
+    (dict(omp="2,1"), 1),
+])
+def test_oracle_workers_fill_cpus_left_by_blas(monkeypatch, env, workers):
+    _set_workers(monkeypatch, **env)
+    assert _oracle_workers() == workers
+
+
+@pytest.mark.parametrize("env", [dict(), dict(openblas="1"), dict(openblas="2"),
+                                 dict(openblas="1", cpus=64)])
+def test_grid_oracle_workers_equal_whole_grid(monkeypatch, env):
+    # 101^2 = 10,201 points in 10 chunks, spread over 1, 4, 2 or 10 workers (more than
+    # this machine's cores, switching threads every microsecond). The minimum ties across
+    # the chunk boundary of test_grid_oracle_first_extreme_across_chunks and in chunks 2
+    # and 7; the maximum first in chunk 5, later in chunk 8 (workers 1 and 0 of 2 or 4)
+    _set_workers(monkeypatch, **env)
+    n, c = 101, ORACLE_CHUNK
+    workers = min(_oracle_workers(), -(-n * n // c))
+    grid = _grid(n)
+    ties = _with_ties({tuple(grid[i]) for i in (c - 3, c + 2, 2 * c + 40, 7 * c + 9)},
+                      {tuple(grid[i]) for i in (8 * c + 1, 5 * c + 8, 5 * c + 900)})
+    threads, all_started = set(), threading.Barrier(workers, timeout=30)
+
+    def fn(X):
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            all_started.wait()  # each worker holds its first chunk until all hold one
+        return ties.evaluate_many(X)
 
     f = Objective(fn, 2)
-    res = grid_oracle(f, BoxDomain.cube(-1, 1, 2), n)
-    vals = f.evaluate_many(grid)
-    assert res.min_value == vals[np.argmin(vals)] == -5.0
-    assert np.array_equal(res.min_point, grid[np.argmin(vals)])
-    assert np.array_equal(res.min_point, grid[boundary - 3])
-    assert res.max_value == vals[np.argmax(vals)] == 5.0
-    assert np.array_equal(res.max_point, grid[np.argmax(vals)])
-    assert np.array_equal(res.max_point, grid[boundary + 5])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = grid_oracle(f, BoxDomain.cube(-1, 1, 2), n)
+    finally:
+        sys.setswitchinterval(interval)
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert len(threads) == workers and threading.get_ident() not in threads
+    _assert_whole_grid_extremes(res, ties, grid)
+    assert np.array_equal(res.min_point, grid[c - 3])
+    assert np.array_equal(res.max_point, grid[5 * c + 8])
 
 
-def test_grid_oracle_memory_stays_in_chunks():
-    # a memory guard, not a timing gate: in 65,536-row chunks this call peaked at 208 MB
+class _WorkerFailure(Exception):
+    pass
+
+
+def test_grid_oracle_worker_error_propagates(monkeypatch):
+    _set_workers(monkeypatch, openblas="1")
+
+    def fn(X):
+        if np.any(np.all(X == [1.0, 1.0], axis=1)):  # the last point, in the last chunk
+            raise _WorkerFailure("bad row")
+        return np.sum(X, axis=1)
+
+    with pytest.raises(_WorkerFailure, match="bad row"):
+        grid_oracle(Objective(fn, 2), BoxDomain.cube(-1, 1, 2), 101)
+
+
+def test_grid_oracle_network_same_with_workers(monkeypatch):
+    f = architecture_dropwave(seed=2, width_scale=0.25).as_objective()
+    dom = BoxDomain.cube(-5, 5, 2)
+    _set_workers(monkeypatch)
+    serial = grid_oracle(f, dom, 121)
+    _set_workers(monkeypatch, openblas="1")
+    assert grid_oracle(f, dom, 121).to_json_dict() == serial.to_json_dict()
+
+
+def test_grid_oracle_memory_stays_in_chunks(monkeypatch):
+    # a memory guard, not a timing gate: in 65,536-row chunks this call peaked at 208 MB;
+    # four workers hold four chunks at a time
+    _set_workers(monkeypatch, openblas="1")
     f = architecture_dropwave(seed=1, width_scale=0.25).as_objective()
     tracemalloc.start()
     try:

@@ -158,6 +158,47 @@ class TestTrain:
         with pytest.raises((TrainingDiverged, FloatingPointError)):
             train(net, data, TrainConfig(epochs=5, learning_rate=1e10, seed=0))
 
+    def test_flat_adam_equals_per_layer_adam(self):
+        # the update as it was written per layer and per array; the flat buffer
+        # must give the same bits, through a short last batch (50 = 3 x 16 + 2)
+        f = builtin("ackley")
+        data = sample_dataset(f, BoxDomain(((-4, 4), (-4, 4))), m=50, noise_sd=0.1, seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=4)
+        net = build_resnet([2, 6, 6, 1], seed=4)
+        trained, history = train(net, data, cfg)
+
+        ref = net.copy()
+        rng = np.random.default_rng(cfg.seed)
+        m_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in ref.layers]
+        v_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in ref.layers]
+        b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+        t, ref_history = 0, []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(data))
+            epoch_loss = 0.0
+            for start in range(0, len(data), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grads = loss_and_gradients(ref, data.inputs[idx], data.targets[idx])
+                epoch_loss += loss * len(idx)
+                t += 1
+                lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+                for lyr, (mw, mb), (vw, vb), (dW, db) in zip(ref.layers, m_state, v_state, grads):
+                    mw *= b1
+                    mw += (1 - b1) * dW
+                    vw *= b2
+                    vw += (1 - b2) * dW**2
+                    lyr.weights -= lr_t * mw / (np.sqrt(vw) + eps)
+                    mb *= b1
+                    mb += (1 - b1) * db
+                    vb *= b2
+                    vb += (1 - b2) * db**2
+                    lyr.bias -= lr_t * mb / (np.sqrt(vb) + eps)
+            ref_history.append(epoch_loss / len(data))
+
+        assert get_params(trained).tobytes() == get_params(ref).tobytes()
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        assert not np.array_equal(get_params(trained), get_params(net))
+
     def test_original_net_untouched(self):
         f = builtin("ackley")
         data = sample_dataset(f, BoxDomain(((-4, 4), (-4, 4))), m=50, noise_sd=0.0, seed=3)
