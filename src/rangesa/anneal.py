@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Objective
+from .objectives import Objective, _write_csv
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
@@ -97,23 +96,6 @@ class Trace:
     def __len__(self):
         return len(self.iterations)
 
-    def to_csv(self, path) -> None:
-        """One line per step, floats as shortest repr, formatted by column 1,000 rows at a time."""
-        cols = "iter,temperature," + ",".join(f"x{j+1}" for j in range(self.points.shape[1]))
-        with Path(path).open("w") as fh:
-            fh.write(cols + ",value,accepted,best_value\n")
-            for start in range(0, len(self), 1000):
-                rows = slice(start, start + 1000)
-                fields = [
-                    map(str, self.iterations[rows].tolist()),
-                    map(repr, self.temperatures[rows].tolist()),
-                    *(map(repr, col.tolist()) for col in self.points[rows].T),
-                    map(repr, self.values[rows].tolist()),
-                    map(str, self.accepted[rows].astype(int).tolist()),
-                    map(repr, self.best_values[rows].tolist()),
-                ]
-                fh.write("".join(",".join(line) + "\n" for line in zip(*fields)))
-
 
 @dataclass
 class AnnealResult:
@@ -160,11 +142,8 @@ class LevelSummary:
         return cls(*(np.concatenate(col) for col in zip(*parts)))
 
     def to_csv(self, path) -> None:
-        """One line per row, formatted by column; str of a Python float is its shortest repr."""
-        columns = [map(str, getattr(self, name).tolist()) for name in LEVEL_COLUMNS]
-        with Path(path).open("w") as fh:
-            fh.write(",".join(LEVEL_COLUMNS) + "\n")
-            fh.write("".join(",".join(line) + "\n" for line in zip(*columns)))
+        """One line per row under a header of LEVEL_COLUMNS."""
+        _write_csv(path, LEVEL_COLUMNS, [getattr(self, name) for name in LEVEL_COLUMNS])
 
 
 LEVEL_COLUMNS = tuple(f.name for f in fields(LevelSummary))

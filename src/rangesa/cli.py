@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .anneal import AnnealConfig, EvalBudgetExceeded, LevelSummary
 from .domain import BoxDomain
-from .objectives import Dataset, Objective, builtin, sample_dataset
+from .objectives import Dataset, Objective, _write_csv, builtin, sample_dataset
 from .presets import Preset, preset
 from .range_analysis import GridBudgetExceeded, compare_modes, estimate_range, grid_oracle
 from .resnet import ResNet, WeightFormatError
@@ -235,14 +235,14 @@ def cmd_estimate_range(args) -> int:
     out = _out_dir(opts)
 
     t0 = time.perf_counter()
-    result, traces = estimate_range(objective, domain, cfg, n_seeds=n_seeds, return_traces=True)
+    result = estimate_range(objective, domain, cfg, n_seeds=n_seeds)
     log.info("range [%.6g, %.6g] in %.1f s (%d evaluations)",
              result.f_min, result.f_max, time.perf_counter() - t0, result.eval_count)
 
     doc = result.to_json_dict(cfg)
     doc["config"]["n_seeds"] = n_seeds
     _write_json(out / "range_result.json", doc)
-    labelled = [(kind, r) for kind, runs in traces.items() for r in runs]
+    labelled = [(kind, r) for kind, runs in result.runs.items() for r in runs]
     LevelSummary.of(labelled).to_csv(out / "levels.csv")
     return EXIT_OK
 
@@ -273,9 +273,7 @@ def cmd_compare(args) -> int:
 
     rows, runs = compare_modes(objective, domain, cfg, n_seeds)
     LevelSummary.of((r.config.mode, r) for r in runs).to_csv(out / "levels.csv")
-    # str of a Python float is its shortest round-trip repr
-    lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
-    (out / "compare_summary.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "compare_summary.csv", rows[0], [[row[k] for row in rows] for k in rows[0]])
     _write_json(out / "compare_summary.json", {"rows": rows, "config": _echo_config(opts)})
     return EXIT_OK
 

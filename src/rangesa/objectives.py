@@ -123,11 +123,8 @@ class Dataset:
     def save(self, csv_path) -> None:
         """Write CSV (header x1,...,xd,target) plus a .meta.json sidecar."""
         csv_path = Path(csv_path)
-        header = ",".join(f"x{j+1}" for j in range(self.dim)) + ",target"
-        lines = [header]
-        for x, t in zip(self.inputs, self.targets):
-            lines.append(",".join(repr(float(v)) for v in x) + "," + repr(float(t)))
-        csv_path.write_text("\n".join(lines) + "\n")
+        header = [f"x{j+1}" for j in range(self.dim)] + ["target"]
+        _write_csv(csv_path, header, [*self.inputs.T, self.targets])
         meta = {
             "source": self.source,
             "noise_sd": self.noise_sd,
@@ -149,6 +146,14 @@ class Dataset:
             seed=meta["seed"],
             domain=BoxDomain(tuple(tuple(b) for b in meta["domain"])),
         )
+
+
+def _write_csv(path, header, columns) -> None:
+    """A header line, then one line per row of the equal-length columns, formatted by column:
+    each value as str of its ``.tolist()`` value (a float's shortest repr), one row at a time."""
+    rows = zip(*(map(str, np.asarray(c).tolist()) for c in columns))
+    lines = (",".join(row) + "\n" for part in ([header], rows) for row in part)
+    Path(path).write_text("".join(lines))
 
 
 def sidecar_path(csv_path) -> Path:

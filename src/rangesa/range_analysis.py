@@ -47,8 +47,8 @@ class RangeResult:
     eval_count: int
     seeds_used: list[int]
     interval_type: str = "inner"
-    # per kind ("min", "max"): each seed's best value in f's units, in seed order
-    seed_best_values: dict[str, list[float]] = field(default_factory=dict)
+    # per kind ("min", "max"): the annealing runs, in seed order
+    runs: dict[str, list[AnnealResult]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f_min > self.f_max:
@@ -62,7 +62,8 @@ class RangeResult:
         """
         width = self.f_max - self.f_min
         doc = {}
-        for kind, values in self.seed_best_values.items():
+        for kind, runs in self.runs.items():
+            values = [r.sign * r.best_value for r in runs]
             finite = [v for v in values if np.isfinite(v)]
             spread = max(finite) - min(finite)
             doc[kind] = {
@@ -82,7 +83,7 @@ class RangeResult:
             "eval_count": self.eval_count,
             "seeds_used": self.seeds_used,
         }
-        if self.seed_best_values:
+        if self.runs:
             doc["seed_agreement"] = self._seed_agreement()
         if config is not None:
             doc["config"] = asdict(config)
@@ -94,14 +95,14 @@ def estimate_range(
     domain: BoxDomain,
     cfg: AnnealConfig,
     n_seeds: int = 10,
-    return_traces: bool = False,
-):
+) -> RangeResult:
     """Estimate [f_min, f_max] via n_seeds annealing runs on f and on -f, all in one batch.
 
     The runs on -f reuse the same seeds, so estimate_range(-f) swaps and negates
     the interval exactly. Each endpoint comes from the chain with the lowest
     finite best value (the first seed on ties); ValueError when no chain saw a
     finite value. Both argpoints are re-validated by a fresh evaluation of f.
+    The result keeps the runs, with their per-step traces, in ``runs``.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
@@ -112,19 +113,15 @@ def estimate_range(
 
     x_min, x_max = _best_finite(min_runs).best, _best_finite(max_runs).best
 
-    result = RangeResult(
+    return RangeResult(
         f_min=f(x_min),
         f_max=f(x_max),
         x_min=x_min,
         x_max=x_max,
-        eval_count=sum(r.eval_count for r in min_runs + max_runs) + 2,
+        eval_count=sum(r.eval_count for r in runs) + 2,
         seeds_used=seeds,
-        seed_best_values={kind: [r.sign * r.best_value for r in kind_runs]
-                          for kind, kind_runs in (("min", min_runs), ("max", max_runs))},
+        runs={"min": min_runs, "max": max_runs},
     )
-    if return_traces:
-        return result, {"min": min_runs, "max": max_runs}
-    return result
 
 
 def compare_modes(

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Dataset, Objective
+from .objectives import Dataset, Objective, _write_csv
 from .resnet import _ACT_FNS, ResNet
+
+# Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -20,9 +22,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     epochs: int = 1000
     batch_size: int | None = None  # None: full batch up to 4096 rows, else 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -59,21 +58,18 @@ class FitReport:
         }
 
 
-def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray, reduction="mean"):
-    """Squared-error loss and its gradient w.r.t. every weight and bias.
+def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray):
+    """Mean squared error over the rows and its gradient w.r.t. every weight and bias.
 
     Returns (loss, grads) where grads is a list of (dW, db) per layer.
-    reduction "mean" gives the training MSE; "sum" the plain squared error.
     """
     _, act_deriv = _ACT_FNS[net.activation]
     cache = []
     out = net.forward(X, cache)
     resid = out - targets
-    n = len(X)
-    scale = 2.0 / n if reduction == "mean" else 2.0
-    loss = float(np.mean(resid**2) if reduction == "mean" else np.sum(resid**2))
+    loss = float(np.mean(resid**2))
 
-    g = (scale * resid)[:, None]  # dL/dh for the output layer, shape (n, 1)
+    g = (2.0 / len(X) * resid)[:, None]  # dL/dh for the output layer, shape (n, 1)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         lyr = net.layers[i]
@@ -103,7 +99,7 @@ def gradient(net: ResNet, x, target: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ValueError(f"expected input of dimension {net.input_dim}, got shape {x.shape}")
-    _, grads = loss_and_gradients(net, x[None, :], np.array([target]), reduction="sum")
+    _, grads = loss_and_gradients(net, x[None, :], np.array([target]))  # one row: mean = sum
     return flatten_gradients(grads)
 
 
@@ -129,7 +125,7 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     rng = np.random.default_rng(cfg.seed)
 
     m_state, v_state = np.zeros_like(params), np.zeros_like(params)
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     t = 0
     history: list[float] = []
 
@@ -179,6 +175,4 @@ def evaluate_fit(
 
 
 def save_loss_history(history: list[float], path) -> None:
-    lines = ["epoch,loss"]
-    lines += [f"{i},{repr(v)}" for i, v in enumerate(history)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("epoch", "loss"), [range(len(history)), history])

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from rangesa import (
     run,
 )
 from rangesa.anneal import MODES, EvalBudgetExceeded, Trace, max_excursion, run_many
+from rangesa.objectives import _write_csv
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
 PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")
@@ -307,34 +308,34 @@ class TestRun:
         with pytest.raises(ValueError):
             run(PARABOLA_1D, self.dom, AnnealConfig())
 
-    def test_trace_csv_roundtrip(self, tmp_path):
-        res = run(SPHERE, self.dom, AnnealConfig(seed=6, t_min=1.0))
-        path = tmp_path / "trace.csv"
-        res.trace.to_csv(path)
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
-        header = path.read_text().splitlines()[0]
-        assert header == "iter,temperature,x1,x2,value,accepted,best_value"
-        assert np.array_equal(raw[:, 2:4], res.trace.points)
-        assert np.array_equal(raw[:, 4], res.trace.values)
+
+def _trace_header(trace):
+    xs = [f"x{j+1}" for j in range(trace.points.shape[1])]
+    return ["iter", "temperature", *xs, "value", "accepted", "best_value"]
 
 
 def _rowwise_csv(trace):
-    # the trace writer's former row-by-row formatting, kept as the reference
-    xs = ",".join(f"x{j+1}" for j in range(trace.points.shape[1]))
-    lines = ["iter,temperature," + xs + ",value,accepted,best_value"]
+    # row-by-row formatting of the trace's columns, the reference for the column-wise writer
+    lines = [",".join(_trace_header(trace))]
     for i in range(len(trace)):
         lines.append(",".join(
             [str(int(trace.iterations[i])), repr(float(trace.temperatures[i]))]
             + [repr(float(v)) for v in trace.points[i]]
-            + [repr(float(trace.values[i])), str(int(trace.accepted[i])),
+            + [repr(float(trace.values[i])), str(bool(trace.accepted[i])),
                repr(float(trace.best_values[i]))]
         ))
     return "\n".join(lines) + "\n"
 
 
+def _write_trace_csv(trace, path):
+    _write_csv(path, _trace_header(trace), [trace.iterations, trace.temperatures,
+                                            *trace.points.T, trace.values, trace.accepted,
+                                            trace.best_values])
+
+
 def test_trace_csv_matches_rowwise_formatting(tmp_path):
     rng = np.random.default_rng(9)
-    n = 2500  # crosses the writer's chunk boundaries
+    n = 2500
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1.5e300]
     values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
     values[998:998 + len(special)] = special
@@ -343,11 +344,11 @@ def test_trace_csv_matches_rowwise_formatting(tmp_path):
     trace = Trace(np.arange(1, n + 1), np.repeat([10.0, 0.5, 1e-3], [1000, 1000, 500]), points,
                   values, rng.uniform(size=n) < 0.5, np.minimum.accumulate(values),
                   rng.uniform(size=n) < 0.5)
-    trace.to_csv(tmp_path / "t.csv")
+    _write_trace_csv(trace, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_text() == _rowwise_csv(trace)
     empty = Trace(np.arange(1, 1), np.empty(0), np.empty((0, 2)), np.empty(0),
                   np.empty(0, dtype=bool), np.empty(0), np.empty(0, dtype=bool))
-    empty.to_csv(tmp_path / "e.csv")
+    _write_trace_csv(empty, tmp_path / "e.csv")
     assert (tmp_path / "e.csv").read_text() == _rowwise_csv(empty)
 
 
@@ -374,15 +375,16 @@ class TestBatch:
             _assert_same_run(r, run(f, self.dom, r.config))
         assert max_excursion(runs[1].trace, self.dom) > 0  # classical rows do leave the box
 
-    def test_compare_chains_equal_single_runs(self, tmp_path):
+    def test_compare_chains_equal_single_runs(self):
         f = builtin("ackley")
         _, runs = compare_modes(f, self.dom, replace(self.cfg, seed=4), n_seeds=2)
         assert [(r.config.seed, r.config.mode) for r in runs] == \
             [(seed, mode) for seed in (4, 5) for mode in MODES]
         for r in runs:
-            run(f, self.dom, r.config).trace.to_csv(tmp_path / "single.csv")
-            r.trace.to_csv(tmp_path / "batch.csv")
-            assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+            single = run(f, self.dom, r.config).trace
+            for field in fields(Trace):
+                a, b = getattr(r.trace, field.name), getattr(single, field.name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 
     def test_schedules_must_match(self):
         with pytest.raises(ValueError, match="seed and mode"):

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from rangesa import (
     run,
     sample_dataset,
 )
-from rangesa.anneal import LEVEL_COLUMNS, MODES
+from rangesa.anneal import LEVEL_COLUMNS, MODES, Trace
 from rangesa.cli import main, parse_domain
 from rangesa.resnet import build_resnet
 
@@ -149,15 +149,18 @@ class TestEstimateRange:
         args = ["estimate-range", "--fn", "ackley", "--n-seeds", "1",
                 "--seed", "2", "--t-min", "0.2"]
         cfg = AnnealConfig(seed=2, t_min=0.2)
+        results = []
         for sub in ("a", "b"):
             main(args + ["--out", str(tmp_path / sub)])
-            _, traces = estimate_range(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg,
-                                       n_seeds=1, return_traces=True)
-            for kind, (r,) in traces.items():
-                r.trace.to_csv(tmp_path / sub / f"trace_{kind}_seed2.csv")
-        for name in ("range_result.json", "levels.csv", "trace_min_seed2.csv",
-                     "trace_max_seed2.csv"):
+            results.append(estimate_range(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg,
+                                          n_seeds=1))
+        for name in ("range_result.json", "levels.csv"):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
+        for kind in ("min", "max"):
+            (a,), (b,) = (res.runs[kind] for res in results)
+            for field in fields(Trace):
+                x, y = getattr(a.trace, field.name), getattr(b.trace, field.name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
 
 
 class TestOracle:

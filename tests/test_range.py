@@ -98,17 +98,17 @@ class TestEstimateRange:
         f = builtin("ackley")
         dom = BoxDomain.cube(-4, 4, 2)
         cfg = AnnealConfig(seed=7, t_min=0.05)
-        res, traces = estimate_range(f, dom, cfg, n_seeds=3, return_traces=True)
+        res = estimate_range(f, dom, cfg, n_seeds=3)
         for kind, g in (("min", f), ("max", _negated(f))):
-            assert [r.config.seed for r in traces[kind]] == [7, 8, 9]
-            for r in traces[kind]:
+            assert [r.config.seed for r in res.runs[kind]] == [7, 8, 9]
+            for r in res.runs[kind]:
                 single = run(g, dom, r.config)
                 for name in ("iterations", "temperatures", "points", "values", "accepted",
                              "best_values"):
                     assert np.array_equal(getattr(r.trace, name), getattr(single.trace, name))
                 assert np.array_equal(r.best, single.best) and r.best_value == single.best_value
                 assert r.eval_count == single.eval_count
-        assert res.eval_count == 6 * traces["min"][0].eval_count + 2
+        assert res.eval_count == 6 * res.runs["min"][0].eval_count + 2
 
     def test_interval_type_and_seed_bookkeeping(self):
         f = builtin("ackley")
@@ -169,16 +169,16 @@ def test_estimate_range_skips_nan_chains(seed):
     # the endpoints come from the others
     dom = BoxDomain.cube(-1, 1, 2)
     cfg = AnnealConfig(seed=seed, delta=0.7)
-    res, traces = estimate_range(NAN_BUT_STRIP, dom, cfg, n_seeds=4, return_traces=True)
-    for runs in traces.values():
+    res = estimate_range(NAN_BUT_STRIP, dom, cfg, n_seeds=4)
+    for runs in res.runs.values():
         nan = [np.isnan(r.best_value) for r in runs]
         assert any(nan) and not all(nan)
         for r, stuck in zip(runs, nan):
             if stuck:
                 assert r.eval_count == 1 + START_REDRAWS + len(r.trace)
                 assert not r.trace.accepted.any()
-    finite_mins = [r.best_value for r in traces["min"] if np.isfinite(r.best_value)]
-    finite_maxs = [-r.best_value for r in traces["max"] if np.isfinite(r.best_value)]
+    finite_mins = [r.best_value for r in res.runs["min"] if np.isfinite(r.best_value)]
+    finite_maxs = [-r.best_value for r in res.runs["max"] if np.isfinite(r.best_value)]
     assert res.f_min == min(finite_mins) and res.f_max == max(finite_maxs)
     assert res.x_min[0] > 0.985 and res.x_max[0] > 0.985
     with pytest.raises(ValueError, match="no finite"):

@@ -4,6 +4,9 @@ import pytest
 from rangesa import BoxDomain, Objective, TrainConfig, builtin, evaluate_fit, sample_dataset, train
 from rangesa.resnet import Layer, ResNet, build_resnet
 from rangesa.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     TrainingDiverged,
     flatten_gradients,
     gradient,
@@ -76,7 +79,7 @@ class TestGradient:
             Layer(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, -100.0]), True, False),
             Layer(np.array([[1.0, 1.0]]), np.array([0.0]), False, False),
         ])
-        _, grads = loss_and_gradients(net, np.array([[0.5, 0.5]]), np.array([3.0]), "sum")
+        _, grads = loss_and_gradients(net, np.array([[0.5, 0.5]]), np.array([3.0]))
         dW0, db0 = grads[0]
         assert np.array_equal(dW0[1], np.zeros(2))
         assert db0[1] == 0.0
@@ -88,7 +91,7 @@ class TestGradient:
 
     def test_flatten_ordering_stable(self):
         net = build_resnet([2, 3, 1], seed=2)
-        _, grads = loss_and_gradients(net, np.ones((1, 2)), np.array([1.0]), "sum")
+        _, grads = loss_and_gradients(net, np.ones((1, 2)), np.array([1.0]))
         flat = flatten_gradients(grads)
         assert flat.shape == (net.num_params,)
 
@@ -171,7 +174,7 @@ class TestTrain:
         rng = np.random.default_rng(cfg.seed)
         m_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in ref.layers]
         v_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in ref.layers]
-        b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
         t, ref_history = 0, []
         for _ in range(cfg.epochs):
             order = rng.permutation(len(data))
