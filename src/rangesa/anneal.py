@@ -134,10 +134,14 @@ class LevelSummary:
         for kind, r in labelled:
             t, m = r.trace, r.config.inner_iters
             n = len(t) // m
+            with np.errstate(over="ignore"):
+                mean = t.values.reshape(n, m).mean(axis=1)
+                big = np.isinf(mean)  # a sum past the largest float: add values / m instead
+                mean[big] = (t.values.reshape(n, m)[big] / m).sum(axis=1)
             parts.append((
                 np.full(n, kind), np.full(n, r.config.seed), np.arange(n), t.temperatures[::m],
                 t.accepted.reshape(n, m).mean(axis=1), t.left_box.reshape(n, m).sum(axis=1),
-                r.sign * t.values.reshape(n, m).mean(axis=1), r.sign * t.best_values[m - 1::m],
+                r.sign * mean, r.sign * t.best_values[m - 1::m],
             ))
         return cls(*(np.concatenate(col) for col in zip(*parts)))
 

@@ -49,13 +49,11 @@ def parse_domain(spec) -> BoxDomain:
             raise UsageError(f"cannot parse domain {spec!r}") from None
         _check(vals and len(vals) % 2 == 0,
                "domain needs an even number of values: l1,u1,...,ld,ud")
-        pairs = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
-    else:
-        pairs = tuple(tuple(map(float, b)) for b in spec)
+        spec = [vals[i:i + 2] for i in range(0, len(vals), 2)]
     try:
-        return BoxDomain(pairs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return BoxDomain(tuple(map(tuple, spec)))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad domain {spec!r}: {exc}") from exc
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
@@ -69,13 +67,26 @@ def _merged_options(args: argparse.Namespace) -> dict:
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed config file {path}: {exc}") from exc
         _check(isinstance(doc, dict), f"config file {path} must hold a JSON object")
+        for key, value in doc.items():
+            if value is not None and key in args.flags:
+                _check_config_value(path, args.flags[key], value)
         opts.update(doc)
     for key, value in vars(args).items():
-        if key in ("config", "command", "func"):
+        if key in ("config", "command", "func", "flags"):
             continue
         if value is not None:
             opts[key] = value
     return opts
+
+
+def _check_config_value(path: Path, flag: argparse.Action, value) -> None:
+    """A config-file value must be JSON of its flag's type (a domain may be a list) and choices."""
+    kinds = {int: (int,), float: (int, float), None: (str,)}[flag.type]
+    kinds += (list,) if flag.dest == "domain" else ()
+    allowed = flag.choices or [k.__name__ for k in kinds]
+    _check(isinstance(value, kinds) and not isinstance(value, bool)
+           and (flag.choices is None or value in flag.choices),
+           f"config file {path}: {flag.dest} must be {' or '.join(allowed)}, got {value!r}")
 
 
 def _flag(key: str) -> str:
@@ -191,12 +202,17 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     opts = _merged_options(args)
     p = preset(_require(opts, "preset"))
-    data = Dataset.load(_require(opts, "data"))
+    try:
+        data = Dataset.load(_require(opts, "data"))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _check(data.dim == p.objective.dim,
            f"dataset dimension {data.dim} does not match preset {p.name} ({p.objective.dim})")
     seed = int(_opt(opts, "seed", 0))
     width_scale = _positive(opts, "width_scale", 1.0, float)
     cfg = _config(TrainConfig, opts, ("learning_rate", "epochs", "batch_size"), seed=seed)
+    _check(cfg.batch_size is None or cfg.batch_size <= len(data),
+           f"--batch-size {cfg.batch_size} exceeds the dataset's {len(data)} rows")
     out = _out_dir(opts)
 
     net = p.architecture(seed=seed, width_scale=width_scale)
@@ -357,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_anneal_flags(sp)
     sp.set_defaults(func=cmd_compare)
 
+    for sp in sub.choices.values():  # config-file values are checked against these flags
+        sp.set_defaults(flags={a.dest: a for a in sp._actions})
     return parser
 
 

@@ -135,17 +135,19 @@ class Dataset:
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
-        csv_path = Path(csv_path)
-        raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        meta = json.loads(sidecar_path(csv_path).read_text())
-        return cls(
-            inputs=raw[:, :-1],
-            targets=raw[:, -1],
-            source=meta["source"],
-            noise_sd=meta["noise_sd"],
-            seed=meta["seed"],
-            domain=BoxDomain(tuple(tuple(b) for b in meta["domain"])),
-        )
+        """Read what ``save`` wrote; ValueError names a CSV or sidecar that does not parse."""
+        csv_path, meta_path = Path(csv_path), sidecar_path(csv_path)
+        try:
+            raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"malformed dataset {csv_path}: {exc}") from exc
+        try:
+            meta = json.loads(meta_path.read_text())
+            domain = BoxDomain(tuple(tuple(b) for b in meta["domain"]))
+            source, noise_sd, seed = meta["source"], meta["noise_sd"], meta["seed"]
+        except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+            raise ValueError(f"malformed dataset sidecar {meta_path}: {exc!r}") from exc
+        return cls(raw[:, :-1], raw[:, -1], source, noise_sd, seed, domain)
 
 
 def _write_csv(path, header, columns) -> None:

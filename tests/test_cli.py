@@ -351,13 +351,60 @@ def test_domain_dimension_mismatch_exits_2(tmp_path, capsys, argv):
     assert "domain dimension 1 != objective dimension 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+BAD_CONFIGS = {  # config-file text -> a part of its one-line error
+    "{not json": "malformed config file",
+    "[1, 2]": "must hold a JSON object",
+    '{"n_seeds": "abc"}': "n_seeds must be int, got 'abc'",
+    '{"n_seeds": 2.5}': "n_seeds must be int, got 2.5",
+    '{"delta": "0.9"}': "delta must be int or float, got '0.9'",
+    '{"seed": "x"}': "seed must be int, got 'x'",
+    '{"seed": true}': "seed must be int, got True",
+    '{"mode": "sideways"}': "mode must be reflected or classical, got 'sideways'",
+    '{"domain": 5}': "domain must be str or list, got 5",
+    '{"domain": [5]}': "bad domain [5]",
+    '{"domain": [[1, "a"]]}': "bad domain [[1, 'a']]",
+    '{"domain": [[0, 1, 2]]}': "bad domain [[0, 1, 2]]",
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_CONFIGS))
 def test_bad_config_file_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "run.json"
     cfg.write_text(text)
-    rc = main(["estimate-range", "--config", str(cfg), "--out", str(tmp_path)])
+    rc = main(["estimate-range", "--fn", "ackley", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
     assert rc == 2
-    assert "config file" in capsys.readouterr().err
+    assert err.startswith("error: ") and BAD_CONFIGS[text] in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("batch", "--batch-size 500 exceeds the dataset's 100 rows"),
+    ("cell", "malformed dataset"),
+    ("sidecar_not_json", "malformed dataset sidecar"),
+    ("sidecar_without_source", "KeyError('source')"),
+])
+def test_bad_dataset_exits_2(tmp_path, capsys, case, message):
+    data = tmp_path / "ackley_data.csv"
+    sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 100, 0.0, 1).save(data)
+    sidecar = tmp_path / "ackley_data.meta.json"
+    if case == "cell":
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:5] + ["0.5,abc,1.0"] + lines[6:]) + "\n")
+    elif case == "sidecar_not_json":
+        sidecar.write_text("{not json")
+    elif case == "sidecar_without_source":
+        meta = json.loads(sidecar.read_text())
+        del meta["source"]
+        sidecar.write_text(json.dumps(meta))
+    rc = main(["train", "--preset", "ackley", "--data", str(data), "--epochs", "1",
+               "--batch-size", "500" if case == "batch" else "10",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_temperature_exits_2(tmp_path, capsys):

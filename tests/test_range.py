@@ -11,7 +11,7 @@ from rangesa import (
     AnnealConfig, BoxDomain, Objective, architecture_dropwave, builtin, estimate_range,
     grid_oracle, run,
 )
-from rangesa.anneal import START_REDRAWS
+from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS
 from rangesa.cli import main
 from rangesa.range_analysis import (
     ORACLE_CHUNK, GridBudgetExceeded, RangeResult, _oracle_workers,
@@ -210,6 +210,19 @@ def test_estimate_range_survives_network_overflow(tmp_path):
     assert main(["estimate-range", "--weights", str(tmp_path / "weights.json"),
                  "--domain=-1,1,-1,1", "--n-seeds", "2", "--delta", "0.7",
                  "--out", str(tmp_path / "out")]) == 0
+
+
+def test_level_means_of_overflowing_network_stay_finite(tmp_path):
+    # the max chains hold values near the largest float, whose plain sum over a level overflows
+    _overflowing_net().save(tmp_path / "weights.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate-range", "--weights", str(tmp_path / "weights.json"),
+                     "--domain=-1,1,-1,1", "--n-seeds", "2", "--delta", "0.7",
+                     "--out", str(tmp_path / "out")]) == 0
+    means = np.loadtxt(tmp_path / "out" / "levels.csv", delimiter=",", skiprows=1,
+                       usecols=LEVEL_COLUMNS.index("mean_value"))
+    assert np.isfinite(means).all() and np.abs(means).max() > 1e308
 
 
 @pytest.mark.parametrize("openblas", [None, "1"])
