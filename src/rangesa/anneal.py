@@ -172,7 +172,10 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     ``default_rng(seed)`` draws the uniform start, redrawn up to START_REDRAWS
     times while its value is not finite, then per temperature level
     inner_iters x d Gaussian increments and then inner_iters uniforms, so its
-    path depends only on its seed and the values it sees, never on the batch.
+    path depends only on its seed and the values it sees. Those values may
+    depend on the batch: a ResNet's row value can change in the last bits
+    with the batch's row count (BLAS kernels), so on a network a seed's
+    chain can differ between batches of different sizes.
     Each step proposes for every run, folds the reflected ones, evaluates f
     once on the batch and applies the acceptance rule to all rows at once.
     After each level, the level's proposals are formed again from the stored

@@ -67,8 +67,11 @@ def _merged_options(args: argparse.Namespace) -> dict:
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed config file {path}: {exc}") from exc
         _check(isinstance(doc, dict), f"config file {path} must hold a JSON object")
+        unknown = [key for key in doc if key not in args.flags]
+        _check(not unknown,
+               f"config file {path}: unknown keys for {args.command}: {', '.join(unknown)}")
         for key, value in doc.items():
-            if value is not None and key in args.flags:
+            if value is not None:
                 _check_config_value(path, args.flags[key], value)
         opts.update(doc)
     for key, value in vars(args).items():
@@ -373,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_anneal_flags(sp)
     sp.set_defaults(func=cmd_compare)
 
-    for sp in sub.choices.values():  # config-file values are checked against these flags
-        sp.set_defaults(flags={a.dest: a for a in sp._actions})
+    for sp in sub.choices.values():  # the keys a config file may set, and their checks
+        sp.set_defaults(flags={a.dest: a for a in sp._actions if a.dest not in ("help", "config")})
     return parser
 
 

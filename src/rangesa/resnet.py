@@ -15,6 +15,7 @@ import numpy as np
 from .objectives import Objective
 
 WEIGHT_FORMAT_VERSION = 1
+_SAVE_SLICE = 4096  # floats turned into Python objects at a time by ResNet.save
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -115,27 +116,27 @@ class ResNet:
     def forward(self, X, cache: list | None = None, strict: bool = True):
         """Network output at a (d,) point (a float) or an (n, d) batch (an (n,) array).
 
-        When ``cache`` is a list, each layer's input and pre-activation
-        ``(h_in, z)`` is appended to it for backpropagation. Without a cache
-        each layer allocates one array, the matmul result, and applies the
-        bias, activation and skip to it in place. Raises FloatingPointError
-        naming the first non-finite layer when the output is not finite;
-        training runs through here, so ``train`` may raise it too. With
-        ``strict=False`` non-finite outputs are returned as NaN instead.
+        Each layer allocates one array, the matmul result, and applies the
+        bias, activation and skip to it in place. When ``cache`` is a list,
+        each layer's input and activation derivative at its pre-activation,
+        ``(h_in, d)``, is appended to it for backpropagation; ``d`` is a bool
+        mask for ReLU and None for a layer without activation. Raises
+        FloatingPointError naming the first non-finite layer when the output
+        is not finite; training runs through here, so ``train`` may raise it
+        too. With ``strict=False`` non-finite outputs are returned as NaN
+        instead.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
-        act, _ = _ACT_FNS[self.activation]
+        act, act_deriv = _ACT_FNS[self.activation]
         h = X
         for lyr in self.layers:
             z = h @ lyr.weights.T
             z += lyr.bias
             if cache is not None:
-                cache.append((h, z))
-                # the recorded z stays as it is: what follows works on a new array
-                z = act(z) if lyr.has_activation else z.copy()
-            elif lyr.has_activation:
+                cache.append((h, act_deriv(z) if lyr.has_activation else None))
+            if lyr.has_activation:
                 act(z, out=z)
             if lyr.has_skip:
                 z += h
@@ -173,28 +174,31 @@ class ResNet:
     # --- serialization -------------------------------------------------
 
     def save(self, path) -> None:
-        doc = {
-            "format_version": WEIGHT_FORMAT_VERSION,
-            "activation": self.activation,
-            "input_dim": self.input_dim,
-            "layers": [
-                {
-                    "in_width": lyr.in_width,
-                    "out_width": lyr.out_width,
-                    "has_skip": lyr.has_skip,
-                    "has_activation": lyr.has_activation,
-                    "weights": lyr.weights.ravel().tolist(),
-                    "bias": lyr.bias.tolist(),
-                }
-                for lyr in self.layers
-            ],
-        }
-        Path(path).write_text(json.dumps(doc) + "\n")
+        """Write the weight file: ``json.dumps(doc) + "\n"`` of the header fields
+        and, per layer, the widths, flags and the flattened weights and bias.
+
+        The text goes to the file in pieces, the weights a slice at a time,
+        so memory stays bounded by one slice of Python floats.
+        """
+        header = {"format_version": WEIGHT_FORMAT_VERSION, "activation": self.activation,
+                  "input_dim": self.input_dim}
+        with open(path, "w") as f:
+            f.write(json.dumps(header)[:-1] + ', "layers": [')
+            for i, lyr in enumerate(self.layers):
+                shape = {"in_width": lyr.in_width, "out_width": lyr.out_width,
+                         "has_skip": lyr.has_skip, "has_activation": lyr.has_activation}
+                f.write((", " if i else "") + json.dumps(shape)[:-1] + ', "weights": ')
+                _write_json_floats(f, lyr.weights.ravel())
+                f.write(', "bias": ')
+                _write_json_floats(f, lyr.bias)
+                f.write("}")
+            f.write("]}\n")
 
     @classmethod
     def load(cls, path) -> "ResNet":
         try:
-            doc = json.loads(Path(path).read_text())
+            # each layer's weights and bias become arrays as soon as the layer is parsed
+            doc = json.loads(Path(path).read_text(), object_hook=_layer_arrays)
         except json.JSONDecodeError as exc:
             raise WeightFormatError(f"malformed weight file {path}: {exc}") from exc
         if not isinstance(doc, dict):
@@ -231,6 +235,27 @@ class ResNet:
         except (TypeError, ValueError) as exc:
             raise WeightFormatError(str(exc)) from exc
         return net
+
+
+def _write_json_floats(f, values: np.ndarray) -> None:
+    """Write ``json.dumps(values.tolist())`` of a flat array, one slice at a time."""
+    f.write("[")
+    for start in range(0, values.size, _SAVE_SLICE):
+        text = json.dumps(values[start:start + _SAVE_SLICE].tolist())
+        f.write((", " if start else "") + text[1:-1])
+    f.write("]")
+
+
+def _layer_arrays(obj: dict) -> dict:
+    """json.loads hook: a layer's ``weights`` and ``bias`` lists as float arrays.
+    A list that does not convert is left for ResNet.load's checks to reject."""
+    for key in ("weights", "bias"):
+        if isinstance(obj.get(key), list):
+            try:
+                obj[key] = np.asarray(obj[key], dtype=float)
+            except (TypeError, ValueError):
+                pass
+    return obj
 
 
 def build_resnet(

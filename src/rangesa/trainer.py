@@ -7,7 +7,7 @@ import numpy as np
 
 from .domain import BoxDomain
 from .objectives import Dataset, Objective, _write_csv
-from .resnet import _ACT_FNS, ResNet
+from .resnet import ResNet
 
 # Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -63,7 +63,6 @@ def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray):
 
     Returns (loss, grads) where grads is a list of (dW, db) per layer.
     """
-    _, act_deriv = _ACT_FNS[net.activation]
     cache = []
     out = net.forward(X, cache)
     resid = out - targets
@@ -73,8 +72,8 @@ def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray):
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         lyr = net.layers[i]
-        h_in, z = cache[i]
-        gz = g * act_deriv(z) if lyr.has_activation else g
+        h_in, d = cache[i]
+        gz = g if d is None else g * d
         dW = gz.T @ h_in
         db = gz.sum(axis=0)
         gh = gz @ lyr.weights

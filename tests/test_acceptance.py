@@ -101,7 +101,8 @@ def test_c3_gradient_oracle():
             x = rng.uniform(-1, 1, 2)
             cache = []
             net.forward(x[None, :], cache)
-            if min(np.min(np.abs(z)) for _, z in cache) > 1e-6:
+            z = [h_in @ lyr.weights.T + lyr.bias for lyr, (h_in, _) in zip(net.layers, cache)]
+            if min(np.min(np.abs(z_k)) for z_k in z) > 1e-6:
                 break
         target = float(rng.normal())
         g = gradient(net, x, target)

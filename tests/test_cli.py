@@ -364,6 +364,7 @@ BAD_CONFIGS = {  # config-file text -> a part of its one-line error
     '{"domain": [5]}': "bad domain [5]",
     '{"domain": [[1, "a"]]}': "bad domain [[1, 'a']]",
     '{"domain": [[0, 1, 2]]}': "bad domain [[0, 1, 2]]",
+    '{"n_seed": 3, "tmin": 5}': "unknown keys for estimate-range: n_seed, tmin",
 }
 
 
@@ -464,6 +465,39 @@ def test_evaluate_network_dimension_mismatch_exits_2(tmp_path, capsys, tiny_weig
                "--out", str(tmp_path)])
     assert rc == 2
     assert "network input dimension 2 != objective dimension 3" in capsys.readouterr().err
+
+
+def _malformed_layer(layer, case):
+    if case == "string_weight":
+        layer["weights"][3] = "abc"
+    elif case == "short_bias":
+        layer["bias"] = layer["bias"][:-1]
+    elif case == "missing_weights":
+        del layer["weights"]
+    elif case == "weights_object":
+        layer["weights"] = {"a": 1}
+    elif case == "nested_bias":
+        layer["bias"] = [[b] for b in layer["bias"]]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("string_weight", "could not convert string to float: 'abc'"),
+    ("short_bias", "layer 1: field 'bias' has 7 numbers, expected 8"),
+    ("missing_weights", "weight file missing field 'weights'"),
+    ("weights_object", "float() argument must be a string or a real number, not 'dict'"),
+    ("nested_bias", "weights must be (out, in) with matching bias"),
+])
+def test_malformed_weight_values_exit_2(tmp_path, capsys, tiny_weights, case, message):
+    doc = json.loads(tiny_weights.read_text())
+    _malformed_layer(doc["layers"][1], case)
+    bad = tmp_path / "weights.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["oracle", "--weights", str(bad), "--domain=-1,1,-1,1", "--points-per-dim", "3",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc", [[1, 2], 3, {"format_version": 1, "layers": [1]}])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,17 +94,31 @@ def test_forward_cache_holds_layer_inputs_and_preactivations():
     out = net.forward(X, cache)
     assert len(cache) == len(net.layers)
     assert np.array_equal(cache[0][0], X)
-    for lyr, (h_in, z) in zip(net.layers, cache):
-        assert np.array_equal(z, h_in @ lyr.weights.T + lyr.bias)
-    assert np.array_equal(out, cache[-1][1][:, 0])
-    assert np.array_equal(cache[2][0], np.maximum(cache[1][1], 0.0) + cache[1][0])
+    z = [h_in @ lyr.weights.T + lyr.bias for lyr, (h_in, _) in zip(net.layers, cache)]
+    for lyr, (_, d), z_k in zip(net.layers, cache, z):
+        if lyr.has_activation:
+            assert d.dtype == bool and np.array_equal(d, z_k > 0.0)
+        else:
+            assert d is None
+    assert np.array_equal(out, z[-1][:, 0])
+    assert np.array_equal(cache[2][0], np.maximum(z[1], 0.0) + cache[1][0])
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+# activation and its derivative, every step a new array
+_ACT_FORMULAS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: z > 0.0),
+    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+}
 
 
 def _layer_formula(net, X):
     """act(h @ W.T + b) (+ h) per layer, every step a new array."""
-    act = {"relu": lambda z: np.maximum(z, 0.0),
-           "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-           "tanh": np.tanh}[net.activation]
+    act, _ = _ACT_FORMULAS[net.activation]
     h = X
     for lyr in net.layers:
         z = h @ lyr.weights.T + lyr.bias
@@ -143,8 +158,16 @@ def test_forward_cache_is_never_overwritten(activation):
         cache = []
         out = net.forward(X, cache)
         assert cache[0][0] is X and len(cache) == len(net.layers)
-        for lyr, (h_in, z) in zip(net.layers, cache):
-            assert np.array_equal(z, h_in @ lyr.weights.T + lyr.bias)
+        act, deriv = _ACT_FORMULAS[activation]
+        outputs = [h_in for h_in, _ in cache[1:]] + [out[:, None]]
+        for lyr, (h_in, d), h_out in zip(net.layers, cache, outputs):
+            z = h_in @ lyr.weights.T + lyr.bias
+            a = act(z) if lyr.has_activation else z
+            assert np.array_equal(h_out, a + h_in if lyr.has_skip else a)
+            if lyr.has_activation:
+                assert np.array_equal(d, deriv(z))
+            else:
+                assert d is None
         assert np.array_equal(out, net.forward(X))
 
 
@@ -223,6 +246,48 @@ class TestSerialization:
         back = ResNet.load(path)
         X = np.random.default_rng(1).uniform(-3, 3, size=(50, 2))
         assert np.array_equal(net.forward(X), back.forward(X))
+
+    def test_save_writes_json_dumps_of_the_document(self, tmp_path):
+        # the 64x64 layer fills one slice exactly, the 100x64 one spans two
+        net = build_resnet([2, 64, 64, 100, 1], seed=5)
+        net.layers[2].weights.ravel()[4090:4100] = [
+            -0.0, 1e-300, -1.5e300, 5e-324, np.nan, np.inf, -np.inf, 0.1, 1e16, -2.5]
+        net.layers[0].bias[:2] = [np.nan, -np.inf]
+        doc = {
+            "format_version": 1,
+            "activation": net.activation,
+            "input_dim": net.input_dim,
+            "layers": [
+                {"in_width": lyr.in_width, "out_width": lyr.out_width,
+                 "has_skip": lyr.has_skip, "has_activation": lyr.has_activation,
+                 "weights": lyr.weights.ravel().tolist(), "bias": lyr.bias.tolist()}
+                for lyr in net.layers
+            ],
+        }
+        path = tmp_path / "w.json"
+        net.save(path)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+        back = ResNet.load(path)
+        for a, b in zip(net.layers, back.layers):
+            assert np.array_equal(a.weights, b.weights, equal_nan=True)
+            assert np.array_equal(a.bias, b.bias, equal_nan=True)
+
+    def test_weight_file_io_memory_is_bounded(self, tmp_path):
+        # 920,449 parameters, a 19.9 MB file: holding the whole document as
+        # Python objects costs about 69 MB to save it and 50 MB to load it
+        net = architecture_dropwave(width_scale=1.0)
+        path = tmp_path / "w.json"
+        tracemalloc.start()
+        try:
+            net.save(path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = ResNet.load(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 4e6 and load_peak < 44e6
+        assert all(np.array_equal(a.weights, b.weights) for a, b in zip(net.layers, back.layers))
 
     def test_truncated_file(self, tmp_path):
         net = build_resnet([2, 4, 1], seed=0)

@@ -48,7 +48,13 @@ def finite_difference(net, x, target, h=1e-5):
 def min_preactivation(net, x):
     cache = []
     net.forward(np.asarray(x)[None, :], cache)
-    return min(np.min(np.abs(z)) for _, z in cache)
+    z = [h_in @ lyr.weights.T + lyr.bias for lyr, (h_in, _) in zip(net.layers, cache)]
+    for lyr, (_, d), z_k in zip(net.layers, cache, z):
+        if lyr.has_activation:
+            assert np.array_equal(d, z_k > 0.0)
+        else:
+            assert d is None
+    return min(np.min(np.abs(z_k)) for z_k in z)
 
 
 class TestGradient:
