@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,13 @@ def _relu(z, out=None):
     return np.maximum(z, 0.0, out=out)
 
 
-def _relu_deriv(z):
-    # subgradient 0 at exactly 0; a bool mask, since g * mask equals g * 1.0 or g * 0.0
-    return z > 0.0
+# Each derivative is computed from the activation's output a = act(z), as
+# sigmoid' = s (1 - s) and tanh' = 1 - t ** 2, so the forward pass needs no
+# second array of z and can write the derivative into a buffer of its own.
+def _relu_deriv(a, out=None):
+    # z > 0 exactly where max(z, 0) > 0; subgradient 0 at exactly 0; a bool mask,
+    # since g * mask equals g * 1.0 or g * 0.0
+    return np.greater(a, 0.0, out=out)
 
 
 def _sigmoid(z, out=None):
@@ -41,13 +46,17 @@ def _sigmoid(z, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def _sigmoid_deriv(z):
-    s = _sigmoid(z)
-    return s * (1.0 - s)
+def _sigmoid_deriv(a, out=None):
+    # s * (1 - s) as (1 - s) * s: the product is commutative bit for bit
+    out = np.subtract(1.0, a, out=out)
+    out *= a
+    return out
 
 
-def _tanh_deriv(z):
-    return 1.0 - np.tanh(z) ** 2
+def _tanh_deriv(a, out=None):
+    # 1 - tanh(z) ** 2
+    out = np.square(a, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 _ACT_FNS = {
@@ -120,7 +129,10 @@ class ResNet:
         bias, activation and skip to it in place. When ``cache`` is a list,
         each layer's input and activation derivative at its pre-activation,
         ``(h_in, d)``, is appended to it for backpropagation; ``d`` is a bool
-        mask for ReLU and None for a layer without activation. Raises
+        mask for ReLU and None for a layer without activation. When ``cache``
+        is a ``Workspace``, its records are replaced by those of this batch,
+        and each layer writes its output and ``d`` into the leading rows of
+        the workspace's buffers instead of allocating them. Raises
         FloatingPointError naming the first non-finite layer when the output
         is not finite; training runs through here, so ``train`` may raise it
         too. With ``strict=False`` non-finite outputs are returned as NaN
@@ -130,14 +142,15 @@ class ResNet:
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
         act, act_deriv = _ACT_FNS[self.activation]
+        buffers = cache._rows(len(X)) if isinstance(cache, Workspace) else repeat((None, None))
         h = X
-        for lyr in self.layers:
-            z = h @ lyr.weights.T
+        for lyr, (z_out, d_out) in zip(self.layers, buffers):
+            z = np.matmul(h, lyr.weights.T, out=z_out)
             z += lyr.bias
-            if cache is not None:
-                cache.append((h, act_deriv(z) if lyr.has_activation else None))
             if lyr.has_activation:
                 act(z, out=z)
+            if cache is not None:
+                cache.append((h, act_deriv(z, out=d_out) if lyr.has_activation else None))
             if lyr.has_skip:
                 z += h
             h = z
@@ -221,6 +234,12 @@ class ResNet:
                     raise WeightFormatError(
                         f"layer {i}: field 'bias' has {b.size} numbers, expected {n_out}"
                     )
+                for key in ("weights", "bias"):
+                    if not isinstance(entry[key], np.ndarray):  # see _layer_arrays
+                        raise WeightFormatError(
+                            f"weight file {path}: layer {i}: field '{key}' must be a list "
+                            "of numbers, without null or strings"
+                        )
                 layers.append(
                     Layer(
                         weights=w.reshape(n_out, n_in),
@@ -237,6 +256,30 @@ class ResNet:
         return net
 
 
+class Workspace(list):
+    """A forward cache whose arrays are allocated once, for batches of up to ``rows`` rows.
+
+    ``forward(X, ws)`` records ``(h_in, d)`` per layer as into a list cache,
+    but writes each layer's output into ``outputs[k]`` and its activation
+    derivative into ``derivs[k]`` (None for a layer without activation); a
+    batch of n rows uses the leading n rows of each buffer. The records of
+    one call stay valid until the next call overwrites the buffers.
+    """
+
+    def __init__(self, net: ResNet, rows: int):
+        super().__init__()
+        deriv_dtype = bool if net.activation == "relu" else float
+        self.outputs = [np.empty((rows, lyr.out_width)) for lyr in net.layers]
+        self.derivs = [np.empty((rows, lyr.out_width), dtype=deriv_dtype) if lyr.has_activation
+                       else None for lyr in net.layers]
+
+    def _rows(self, n: int) -> list:
+        """Drop the previous records; per layer, views of the first n rows of
+        its output and derivative buffers."""
+        self.clear()
+        return [(z[:n], None if d is None else d[:n]) for z, d in zip(self.outputs, self.derivs)]
+
+
 def _write_json_floats(f, values: np.ndarray) -> None:
     """Write ``json.dumps(values.tolist())`` of a flat array, one slice at a time."""
     f.write("[")
@@ -247,14 +290,20 @@ def _write_json_floats(f, values: np.ndarray) -> None:
 
 
 def _layer_arrays(obj: dict) -> dict:
-    """json.loads hook: a layer's ``weights`` and ``bias`` lists as float arrays.
-    A list that does not convert is left for ResNet.load's checks to reject."""
+    """json.loads hook: a layer's ``weights`` and ``bias`` lists of numbers as float
+    arrays (true and false count as 1 and 0). Any other list, such as one holding
+    null or a string, or a ragged one, is left for ResNet.load's checks to reject."""
     for key in ("weights", "bias"):
         if isinstance(obj.get(key), list):
             try:
-                obj[key] = np.asarray(obj[key], dtype=float)
+                values = np.asarray(obj[key])
             except (TypeError, ValueError):
-                pass
+                continue
+            if values.dtype.kind == "O" and not any(v is None or isinstance(v, str)
+                                                    for v in values.flat):
+                values = values.astype(float)  # integers beyond int64's range
+            if values.dtype.kind in "biuf":
+                obj[key] = values.astype(float, copy=False)
     return obj
 
 

@@ -478,6 +478,10 @@ def _malformed_layer(layer, case):
         layer["weights"] = {"a": 1}
     elif case == "nested_bias":
         layer["bias"] = [[b] for b in layer["bias"]]
+    elif case == "null_weight":
+        layer["weights"][0] = None
+    elif case == "numeric_string_weight":
+        layer["weights"][2] = "0.5"
 
 
 @pytest.mark.parametrize("case, message", [
@@ -486,6 +490,10 @@ def _malformed_layer(layer, case):
     ("missing_weights", "weight file missing field 'weights'"),
     ("weights_object", "float() argument must be a string or a real number, not 'dict'"),
     ("nested_bias", "weights must be (out, in) with matching bias"),
+    ("null_weight", "weight file {path}: layer 1: field 'weights' must be a list of numbers, "
+                    "without null or strings"),
+    ("numeric_string_weight", "weight file {path}: layer 1: field 'weights' must be a list of "
+                              "numbers, without null or strings"),
 ])
 def test_malformed_weight_values_exit_2(tmp_path, capsys, tiny_weights, case, message):
     doc = json.loads(tiny_weights.read_text())
@@ -496,7 +504,7 @@ def test_malformed_weight_values_exit_2(tmp_path, capsys, tiny_weights, case, me
                "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.format(path=bad)}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +18,8 @@ from rangesa.trainer import (
     gradient,
     loss_and_gradients,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def get_params(net):
@@ -167,13 +175,16 @@ class TestTrain:
         with pytest.raises((TrainingDiverged, FloatingPointError)):
             train(net, data, TrainConfig(epochs=5, learning_rate=1e10, seed=0))
 
-    def test_flat_adam_equals_per_layer_adam(self):
-        # the update as it was written per layer and per array; the flat buffer
-        # must give the same bits, through a short last batch (50 = 3 x 16 + 2)
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+    def test_flat_adam_equals_per_layer_adam(self, activation):
+        # the update as it was written per layer and per array, on the allocating
+        # loss_and_gradients; train's workspace (its derivative buffers, the skip
+        # layer's chain buffers, the flat gradient and in-place Adam) must give the
+        # same bits, through a short last batch (50 = 3 x 16 + 2)
         f = builtin("ackley")
         data = sample_dataset(f, BoxDomain(((-4, 4), (-4, 4))), m=50, noise_sd=0.1, seed=4)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=4)
-        net = build_resnet([2, 6, 6, 1], seed=4)
+        net = build_resnet([2, 6, 6, 1], activation=activation, seed=4)
         trained, history = train(net, data, cfg)
 
         ref = net.copy()
@@ -207,6 +218,34 @@ class TestTrain:
         assert get_params(trained).tobytes() == get_params(ref).tobytes()
         assert np.array(history).tobytes() == np.array(ref_history).tobytes()
         assert not np.array_equal(get_params(trained), get_params(net))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults")
+    def test_training_steps_take_no_page_faults(self):
+        # a step writes into buffers allocated once per train call; a step that
+        # allocated its arrays afresh took about 90-190 faults on this network.
+        # A fresh interpreter, so earlier tests do not shape the allocator's state.
+        script = textwrap.dedent("""
+            import resource
+            from rangesa import BoxDomain, TrainConfig, builtin, sample_dataset, train
+            from rangesa.resnet import architecture_dropwave
+            data = sample_dataset(builtin("dropwave"), BoxDomain.cube(-5.12, 5.12, 2),
+                                  m=1024, noise_sd=0.02, seed=0)
+            net = architecture_dropwave(seed=0, width_scale=0.25)
+            def faults(epochs, batch):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                train(net, data, TrainConfig(epochs=epochs, batch_size=batch, seed=0))
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            for batch in (256, 100):  # 1024 = 10 x 100 + 24: a short last batch
+                faults(1, batch)
+                steps = 10 * -(-1024 // batch)
+                print((faults(11, batch) - faults(1, batch)) / steps)
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        per_step = [float(v) for v in proc.stdout.split()]
+        assert len(per_step) == 2 and max(per_step) < 10, per_step
 
     def test_original_net_untouched(self):
         f = builtin("ackley")
