@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import fields
@@ -108,9 +109,9 @@ def _opt(opts: dict, key: str, default):
 
 
 def _positive(opts: dict, key: str, default, kind=int):
-    """A count or scale option that must be above 0."""
+    """A count or scale option that must be above 0 and finite."""
     value = kind(_opt(opts, key, default))
-    _check(value > 0, f"{_flag(key)} must be positive, got {value}")
+    _check(0 < value < math.inf, f"{_flag(key)} must be positive and finite, got {value}")
     return value
 
 

@@ -1,7 +1,13 @@
 """Residual networks: forward evaluation, named architectures, weight files.
 
-All math is float64: the annealer compares tiny value differences and
-float32 noise would pollute acceptance decisions.
+Evaluation is float64: ``Layer`` casts every weight and bias to float64, so
+the annealer, the grid oracle and the fit report see float64 values. The
+annealer compares tiny value differences, and float32 noise would pollute
+its acceptance decisions. Training is float32: ``trainer.train`` fits a
+private copy whose weights are float32, since float32 matrix products run
+about twice as fast and Adam's noisy steps do not need float64; it widens
+the weights to float64 when it returns. ``forward`` and the backward pass
+compute in the dtype of the network's own arrays.
 """
 from __future__ import annotations
 
@@ -136,9 +142,9 @@ class ResNet:
         FloatingPointError naming the first non-finite layer when the output
         is not finite; training runs through here, so ``train`` may raise it
         too. With ``strict=False`` non-finite outputs are returned as NaN
-        instead.
+        instead. The arithmetic is in the dtype of the layers' arrays.
         """
-        X = np.asarray(X, dtype=float)
+        X = np.asarray(X, dtype=self.layers[0].weights.dtype)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
         act, act_deriv = _ACT_FNS[self.activation]
@@ -263,13 +269,15 @@ class Workspace(list):
     but writes each layer's output into ``outputs[k]`` and its activation
     derivative into ``derivs[k]`` (None for a layer without activation); a
     batch of n rows uses the leading n rows of each buffer. The records of
-    one call stay valid until the next call overwrites the buffers.
+    one call stay valid until the next call overwrites the buffers. The
+    buffers take the dtype of the network's arrays, ``dtype``.
     """
 
     def __init__(self, net: ResNet, rows: int):
         super().__init__()
-        deriv_dtype = bool if net.activation == "relu" else float
-        self.outputs = [np.empty((rows, lyr.out_width)) for lyr in net.layers]
+        self.dtype = net.layers[0].weights.dtype
+        deriv_dtype = bool if net.activation == "relu" else self.dtype
+        self.outputs = [np.empty((rows, lyr.out_width), self.dtype) for lyr in net.layers]
         self.derivs = [np.empty((rows, lyr.out_width), dtype=deriv_dtype) if lyr.has_activation
                        else None for lyr in net.layers]
 
@@ -339,8 +347,8 @@ def build_resnet(
 
 
 def _scaled(hidden: list[int], width_scale: float) -> list[int]:
-    if not width_scale > 0:
-        raise ValueError(f"width_scale must be positive, got {width_scale}")
+    if not 0 < width_scale < np.inf:
+        raise ValueError(f"width_scale must be positive and finite, got {width_scale}")
     return [max(1, int(round(h * width_scale))) for h in hidden]
 
 

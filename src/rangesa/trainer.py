@@ -1,6 +1,7 @@
 """MSE training with Adam, manual backprop, and fit metrics on fresh points."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -64,16 +65,17 @@ class _TrainWorkspace(Workspace):
     Beside the forward cache's buffers: the flat gradient ``grad``, laid out
     like ``flatten_gradients`` and with per-layer ``(dW, db)`` views in
     ``grads``; two dL/dh buffers sized to the widest layer, which the
-    backward pass alternates between; and one scratch array for Adam.
+    backward pass alternates between; and one scratch array for Adam. All
+    of them take the network's dtype.
     """
 
     def __init__(self, net: ResNet, rows: int):
         super().__init__(net, rows)
-        self.grad = np.empty(net.num_params)
+        self.grad = np.empty(net.num_params, self.dtype)
         self.grads = _layer_views(self.grad, net)
         widest = max(net.widths())
-        self.chain = (np.empty(rows * widest), np.empty(rows * widest))
-        self.scratch = np.empty(net.num_params)
+        self.chain = (np.empty(rows * widest, self.dtype), np.empty(rows * widest, self.dtype))
+        self.scratch = np.empty(net.num_params, self.dtype)
 
     def _layer(self, i: int, n: int):
         """The arrays layer i's backward step on n rows writes: dW, db, the
@@ -94,11 +96,18 @@ def _layer_views(flat: np.ndarray, net: ResNet) -> list:
     return views
 
 
+def _bind(net: ResNet, flat: np.ndarray) -> None:
+    """Make every weight and bias of the network a view of the flat buffer."""
+    for lyr, (w, b) in zip(net.layers, _layer_views(flat, net)):
+        lyr.weights, lyr.bias = w, b
+
+
 def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray,
                        ws: _TrainWorkspace | None = None):
     """Mean squared error over the rows and its gradient w.r.t. every weight and bias.
 
-    Returns (loss, grads) where grads is a list of (dW, db) per layer. Without
+    Returns (loss, grads) where grads is a list of (dW, db) per layer, in the
+    network's dtype; the inputs and targets should already have it. Without
     a workspace every array is allocated; with one (``train``'s), the pass
     writes into its buffers and grads are views of ``ws.grad``, with the same
     bits.
@@ -147,6 +156,11 @@ def gradient(net: ResNet, x, target: float) -> np.ndarray:
 def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[float]]:
     """Train a copy of the network by Adam on MSE; returns (net, loss history).
 
+    All of the training arithmetic is float32: the copy's weights, the
+    dataset's inputs and targets, the workspace and Adam's moments. The
+    returned network's weights are those float32 values widened to float64,
+    so it evaluates in float64 like any other network.
+
     Deterministic for fixed config and dataset: row order is shuffled by the
     seeded generator and all reductions run in fixed order. Raises
     TrainingDiverged on a non-finite loss, or the forward pass's
@@ -155,10 +169,11 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
     net = net.copy()
-    # every weight and bias becomes a view of one buffer, in flatten_gradients' order
-    params = np.concatenate([a.ravel() for lyr in net.layers for a in (lyr.weights, lyr.bias)])
-    for lyr, (w, b) in zip(net.layers, _layer_views(params, net)):
-        lyr.weights, lyr.bias = w, b
+    # every weight and bias becomes a view of one float32 buffer, in flatten_gradients' order
+    params = np.concatenate([a.ravel() for lyr in net.layers for a in (lyr.weights, lyr.bias)],
+                            dtype=np.float32)
+    _bind(net, params)
+    inputs, targets = data.inputs.astype(np.float32), data.targets.astype(np.float32)
     n = len(data)
     batch = cfg.resolve_batch_size(n)
     rng = np.random.default_rng(cfg.seed)
@@ -175,12 +190,13 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
         epoch_loss = 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            loss, _ = loss_and_gradients(net, data.inputs[idx], data.targets[idx], ws)
+            loss, _ = loss_and_gradients(net, inputs[idx], targets[idx], ws)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(idx)
             t += 1
-            lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+            # a Python float: an np.float64 scalar would promote the float32 arrays
+            lr_t = cfg.learning_rate * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g ** 2 and
             # params -= lr_t m / (sqrt(v) + eps), rounded as written, in place;
             # g's buffer, once spent, holds sqrt(v) + eps
@@ -197,6 +213,7 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
             s /= g
             params -= s
         history.append(epoch_loss / n)
+    _bind(net, params.astype(np.float64))
     return net, history
 
 

@@ -435,6 +435,25 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--learning-rate", "nan", "learning_rate must be positive and finite, got nan"),
+        ("--learning-rate", "inf", "learning_rate must be positive and finite, got inf"),
+        ("--width-scale", "inf", "--width-scale must be positive and finite, got inf"),
+    ],
+)
+def test_non_finite_training_flag_exits_2(tmp_path, capsys, flag, value, message):
+    data = tmp_path / "ackley_data.csv"
+    sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 20, 0.0, 1).save(data)
+    rc = main(["train", "--preset", "ackley", "--data", str(data), "--epochs", "1",
+               flag, value, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate-range", "compare"])
 @pytest.mark.parametrize("cooling", ["theorem", "algorithm1"])
 def test_annealing_over_budget_exits_2(tmp_path, capsys, command, cooling):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from rangesa.trainer import (
     ADAM_BETA2,
     ADAM_EPSILON,
     TrainingDiverged,
+    _TrainWorkspace,
     flatten_gradients,
     gradient,
     loss_and_gradients,
@@ -35,6 +37,14 @@ def set_params(net, p):
         n = l.bias.size
         l.bias[...] = p[k : k + n]
         k += n
+
+
+def float32_copy(net):
+    """The network with float32 weights, as train's private copy holds them."""
+    net = net.copy()
+    for l in net.layers:
+        l.weights, l.bias = l.weights.astype(np.float32), l.bias.astype(np.float32)
+    return net
 
 
 def finite_difference(net, x, target, h=1e-5):
@@ -103,6 +113,23 @@ class TestGradient:
         with pytest.raises(ValueError):
             gradient(net, np.zeros(3), 0.0)
 
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+    def test_float32_workspace_matches_float64_reference(self, activation):
+        # train's float32 pass against the float64 one. Over 20 seeds of this
+        # set-up the largest difference was 2.4e-7 of the largest gradient
+        # entry (about 2 float32 ulps) and 1.8e-7 of the loss; the bound is 1e-6
+        data = sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), m=64, noise_sd=0.1,
+                              seed=5)
+        net = build_resnet([2, 16, 16, 16, 1], activation=activation, seed=5)
+        ws = _TrainWorkspace(float32_copy(net), 80)  # 64 rows use the leading rows
+        loss32, _ = loss_and_gradients(float32_copy(net), data.inputs.astype(np.float32),
+                                       data.targets.astype(np.float32), ws)
+        loss64, grads64 = loss_and_gradients(net, data.inputs, data.targets)
+        g64 = flatten_gradients(grads64)
+        assert ws.grad.dtype == np.float32 and g64.dtype == np.float64
+        assert np.max(np.abs(ws.grad - g64)) < 1e-6 * np.max(np.abs(g64))
+        assert abs(loss32 - loss64) < 1e-6 * loss64
+
     def test_flatten_ordering_stable(self):
         net = build_resnet([2, 3, 1], seed=2)
         _, grads = loss_and_gradients(net, np.ones((1, 2)), np.array([1.0]))
@@ -120,8 +147,9 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
 
     def test_bad_lr_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for lr in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+                TrainConfig(learning_rate=lr)
 
     def test_batch_size_resolution(self):
         assert TrainConfig().resolve_batch_size(2000) == 2000
@@ -178,16 +206,18 @@ class TestTrain:
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
     def test_flat_adam_equals_per_layer_adam(self, activation):
         # the update as it was written per layer and per array, on the allocating
-        # loss_and_gradients; train's workspace (its derivative buffers, the skip
-        # layer's chain buffers, the flat gradient and in-place Adam) must give the
-        # same bits, through a short last batch (50 = 3 x 16 + 2)
+        # loss_and_gradients and float32 copies of the network and the data;
+        # train's workspace (its derivative buffers, the skip layer's chain
+        # buffers, the flat gradient and in-place Adam) must give the same bits,
+        # through a short last batch (50 = 3 x 16 + 2)
         f = builtin("ackley")
         data = sample_dataset(f, BoxDomain(((-4, 4), (-4, 4))), m=50, noise_sd=0.1, seed=4)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=4)
         net = build_resnet([2, 6, 6, 1], activation=activation, seed=4)
         trained, history = train(net, data, cfg)
 
-        ref = net.copy()
+        ref = float32_copy(net)
+        inputs, targets = data.inputs.astype(np.float32), data.targets.astype(np.float32)
         rng = np.random.default_rng(cfg.seed)
         m_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in ref.layers]
         v_state = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in ref.layers]
@@ -198,10 +228,10 @@ class TestTrain:
             epoch_loss = 0.0
             for start in range(0, len(data), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                loss, grads = loss_and_gradients(ref, data.inputs[idx], data.targets[idx])
+                loss, grads = loss_and_gradients(ref, inputs[idx], targets[idx])
                 epoch_loss += loss * len(idx)
                 t += 1
-                lr_t = cfg.learning_rate * np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+                lr_t = cfg.learning_rate * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
                 for lyr, (mw, mb), (vw, vb), (dW, db) in zip(ref.layers, m_state, v_state, grads):
                     mw *= b1
                     mw += (1 - b1) * dW
@@ -215,7 +245,8 @@ class TestTrain:
                     lyr.bias -= lr_t * mb / (np.sqrt(vb) + eps)
             ref_history.append(epoch_loss / len(data))
 
-        assert get_params(trained).tobytes() == get_params(ref).tobytes()
+        assert get_params(ref).dtype == np.float32
+        assert get_params(trained).tobytes() == get_params(ref).astype(np.float64).tobytes()
         assert np.array(history).tobytes() == np.array(ref_history).tobytes()
         assert not np.array_equal(get_params(trained), get_params(net))
 
@@ -246,6 +277,20 @@ class TestTrain:
         assert proc.returncode == 0, proc.stderr
         per_step = [float(v) for v in proc.stdout.split()]
         assert len(per_step) == 2 and max(per_step) < 10, per_step
+
+    def test_returns_float64_weights_exact_in_float32(self):
+        f = builtin("ackley")
+        data = sample_dataset(f, BoxDomain(((-4, 4), (-4, 4))), m=50, noise_sd=0.0, seed=3)
+        net = build_resnet([2, 8, 8, 1], seed=3)
+        before = get_params(net).tobytes()
+        trained, _ = train(net, data, TrainConfig(epochs=5, seed=3))
+        for l in trained.layers:
+            for a in (l.weights, l.bias):
+                assert a.dtype == np.float64
+                assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
+        assert all(a.dtype == np.float64 for l in net.layers for a in (l.weights, l.bias))
+        assert get_params(net).tobytes() == before
+        assert not np.array_equal(get_params(trained), get_params(net))
 
     def test_original_net_untouched(self):
         f = builtin("ackley")
