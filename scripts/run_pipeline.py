@@ -16,15 +16,17 @@ import sys
 from pathlib import Path
 
 from rangesa.cli import main as cli_main
+from rangesa.presets import preset
 
-# per preset: seed, noise sd, (rows, epochs) full and reduced, domain, oracle points per dim
+# per preset: seed, noise sd, (rows, epochs) full and reduced, oracle points per dim;
+# the range and oracle steps search the preset's training domain
 PRESETS = {
     "ackley": dict(seed=7, noise_sd="0.1", full=("2000", "1000"), reduced=("2000", "300"),
-                   domain="-4,4,-4,4", points_per_dim="801"),
+                   points_per_dim="801"),
     "dropwave": dict(seed=11, noise_sd="0.02", full=("2000", "1000"), reduced=("6000", "600"),
-                     domain="-5.12,5.12,-5.12,5.12", points_per_dim="801"),
+                     points_per_dim="801"),
     "multimin": dict(seed=13, noise_sd="0.1", full=("4000", "1000"), reduced=("4000", "400"),
-                     domain="-3,3,-3,3,-3,3", points_per_dim="61"),
+                     points_per_dim="61"),
 }
 
 
@@ -44,7 +46,8 @@ def main():
     seed = str(p["seed"] if args.seed is None else args.seed)
     m, epochs = p["reduced"] if args.reduced else p["full"]
     width_scale = "0.25" if args.reduced else "1.0"
-    domain = f"--domain={p['domain']}"
+    bounds = preset(name).train_domain.bounds
+    domain = "--domain=" + ",".join(f"{v:g}" for b in bounds for v in b)
 
     steps = [
         ["generate-data", "--fn", name, "--m", m, "--noise-sd", p["noise_sd"],

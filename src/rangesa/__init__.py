@@ -7,9 +7,6 @@ from .anneal import (
     LevelSummary,
     Trace,
     acceptance_probability,
-    fixed_temperature_chain,
-    gibbs_density,
-    run,
     run_many,
 )
 from .domain import BoxDomain
@@ -23,16 +20,8 @@ from .objectives import (
     sample_dataset,
 )
 from .range_analysis import OracleResult, RangeResult, compare_modes, estimate_range, grid_oracle
-from .resnet import (
-    Layer,
-    ResNet,
-    WeightFormatError,
-    architecture_ackley,
-    architecture_dropwave,
-    architecture_multimin,
-    build_resnet,
-)
-from .trainer import FitReport, TrainConfig, evaluate_fit, gradient, train
+from .resnet import Layer, ResNet, WeightFormatError, build_resnet
+from .trainer import FitReport, TrainConfig, evaluate_fit, train
 
 __all__ = [
     "AnnealConfig",
@@ -51,21 +40,14 @@ __all__ = [
     "WeightFormatError",
     "acceptance_probability",
     "ackley",
-    "architecture_ackley",
-    "architecture_dropwave",
-    "architecture_multimin",
     "build_resnet",
     "builtin",
     "compare_modes",
     "drop_wave",
     "estimate_range",
     "evaluate_fit",
-    "fixed_temperature_chain",
-    "gibbs_density",
-    "gradient",
     "grid_oracle",
     "multi_minima",
-    "run",
     "run_many",
     "sample_dataset",
     "train",

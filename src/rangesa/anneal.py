@@ -257,31 +257,6 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     ]
 
 
-def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> AnnealResult:
-    """Full annealing loop: N inner steps per temperature level, then cool.
-
-    The start point is uniform on the box; total objective evaluations are
-    1 + inner_iters * number of temperature levels, plus any start redraws.
-    """
-    return run_many(f, domain, [cfg])[0]
-
-
-def fixed_temperature_chain(
-    f: Objective,
-    domain: BoxDomain,
-    temperature: float,
-    variance: float,
-    n_steps: int,
-    seed: int = 0,
-    burn_in: int = 0,
-) -> np.ndarray:
-    """Reflected Metropolis chain at one fixed temperature; returns post-burn-in points."""
-    # a schedule of one level: T, then T / 2, which is not above t_min
-    cfg = AnnealConfig(t_max=temperature, t_min=temperature / 2, delta=0.5,
-                       inner_iters=burn_in + n_steps, proposal_variance=variance, seed=seed)
-    return run(f, domain, cfg).trace.points[burn_in:]
-
-
 def max_excursion(trace: Trace, domain: BoxDomain) -> float:
     """Largest componentwise overshoot of any trace point outside the box."""
     over = np.maximum(trace.points - domain.upper, 0.0)
@@ -292,25 +267,3 @@ def max_excursion(trace: Trace, domain: BoxDomain) -> float:
 def iterations_to_best(trace: Trace) -> int:
     """Iteration at which the chain first held its lowest value."""
     return int(trace.iterations[int(np.argmin(trace.values))])
-
-
-def gibbs_density(
-    f: Objective,
-    domain: BoxDomain,
-    temperature: float,
-    grid_n: int = 512,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulated equilibrium density exp(-(F - F_min)/T) on a 1-d grid.
-
-    Normalized by trapezoidal quadrature; used by the stationarity check.
-    """
-    if domain.dim != 1:
-        raise ValueError("gibbs_density is defined for 1-d domains only")
-    if grid_n < 100:
-        raise ValueError("grid_n must be at least 100")
-    lo, hi = domain.bounds[0]
-    xs = np.linspace(lo, hi, grid_n)
-    vals = f.evaluate_many(xs[:, None])
-    dens = np.exp(-(vals - vals.min()) / temperature)
-    dens /= np.trapezoid(dens, xs)
-    return xs, dens

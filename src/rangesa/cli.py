@@ -131,7 +131,7 @@ def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
         objective, p = _builtin(fn)
         default_domain = p.train_domain
     else:
-        objective = ResNet.load(weights).as_objective(name=Path(weights).stem)
+        objective = ResNet.load(weights).as_objective()
         default_domain = None
     return objective, _resolve_domain(opts, default_domain, objective.dim)
 

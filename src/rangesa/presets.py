@@ -1,11 +1,12 @@
 """Experiment presets bundling objective, domain, architecture and protocol."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .domain import BoxDomain
 from .objectives import Objective, builtin
-from .resnet import architecture_ackley, architecture_dropwave, architecture_multimin
+from .resnet import ResNet, build_resnet
 
 
 @dataclass(frozen=True)
@@ -15,11 +16,18 @@ class Preset:
     eval_domain: BoxDomain
     eval_n: int
     default_m: int
-    architecture: callable  # (seed, width_scale) -> ResNet
+    hidden: tuple[int, ...]  # hidden widths at width scale 1
 
     @property
     def objective(self) -> Objective:
         return builtin(self.name)
+
+    def architecture(self, seed: int = 0, width_scale: float = 1.0) -> ResNet:
+        """The preset's ReLU ResNet, each hidden width scaled and rounded (at least 1)."""
+        if not 0 < width_scale < math.inf:
+            raise ValueError(f"width_scale must be positive and finite, got {width_scale}")
+        scaled = [max(1, int(round(h * width_scale))) for h in self.hidden]
+        return build_resnet([self.objective.dim, *scaled, 1], activation="relu", seed=seed)
 
 
 PRESETS = {
@@ -29,7 +37,7 @@ PRESETS = {
         eval_domain=BoxDomain.cube(-5.0, 5.0, 2),
         eval_n=1000,
         default_m=2000,
-        architecture=architecture_ackley,
+        hidden=(128, 256, 256, 256, 256, 128),  # four 256-wide residual blocks
     ),
     "dropwave": Preset(
         name="dropwave",
@@ -37,7 +45,7 @@ PRESETS = {
         eval_domain=BoxDomain.cube(-5.12, 5.12, 2),
         eval_n=1500,
         default_m=2000,
-        architecture=architecture_dropwave,
+        hidden=(128, 256, 256, 512, 512, 512, 256, 128),  # deeper, 512-wide middle blocks
     ),
     "multimin": Preset(
         name="multimin",
@@ -45,7 +53,7 @@ PRESETS = {
         eval_domain=BoxDomain.cube(-3.0, 3.0, 3),
         eval_n=1500,
         default_m=4000,
-        architecture=architecture_multimin,
+        hidden=(128, 256, 256, 512, 512, 512, 256, 128),  # the drop-wave stack, 3-d input
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Residual networks: forward evaluation, named architectures, weight files.
+"""Residual networks: construction, forward evaluation, weight files.
 
 Evaluation is float64: ``Layer`` casts every weight and bias to float64, so
 the annealer, the grid oracle and the fit report see float64 values. The
@@ -175,11 +175,10 @@ class ResNet:
         out = h[..., 0]
         return out if out.ndim else float(out)
 
-    def as_objective(self, name: str | None = None) -> Objective:
+    def as_objective(self) -> Objective:
         """The network as a black box; a row whose output overflows evaluates to NaN,
         which the annealer rejects and the grid oracle skips."""
-        return Objective(partial(self.forward, strict=False), self.input_dim,
-                         name=name or "resnet")
+        return Objective(partial(self.forward, strict=False), self.input_dim, name="resnet")
 
     def copy(self) -> "ResNet":
         return ResNet(
@@ -344,27 +343,3 @@ def build_resnet(
             )
         )
     return ResNet(layers=layers, activation=activation)
-
-
-def _scaled(hidden: list[int], width_scale: float) -> list[int]:
-    if not 0 < width_scale < np.inf:
-        raise ValueError(f"width_scale must be positive and finite, got {width_scale}")
-    return [max(1, int(round(h * width_scale))) for h in hidden]
-
-
-def architecture_ackley(seed: int = 0, width_scale: float = 1.0) -> ResNet:
-    """128-in/out stack with four 256-wide residual blocks, 2-d input."""
-    hidden = _scaled([128, 256, 256, 256, 256, 128], width_scale)
-    return build_resnet([2] + hidden + [1], activation="relu", seed=seed)
-
-
-def architecture_dropwave(seed: int = 0, width_scale: float = 1.0) -> ResNet:
-    """Deeper stack with 512-wide middle blocks, 2-d input."""
-    hidden = _scaled([128, 256, 256, 512, 512, 512, 256, 128], width_scale)
-    return build_resnet([2] + hidden + [1], activation="relu", seed=seed)
-
-
-def architecture_multimin(seed: int = 0, width_scale: float = 1.0) -> ResNet:
-    """Same stack as the drop-wave network but with a 3-d input."""
-    hidden = _scaled([128, 256, 256, 512, 512, 512, 256, 128], width_scale)
-    return build_resnet([3] + hidden + [1], activation="relu", seed=seed)

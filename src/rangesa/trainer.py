@@ -62,8 +62,8 @@ class FitReport:
 class _TrainWorkspace(Workspace):
     """Every array a training step writes, allocated once for batches of up to ``rows`` rows.
 
-    Beside the forward cache's buffers: the flat gradient ``grad``, laid out
-    like ``flatten_gradients`` and with per-layer ``(dW, db)`` views in
+    Beside the forward cache's buffers: the flat gradient ``grad``, in
+    ``_layer_views``' order and with per-layer ``(dW, db)`` views in
     ``grads``; two dL/dh buffers sized to the widest layer, which the
     backward pass alternates between; and one scratch array for Adam. All
     of them take the network's dtype.
@@ -87,7 +87,7 @@ class _TrainWorkspace(Workspace):
 
 
 def _layer_views(flat: np.ndarray, net: ResNet) -> list:
-    """Per layer, (W, b) views of a flat buffer in flatten_gradients' order."""
+    """Per layer, (W, b) views of a flat buffer holding, layer by layer, row-major W then b."""
     views, start = [], 0
     for lyr in net.layers:
         mid = start + lyr.weights.size
@@ -135,24 +135,6 @@ def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray,
     return loss, grads
 
 
-def flatten_gradients(grads) -> np.ndarray:
-    """Deterministic parameter ordering: per layer, row-major W then b."""
-    parts = []
-    for dW, db in grads:
-        parts.append(dW.ravel())
-        parts.append(db)
-    return np.concatenate(parts)
-
-
-def gradient(net: ResNet, x, target: float) -> np.ndarray:
-    """Gradient of (forward(net, x) - target)^2 over all parameters, flattened."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"expected input of dimension {net.input_dim}, got shape {x.shape}")
-    _, grads = loss_and_gradients(net, x[None, :], np.array([target]))  # one row: mean = sum
-    return flatten_gradients(grads)
-
-
 def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[float]]:
     """Train a copy of the network by Adam on MSE; returns (net, loss history).
 
@@ -163,13 +145,18 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
 
     Deterministic for fixed config and dataset: row order is shuffled by the
     seeded generator and all reductions run in fixed order. Raises
-    TrainingDiverged on a non-finite loss, or the forward pass's
+    ValueError, before any step, when a weight or bias is not a finite
+    float32; TrainingDiverged on a non-finite loss, or the forward pass's
     FloatingPointError when the network output itself is not finite.
     """
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
+    limit = float(np.finfo(np.float32).max)
+    if not all(np.all(np.abs(a) <= limit) for lyr in net.layers for a in (lyr.weights, lyr.bias)):
+        raise ValueError(f"network weights must be finite and within float32's range "
+                         f"(|w| <= {limit:.4g}) to train in float32")
     net = net.copy()
-    # every weight and bias becomes a view of one float32 buffer, in flatten_gradients' order
+    # every weight and bias becomes a view of one float32 buffer, in _layer_views' order
     params = np.concatenate([a.ravel() for lyr in net.layers for a in (lyr.weights, lyr.bias)],
                             dtype=np.float32)
     _bind(net, params)

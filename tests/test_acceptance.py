@@ -18,12 +18,8 @@ from rangesa import (
     Objective,
     TrainConfig,
     acceptance_probability,
-    architecture_ackley,
-    architecture_dropwave,
     builtin,
     evaluate_fit,
-    fixed_temperature_chain,
-    gibbs_density,
     grid_oracle,
     run_many,
     sample_dataset,
@@ -31,8 +27,9 @@ from rangesa import (
 )
 from rangesa.anneal import max_excursion
 from rangesa.cli import main
+from rangesa.presets import preset
 from rangesa.resnet import build_resnet
-from rangesa.trainer import gradient
+from support import fixed_temperature_chain, gibbs_density, gradient
 
 
 def report(criterion, ok, detail):
@@ -201,7 +198,7 @@ def _ackley_pipeline(width_scale, epochs, time_budget, criterion):
     f = builtin("ackley")
     dom = BoxDomain.cube(-4, 4, 2)
     data = sample_dataset(f, dom, m=2000, noise_sd=0.1, seed=7)
-    net = architecture_ackley(seed=7, width_scale=width_scale)
+    net = preset("ackley").architecture(seed=7, width_scale=width_scale)
     net, _ = train(net, data, TrainConfig(epochs=epochs, learning_rate=0.001, seed=7))
     fit = evaluate_fit(net, f, BoxDomain.cube(-5, 5, 2), n=1000, seed=7)
 
@@ -232,7 +229,7 @@ def test_c9_dropwave_pipeline():
     f = builtin("dropwave")
     dom = BoxDomain.cube(-5.12, 5.12, 2)
     data = sample_dataset(f, dom, m=6000, noise_sd=0.02, seed=11)
-    net = architecture_dropwave(seed=11, width_scale=0.25)
+    net = preset("dropwave").architecture(seed=11, width_scale=0.25)
     net, _ = train(net, data, TrainConfig(epochs=600, seed=11))
     fit = evaluate_fit(net, f, dom, n=1500, seed=11)
 

@@ -10,12 +10,10 @@ from rangesa import (
     acceptance_probability,
     builtin,
     compare_modes,
-    fixed_temperature_chain,
-    gibbs_density,
-    run,
 )
 from rangesa.anneal import MODES, EvalBudgetExceeded, Trace, max_excursion, run_many
 from rangesa.objectives import _write_csv
+from support import fixed_temperature_chain, gibbs_density, run
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
 PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")

@@ -12,12 +12,12 @@ from rangesa import (
     builtin,
     compare_modes,
     estimate_range,
-    run,
     sample_dataset,
 )
 from rangesa.anneal import LEVEL_COLUMNS, MODES, Trace
 from rangesa.cli import main, parse_domain
 from rangesa.resnet import build_resnet
+from support import run
 
 
 def read(path):

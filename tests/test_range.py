@@ -7,16 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from rangesa import (
-    AnnealConfig, BoxDomain, Objective, architecture_dropwave, builtin, estimate_range,
-    grid_oracle, run,
-)
+from rangesa import AnnealConfig, BoxDomain, Objective, builtin, estimate_range, grid_oracle
 from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS
 from rangesa.cli import main
+from rangesa.presets import preset
 from rangesa.range_analysis import (
     ORACLE_CHUNK, GridBudgetExceeded, RangeResult, _oracle_workers,
 )
 from rangesa.resnet import build_resnet
+from support import run
 
 
 def _negated(f):
@@ -370,7 +369,7 @@ def test_grid_oracle_worker_error_propagates(monkeypatch):
 
 
 def test_grid_oracle_network_same_with_workers(monkeypatch):
-    f = architecture_dropwave(seed=2, width_scale=0.25).as_objective()
+    f = preset("dropwave").architecture(seed=2, width_scale=0.25).as_objective()
     dom = BoxDomain.cube(-5, 5, 2)
     _set_workers(monkeypatch)
     serial = grid_oracle(f, dom, 121)
@@ -382,7 +381,7 @@ def test_grid_oracle_memory_stays_in_chunks(monkeypatch):
     # a memory guard, not a timing gate: in 65,536-row chunks this call peaked at 208 MB;
     # four workers hold four chunks at a time
     _set_workers(monkeypatch, openblas="1")
-    f = architecture_dropwave(seed=1, width_scale=0.25).as_objective()
+    f = preset("dropwave").architecture(seed=1, width_scale=0.25).as_objective()
     tracemalloc.start()
     try:
         grid_oracle(f, BoxDomain.cube(-5.12, 5.12, 2), 201)

@@ -4,15 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rangesa import (
-    Layer,
-    ResNet,
-    WeightFormatError,
-    architecture_ackley,
-    architecture_dropwave,
-    architecture_multimin,
-    build_resnet,
-)
+from rangesa import Layer, ResNet, WeightFormatError, build_resnet
+from rangesa.presets import preset
 from rangesa.resnet import ACTIVATIONS
 
 ACKLEY_WIDTHS = [2, 128, 256, 256, 256, 256, 128, 1]
@@ -174,7 +167,7 @@ def test_forward_cache_is_never_overwritten(activation):
 def test_nonpositive_width_scale_rejected():
     for scale in (0.0, -1.0):
         with pytest.raises(ValueError, match="width_scale"):
-            architecture_ackley(width_scale=scale)
+            preset("ackley").architecture(width_scale=scale)
 
 
 def test_skip_requires_equal_widths():
@@ -191,31 +184,28 @@ def test_width_chain_validated():
 
 
 @pytest.mark.parametrize(
-    "builder,widths",
-    [
-        (architecture_ackley, ACKLEY_WIDTHS),
-        (architecture_dropwave, DROPWAVE_WIDTHS),
-        (architecture_multimin, MULTIMIN_WIDTHS),
-    ],
+    "name,widths",
+    [("ackley", ACKLEY_WIDTHS), ("dropwave", DROPWAVE_WIDTHS), ("multimin", MULTIMIN_WIDTHS)],
+    ids=lambda v: f"architecture_{v}" if isinstance(v, str) else None,
 )
 class TestArchitectures:
-    def test_widths_and_param_count(self, builder, widths):
-        net = builder(seed=0)
+    def test_widths_and_param_count(self, name, widths):
+        net = preset(name).architecture(seed=0)
         assert net.widths() == widths
         assert net.num_params == param_count(widths)
 
-    def test_skips_exactly_on_equal_width_transitions(self, builder, widths):
-        net = builder(seed=0)
+    def test_skips_exactly_on_equal_width_transitions(self, name, widths):
+        net = preset(name).architecture(seed=0)
         for i, lyr in enumerate(net.layers):
             expect = 0 < i < len(net.layers) - 1 and widths[i] == widths[i + 1]
             assert lyr.has_skip == expect
 
-    def test_forward_finite_at_origin(self, builder, widths):
-        net = builder(seed=0)
+    def test_forward_finite_at_origin(self, name, widths):
+        net = preset(name).architecture(seed=0)
         assert np.isfinite(net.forward(np.zeros(widths[0])))
 
-    def test_seed_determinism(self, builder, widths):
-        a, b = builder(seed=42), builder(seed=42)
+    def test_seed_determinism(self, name, widths):
+        a, b = preset(name).architecture(seed=42), preset(name).architecture(seed=42)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
@@ -275,7 +265,7 @@ class TestSerialization:
     def test_weight_file_io_memory_is_bounded(self, tmp_path):
         # 920,449 parameters, a 19.9 MB file: holding the whole document as
         # Python objects costs about 69 MB to save it and 50 MB to load it
-        net = architecture_dropwave(width_scale=1.0)
+        net = preset("dropwave").architecture(width_scale=1.0)
         path = tmp_path / "w.json"
         tracemalloc.start()
         try:

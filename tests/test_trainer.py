@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,9 @@ from rangesa.trainer import (
     ADAM_EPSILON,
     TrainingDiverged,
     _TrainWorkspace,
-    flatten_gradients,
-    gradient,
     loss_and_gradients,
 )
+from support import flatten_gradients, gradient
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -199,9 +199,20 @@ class TestTrain:
         f = Objective(lambda x: np.full(x.shape[:-1], 1.0), 2)
         data = sample_dataset(f, self.domain, m=16, noise_sd=0.0, seed=0)
         net = build_resnet([2, 4, 1], seed=0)
-        net.layers[0].weights[...] = 1e200
-        with pytest.raises((TrainingDiverged, FloatingPointError)):
+        net.layers[0].weights[...] = 1e30
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0"):
             train(net, data, TrainConfig(epochs=5, learning_rate=1e10, seed=0))
+
+    @pytest.mark.parametrize("weight", [1e200, np.nan])
+    def test_weights_beyond_float32_rejected_before_training(self, weight):
+        f = Objective(lambda x: np.full(x.shape[:-1], 1.0), 2)
+        data = sample_dataset(f, self.domain, m=16, noise_sd=0.0, seed=0)
+        net = build_resnet([2, 4, 1], seed=0)
+        net.layers[0].weights[...] = weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "overflow encountered in cast" fails the test
+            with pytest.raises(ValueError, match="weights.*float32's range"):
+                train(net, data, TrainConfig(epochs=5, seed=0))
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
     def test_flat_adam_equals_per_layer_adam(self, activation):
@@ -258,10 +269,10 @@ class TestTrain:
         script = textwrap.dedent("""
             import resource
             from rangesa import BoxDomain, TrainConfig, builtin, sample_dataset, train
-            from rangesa.resnet import architecture_dropwave
+            from rangesa.presets import preset
             data = sample_dataset(builtin("dropwave"), BoxDomain.cube(-5.12, 5.12, 2),
                                   m=1024, noise_sd=0.02, seed=0)
-            net = architecture_dropwave(seed=0, width_scale=0.25)
+            net = preset("dropwave").architecture(seed=0, width_scale=0.25)
             def faults(epochs, batch):
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 train(net, data, TrainConfig(epochs=epochs, batch_size=batch, seed=0))
