@@ -14,11 +14,11 @@ from .objectives import (
     Dataset,
     Objective,
     ackley,
-    builtin,
     drop_wave,
     multi_minima,
     sample_dataset,
 )
+from .presets import builtin
 from .range_analysis import OracleResult, RangeResult, compare_modes, estimate_range, grid_oracle
 from .resnet import Layer, ResNet, WeightFormatError, build_resnet
 from .trainer import FitReport, TrainConfig, evaluate_fit, train

@@ -182,7 +182,8 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     states with the same add, to mark those that left the box.
     Raises EvalBudgetExceeded, before any work, when the batch could take
     more than EVAL_BUDGET chain steps. Overflow and NaN raise no numpy warning
-    here: a non-finite start is redrawn and a non-finite proposal rejected.
+    here: f returns every non-finite value as NaN (see ``Objective``), so a
+    non-finite start is redrawn and a non-finite proposal rejected.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed, mode=cfg.mode) != cfg for c in cfgs):
@@ -262,8 +263,3 @@ def max_excursion(trace: Trace, domain: BoxDomain) -> float:
     over = np.maximum(trace.points - domain.upper, 0.0)
     under = np.maximum(domain.lower - trace.points, 0.0)
     return float(np.max(np.maximum(over, under)))
-
-
-def iterations_to_best(trace: Trace) -> int:
-    """Iteration at which the chain first held its lowest value."""
-    return int(trace.iterations[int(np.argmin(trace.values))])

@@ -15,10 +15,10 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from .anneal import AnnealConfig, EvalBudgetExceeded, LevelSummary
+from .anneal import COOLINGS, MODES, AnnealConfig, EvalBudgetExceeded, LevelSummary
 from .domain import BoxDomain
-from .objectives import Dataset, Objective, _write_csv, builtin, sample_dataset
-from .presets import Preset, preset
+from .objectives import Dataset, Objective, _write_csv, sample_dataset
+from .presets import PRESETS, Preset, builtin, preset
 from .range_analysis import GridBudgetExceeded, compare_modes, estimate_range, grid_oracle
 from .resnet import ResNet, WeightFormatError
 from .trainer import TrainConfig, evaluate_fit, save_loss_history, train
@@ -221,7 +221,10 @@ def cmd_train(args) -> int:
 
     net = p.architecture(seed=seed, width_scale=width_scale)
     t0 = time.perf_counter()
-    net, history = train(net, data, cfg)
+    try:
+        net, history = train(net, data, cfg)
+    except ValueError as exc:  # data beyond float32's range
+        raise UsageError(str(exc)) from exc
     log.info("trained %d epochs in %.1f s (final loss %.6g)",
              cfg.epochs, time.perf_counter() - t0, history[-1])
 
@@ -319,8 +322,8 @@ def _add_anneal_flags(sp):
     sp.add_argument("--delta", type=float)
     sp.add_argument("--inner-iters", dest="inner_iters", type=int)
     sp.add_argument("--variance", dest="proposal_variance", type=float)
-    sp.add_argument("--mode", choices=("reflected", "classical"))
-    sp.add_argument("--cooling", choices=("theorem", "algorithm1"))
+    sp.add_argument("--mode", choices=MODES)
+    sp.add_argument("--cooling", choices=COOLINGS)
     sp.add_argument("--n-seeds", dest="n_seeds", type=int)
 
 
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a preset architecture on a dataset")
     _add_common(sp)
-    sp.add_argument("--preset", choices=("ackley", "dropwave", "multimin"))
+    sp.add_argument("--preset", choices=sorted(PRESETS))
     sp.add_argument("--data", help="dataset CSV (with .meta.json sidecar)")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--learning-rate", dest="learning_rate", type=float)

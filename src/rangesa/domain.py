@@ -13,7 +13,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Product of closed intervals ``[l_j, u_j]``, one per input dimension."""
+    """Product of closed intervals ``[l_j, u_j]``, one per input dimension.
+
+    ``lower``, ``upper`` and ``widths`` are read-only (d,) arrays.
+    """
 
     bounds: tuple[tuple[float, float], ...]
 
@@ -27,25 +30,14 @@ class BoxDomain:
             if not lo < hi:
                 raise ValueError(f"dimension {j}: need lower < upper, got [{lo}, {hi}]")
         object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "_lower", np.array([b[0] for b in bounds]))
-        object.__setattr__(self, "_upper", np.array([b[1] for b in bounds]))
-        object.__setattr__(self, "_widths", self._upper - self._lower)
+        lower, upper = (np.array(side) for side in zip(*bounds))
+        for name, a in (("lower", lower), ("upper", upper), ("widths", upper - lower)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self._lower.copy()
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self._upper.copy()
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self._widths.copy()
 
     def _check_dim(self, p: np.ndarray) -> None:
         if p.shape[-1] != self.dim:
@@ -55,7 +47,7 @@ class BoxDomain:
         """Membership test; accepts a single point or an (..., d) batch."""
         p = np.asarray(p, dtype=float)
         self._check_dim(p)
-        inside = np.all((p >= self._lower) & (p <= self._upper), axis=-1)
+        inside = np.all((p >= self.lower) & (p <= self.upper), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
     def reflect(self, y) -> np.ndarray:
@@ -68,18 +60,18 @@ class BoxDomain:
         """
         y = np.asarray(y, dtype=float)
         self._check_dim(y)
-        inside = (y >= self._lower) & (y <= self._upper)
+        inside = (y >= self.lower) & (y <= self.upper)
         if np.count_nonzero(inside) == inside.size:  # cheaper than inside.all() on small arrays
             return y.copy()
-        w = self._widths
-        t = np.mod(y - self._lower, 2.0 * w)
-        folded = self._lower + np.where(t <= w, t, 2.0 * w - t)
+        w = self.widths
+        t = np.mod(y - self.lower, 2.0 * w)
+        folded = self.lower + np.where(t <= w, t, 2.0 * w - t)
         # rounding at the period seam must never produce a point outside the box
-        return np.where(inside, y, np.clip(folded, self._lower, self._upper))
+        return np.where(inside, y, np.clip(folded, self.lower, self.upper))
 
     def sample_uniform(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         size = self.dim if n is None else (n, self.dim)
-        return rng.uniform(self._lower, self._upper, size=size)
+        return rng.uniform(self.lower, self.upper, size=size)
 
     @classmethod
     def cube(cls, lo: float, hi: float, dim: int) -> "BoxDomain":

@@ -19,6 +19,9 @@ class Objective:
     gradients. ``grid_oracle`` calls ``evaluate_many`` from max(1, cpus // n) threads at
     once, n from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (one thread when neither is
     set); the builtins and ``ResNet.as_objective`` are safe to call that way.
+    Non-finite values follow one rule: ``evaluate_many`` returns every NaN,
+    +inf and -inf value as NaN, which the annealer rejects (a start is
+    redrawn) and the grid oracle skips.
     """
 
     def __init__(self, fn, dim: int, name: str | None = None):
@@ -40,7 +43,8 @@ class Objective:
         if values.shape != X.shape[:1]:
             raise ValueError(f"objective returned shape {values.shape} for {len(X)} points, "
                              f"expected ({len(X)},)")
-        return values
+        finite = np.isfinite(values)
+        return values if finite.all() else np.where(finite, values, np.nan)
 
     def __repr__(self):
         return f"Objective(name={self.name!r}, dim={self.dim})"
@@ -76,22 +80,6 @@ def drop_wave(p):
 def multi_minima(p):
     """Separable quartic on R^3 with 8 global minima at (+-1, +-1, +-1)."""
     return np.sum((_points(p, 3) ** 2 - 1.0) ** 2, axis=-1)
-
-
-BUILTIN_OBJECTIVES = {
-    "ackley": Objective(ackley, 2, name="ackley"),
-    "dropwave": Objective(drop_wave, 2, name="dropwave"),
-    "multimin": Objective(multi_minima, 3, name="multimin"),
-}
-
-
-def builtin(name: str) -> Objective:
-    try:
-        return BUILTIN_OBJECTIVES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown objective {name!r}; builtins are: {', '.join(sorted(BUILTIN_OBJECTIVES))}"
-        ) from None
 
 
 @dataclass

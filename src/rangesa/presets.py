@@ -5,22 +5,19 @@ import math
 from dataclasses import dataclass
 
 from .domain import BoxDomain
-from .objectives import Objective, builtin
+from .objectives import Objective, ackley, drop_wave, multi_minima
 from .resnet import ResNet, build_resnet
 
 
 @dataclass(frozen=True)
 class Preset:
     name: str
+    objective: Objective
     train_domain: BoxDomain
     eval_domain: BoxDomain
     eval_n: int
     default_m: int
     hidden: tuple[int, ...]  # hidden widths at width scale 1
-
-    @property
-    def objective(self) -> Objective:
-        return builtin(self.name)
 
     def architecture(self, seed: int = 0, width_scale: float = 1.0) -> ResNet:
         """The preset's ReLU ResNet, each hidden width scaled and rounded (at least 1)."""
@@ -33,6 +30,7 @@ class Preset:
 PRESETS = {
     "ackley": Preset(
         name="ackley",
+        objective=Objective(ackley, 2, name="ackley"),
         train_domain=BoxDomain.cube(-4.0, 4.0, 2),
         eval_domain=BoxDomain.cube(-5.0, 5.0, 2),
         eval_n=1000,
@@ -41,6 +39,7 @@ PRESETS = {
     ),
     "dropwave": Preset(
         name="dropwave",
+        objective=Objective(drop_wave, 2, name="dropwave"),
         train_domain=BoxDomain.cube(-5.12, 5.12, 2),
         eval_domain=BoxDomain.cube(-5.12, 5.12, 2),
         eval_n=1500,
@@ -49,6 +48,7 @@ PRESETS = {
     ),
     "multimin": Preset(
         name="multimin",
+        objective=Objective(multi_minima, 3, name="multimin"),
         train_domain=BoxDomain.cube(-3.0, 3.0, 3),
         eval_domain=BoxDomain.cube(-3.0, 3.0, 3),
         eval_n=1500,
@@ -56,6 +56,13 @@ PRESETS = {
         hidden=(128, 256, 256, 512, 512, 512, 256, 128),  # the drop-wave stack, 3-d input
     ),
 }
+
+
+def builtin(name: str) -> Objective:
+    """The objective of the preset of that name."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown objective {name!r}; builtins are: {', '.join(sorted(PRESETS))}")
+    return PRESETS[name].objective
 
 
 def preset(name: str) -> Preset:

@@ -7,9 +7,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .anneal import (
-    MODES, AnnealConfig, AnnealResult, iterations_to_best, max_excursion, run_many,
-)
+from .anneal import MODES, AnnealConfig, AnnealResult, max_excursion, run_many
 from .domain import BoxDomain
 from .objectives import Objective
 
@@ -25,15 +23,15 @@ class GridBudgetExceeded(ValueError):
 
 
 def _best_finite(runs: list[AnnealResult]) -> AnnealResult:
-    """The run with the lowest finite best value, the first one on ties.
+    """The run with the lowest best value, the first one on ties.
 
-    NaN and infinite values are never chosen; ValueError when none is finite.
+    Best values are finite or NaN (see ``Objective``), and NaN is never
+    chosen; ValueError when every one is NaN.
     """
     values = np.array([r.best_value for r in runs])
-    finite = np.isfinite(values)
-    if not finite.any():
+    if np.isnan(values).all():
         raise ValueError("the objective returned no finite value")
-    return runs[int(np.argmin(np.where(finite, values, np.inf)))]
+    return runs[int(np.nanargmin(values))]
 
 
 @dataclass
@@ -133,16 +131,16 @@ def compare_modes(
     """Reflected and classical runs of cfg on the seeds cfg.seed, cfg.seed + 1, ..., in one batch.
 
     Returns one summary row per run, seed by seed and reflected first:
-    seed, mode, best value, the iteration that first held it
-    (``iterations_to_best``) and the largest overshoot outside the box
-    (``max_excursion``, 0 for reflected runs); and the runs themselves.
+    seed, mode, best value, the iteration that first held it and the
+    largest overshoot outside the box (``max_excursion``, 0 for reflected
+    runs); and the runs themselves.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     cfgs = [replace(cfg, seed=cfg.seed + k, mode=mode) for k in range(n_seeds) for mode in MODES]
     runs = run_many(f, domain, cfgs)
     rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
-             "iters_to_best": iterations_to_best(r.trace),
+             "iters_to_best": int(r.trace.iterations[np.argmin(r.trace.values)]),
              "max_excursion": max_excursion(r.trace, domain)} for r in runs]
     return rows, runs
 

@@ -24,8 +24,6 @@ from .objectives import Objective
 WEIGHT_FORMAT_VERSION = 1
 _SAVE_SLICE = 4096  # floats turned into Python objects at a time by ResNet.save
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh")
-
 
 class WeightFormatError(ValueError):
     """Raised when a weight file is malformed or violates the width chain."""
@@ -70,6 +68,7 @@ _ACT_FNS = {
     "sigmoid": (_sigmoid, _sigmoid_deriv),
     "tanh": (np.tanh, _tanh_deriv),
 }
+ACTIVATIONS = tuple(_ACT_FNS)
 
 
 @dataclass
@@ -141,8 +140,8 @@ class ResNet:
         the workspace's buffers instead of allocating them. Raises
         FloatingPointError naming the first non-finite layer when the output
         is not finite; training runs through here, so ``train`` may raise it
-        too. With ``strict=False`` non-finite outputs are returned as NaN
-        instead. The arithmetic is in the dtype of the layers' arrays.
+        too; with ``strict=False`` the outputs are returned as computed. The
+        arithmetic is in the dtype of the layers' arrays.
         """
         X = np.asarray(X, dtype=self.layers[0].weights.dtype)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
@@ -160,24 +159,19 @@ class ResNet:
             if lyr.has_skip:
                 z += h
             h = z
-        finite = np.isfinite(h)
-        if not finite.all():
-            if not strict:
-                h[~finite] = np.nan
-            else:
-                if cache is None:
-                    self.forward(X, cache=[])  # walks the layers again, recording them, raises
-                # layer k's output is the input recorded for layer k + 1; the last one is h
-                outputs = [h_in for h_in, _ in cache[len(cache) - len(self.layers) + 1 :]] + [h]
-                layer = next(k for k, o in enumerate(outputs, start=1)
-                             if not np.all(np.isfinite(o)))
-                raise FloatingPointError(f"non-finite value at layer {layer}")
+        if strict and not np.isfinite(h).all():
+            if cache is None:
+                self.forward(X, cache=[])  # walks the layers again, recording them, raises
+            # layer k's output is the input recorded for layer k + 1; the last one is h
+            outputs = [h_in for h_in, _ in cache[len(cache) - len(self.layers) + 1 :]] + [h]
+            layer = next(k for k, o in enumerate(outputs, start=1) if not np.all(np.isfinite(o)))
+            raise FloatingPointError(f"non-finite value at layer {layer}")
         out = h[..., 0]
         return out if out.ndim else float(out)
 
     def as_objective(self) -> Objective:
-        """The network as a black box; a row whose output overflows evaluates to NaN,
-        which the annealer rejects and the grid oracle skips."""
+        """The network as a black box; a row whose output overflows evaluates to NaN
+        (see ``Objective``), which the annealer rejects and the grid oracle skips."""
         return Objective(partial(self.forward, strict=False), self.input_dim, name="resnet")
 
     def copy(self) -> "ResNet":

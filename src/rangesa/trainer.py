@@ -145,20 +145,25 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
 
     Deterministic for fixed config and dataset: row order is shuffled by the
     seeded generator and all reductions run in fixed order. Raises
-    ValueError, before any step, when a weight or bias is not a finite
-    float32; TrainingDiverged on a non-finite loss, or the forward pass's
-    FloatingPointError when the network output itself is not finite.
+    ValueError, before any step, when a weight, a bias, an input or a target
+    is not a finite float32; TrainingDiverged on a non-finite loss, or the
+    forward pass's FloatingPointError when the network output itself is not
+    finite.
     """
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
     limit = float(np.finfo(np.float32).max)
-    if not all(np.all(np.abs(a) <= limit) for lyr in net.layers for a in (lyr.weights, lyr.bias)):
+    weights = [a for lyr in net.layers for a in (lyr.weights, lyr.bias)]
+    if not all(np.all(np.abs(a) <= limit) for a in weights):
         raise ValueError(f"network weights must be finite and within float32's range "
                          f"(|w| <= {limit:.4g}) to train in float32")
+    # min and max propagate NaN and allocate no copy of the dataset
+    if not all(-limit <= a.min() and a.max() <= limit for a in (data.inputs, data.targets)):
+        raise ValueError(f"training data must be finite and within float32's range "
+                         f"(|v| <= {limit:.4g}) to train in float32")
     net = net.copy()
     # every weight and bias becomes a view of one float32 buffer, in _layer_views' order
-    params = np.concatenate([a.ravel() for lyr in net.layers for a in (lyr.weights, lyr.bias)],
-                            dtype=np.float32)
+    params = np.concatenate([a.ravel() for a in weights], dtype=np.float32)
     _bind(net, params)
     inputs, targets = data.inputs.astype(np.float32), data.targets.astype(np.float32)
     n = len(data)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from dataclasses import fields, replace
@@ -14,8 +15,9 @@ from rangesa import (
     estimate_range,
     sample_dataset,
 )
-from rangesa.anneal import LEVEL_COLUMNS, MODES, Trace
-from rangesa.cli import main, parse_domain
+from rangesa.anneal import COOLINGS, LEVEL_COLUMNS, MODES, Trace
+from rangesa.cli import build_parser, main, parse_domain
+from rangesa.presets import PRESETS
 from rangesa.resnet import build_resnet
 from support import run
 
@@ -406,6 +408,40 @@ def test_bad_dataset_exits_2(tmp_path, capsys, case, message):
     assert rc == 2
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["1e300", "nan"])
+def test_training_data_beyond_float32_exits_2(tmp_path, capsys, target):
+    data = sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 20, 0.0, 1)
+    data.targets[3] = float(target)
+    data.save(tmp_path / "ackley_data.csv")
+    rc = main(["train", "--preset", "ackley", "--data", str(tmp_path / "ackley_data.csv"),
+               "--epochs", "1", "--width-scale", "0.05", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: training data must be finite and within float32's range")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "weights.json").exists()
+
+
+def test_null_config_values_take_the_defaults(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"fn": "ackley", "m": None, "noise_sd": None, "seed": None}))
+    assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main(["generate-data", "--fn", "ackley", "--out", str(tmp_path / "b")]) == 0
+    assert read(tmp_path / "a" / "ackley_data.csv") == read(tmp_path / "b" / "ackley_data.csv")
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_flag_choices_come_from_the_library():
+    for command in ("estimate-range", "compare"):
+        assert list(_choices(command, "mode")) == list(MODES)
+        assert list(_choices(command, "cooling")) == list(COOLINGS)
+    assert list(_choices("train", "preset")) == sorted(PRESETS)
 
 
 def test_infinite_temperature_exits_2(tmp_path, capsys):

@@ -35,6 +35,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             BoxDomain(((0, np.inf),))
 
+    @pytest.mark.parametrize("name", ["lower", "upper", "widths"])
+    def test_bound_arrays_are_read_only(self, name):
+        d = BoxDomain(((0, 1), (-2, 3)))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(d, name)[0] = 5.0
+        assert d.bounds == ((0.0, 1.0), (-2.0, 3.0))
+        assert np.array_equal(d.widths, [1.0, 5.0])
+
 
 class TestContains:
     def test_interior(self):

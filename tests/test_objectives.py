@@ -132,3 +132,12 @@ def test_objective_must_return_one_value_per_row():
     g = Objective(lambda x: np.sum(x**2, axis=-1), 2)
     assert g(np.array([1.0, 2.0])) == 5.0
     assert np.array_equal(g.evaluate_many(np.ones((3, 2))), [2.0, 2.0, 2.0])
+
+
+def test_non_finite_values_become_nan():
+    values = np.array([1.0, np.inf, -np.inf, np.nan])
+    f = Objective(lambda x: values, 2)
+    assert np.array_equal(f.evaluate_many(np.zeros((4, 2))), [1.0, np.nan, np.nan, np.nan],
+                          equal_nan=True)
+    assert np.isinf(values[1:3]).all()  # the callable's own array is left as it was
+    assert np.isnan(Objective(lambda x: np.full(len(x), -np.inf), 2)(np.zeros(2)))

@@ -184,6 +184,20 @@ def test_estimate_range_skips_nan_chains(seed):
         estimate_range(ALL_NAN, dom, cfg, n_seeds=2)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_strip_does_not_trap_chains(value):
+    # a value that is -inf after the sign would be accepted with probability 1
+    # and held for good; the objective returns it as NaN, which is rejected
+    f = Objective(lambda x: np.where(x[:, 0] < -0.9, value, np.sum(x**2, axis=1)), 2)
+    dom = BoxDomain.cube(-1, 1, 2)
+    cfg = AnnealConfig(t_max=1.0, t_min=1e-2, delta=0.9, inner_iters=50, seed=0)
+    res = estimate_range(f, dom, cfg, n_seeds=5)
+    assert 0.0 <= res.f_min < 1e-3 and 1.9 < res.f_max <= 2.0
+    assert res.x_min[0] >= -0.9 and res.x_max[0] >= -0.9
+    for runs in res.runs.values():
+        assert all(np.isfinite(r.best_value) for r in runs)
+
+
 def _overflowing_net():
     # 0 where x1 <= 0; where x1 > 0.113 the output 4 x 400 x1 x 1e306 overflows
     net = build_resnet([2, 4, 1])

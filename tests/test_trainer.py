@@ -214,6 +214,16 @@ class TestTrain:
             with pytest.raises(ValueError, match="weights.*float32's range"):
                 train(net, data, TrainConfig(epochs=5, seed=0))
 
+    @pytest.mark.parametrize("target", [1e300, np.nan])
+    def test_data_beyond_float32_rejected_before_training(self, target):
+        f = Objective(lambda x: np.full(x.shape[:-1], target), 2)
+        data = sample_dataset(f, self.domain, m=16, noise_sd=0.0, seed=0)
+        net = build_resnet([2, 4, 1], seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow and invalid-value warnings
+            with pytest.raises(ValueError, match="training data.*float32's range"):
+                train(net, data, TrainConfig(epochs=5, seed=0))
+
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
     def test_flat_adam_equals_per_layer_adam(self, activation):
         # the update as it was written per layer and per array, on the allocating
