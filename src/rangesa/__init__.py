@@ -5,7 +5,6 @@ from .anneal import (
     AnnealConfig,
     AnnealResult,
     LevelSummary,
-    Trace,
     acceptance_probability,
     run_many,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "OracleResult",
     "RangeResult",
     "ResNet",
-    "Trace",
     "TrainConfig",
     "WeightFormatError",
     "acceptance_probability",

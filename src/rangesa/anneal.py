@@ -9,6 +9,7 @@ with one objective call per step for the whole batch.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -19,12 +20,23 @@ from .objectives import Objective, _write_csv
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
-EVAL_BUDGET = 10**7  # chain steps x chains in one batch
+# Chain steps x chains in one batch. This bounds a run's time only: the kernel
+# keeps one level's steps, so memory does not grow with the number of levels.
+EVAL_BUDGET = 10**7
 START_REDRAWS = 100  # extra start draws for a chain whose start value is not finite
 
 
 class EvalBudgetExceeded(ValueError):
     """Raised when a batch of annealing runs would take more steps than EVAL_BUDGET."""
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``, else ValueError naming ``name``.
+
+    Python and numpy integers pass; bools, floats and strings do not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -39,12 +51,15 @@ class AnnealConfig:
     cooling: str = "theorem"  # T_i = T0*delta^i; "algorithm1": T_i = T_{i-1}*delta^i
 
     def __post_init__(self):
+        for name in ("t_max", "t_min", "delta", "proposal_variance"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.t_min < self.t_max < math.inf:
             raise ValueError("need 0 < t_min < t_max < inf")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.inner_iters < 1:
-            raise ValueError("inner_iters must be at least 1")
+        object.__setattr__(self, "inner_iters", _integer("inner_iters", self.inner_iters, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.proposal_variance is not None and not 0 < self.proposal_variance < math.inf:
             raise ValueError("proposal_variance must be positive and finite")
         if self.mode not in MODES:
@@ -82,28 +97,14 @@ class AnnealConfig:
 
 
 @dataclass
-class Trace:
-    """Per-step record of the chain; one row per inner iteration."""
-
-    iterations: np.ndarray
-    temperatures: np.ndarray
-    points: np.ndarray  # (n, d)
-    values: np.ndarray
-    accepted: np.ndarray  # bool
-    best_values: np.ndarray
-    left_box: np.ndarray  # bool: the step's proposal, before any fold, lay outside the box
-
-    def __len__(self):
-        return len(self.iterations)
-
-
-@dataclass
 class AnnealResult:
     best: np.ndarray
-    best_value: float  # of sign * f, like the trace's values
-    trace: Trace
+    best_value: float  # of sign * f, the minimized objective
     eval_count: int
     config: AnnealConfig
+    levels: "LevelSummary"  # the run's rows, labelled with its mode
+    iters_to_best: int  # the first step that held the best value over the steps, from 1
+    max_excursion: float  # largest componentwise overshoot of any state outside the box
     sign: float = 1.0  # -1: the run minimized -f
 
 
@@ -111,11 +112,11 @@ class AnnealResult:
 class LevelSummary:
     """One row per chain per temperature level, with values in f's units.
 
-    Each row reduces the level's inner_iters steps of one chain's trace: the
-    share of accepted moves, the number of proposals that left the box
-    before any fold, the mean value held after each step and the best value
-    held by the level's end (the running maximum of f on a run with sign -1).
-    Levels count from 0, so level i of theorem cooling has T = t_max delta^i.
+    Each row reduces the level's inner_iters steps of one chain: the share of
+    accepted moves, the number of proposals that left the box before any
+    fold, the mean value held after each step and the best value held by the
+    level's end (the running maximum of f on a run with sign -1). Levels
+    count from 0, so level i of theorem cooling has T = t_max delta^i.
     """
 
     kind: np.ndarray
@@ -129,21 +130,9 @@ class LevelSummary:
 
     @classmethod
     def of(cls, labelled) -> "LevelSummary":
-        """Rows of (kind, AnnealResult) pairs, chain after chain."""
-        parts = []
-        for kind, r in labelled:
-            t, m = r.trace, r.config.inner_iters
-            n = len(t) // m
-            with np.errstate(over="ignore"):
-                mean = t.values.reshape(n, m).mean(axis=1)
-                big = np.isinf(mean)  # a sum past the largest float: add values / m instead
-                mean[big] = (t.values.reshape(n, m)[big] / m).sum(axis=1)
-            parts.append((
-                np.full(n, kind), np.full(n, r.config.seed), np.arange(n), t.temperatures[::m],
-                t.accepted.reshape(n, m).mean(axis=1), t.left_box.reshape(n, m).sum(axis=1),
-                r.sign * mean, r.sign * t.best_values[m - 1::m],
-            ))
-        return cls(*(np.concatenate(col) for col in zip(*parts)))
+        """The rows of (kind, AnnealResult) pairs, chain after chain, labelled with kind."""
+        parts = [replace(r.levels, kind=np.full(len(r.levels.kind), kind)) for kind, r in labelled]
+        return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in LEVEL_COLUMNS))
 
     def to_csv(self, path) -> None:
         """One line per row under a header of LEVEL_COLUMNS."""
@@ -164,30 +153,41 @@ def acceptance_probability(delta_f, temperature):
     return q if isinstance(q, np.ndarray) else float(q)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
     """Annealing runs advanced in lockstep, one per config; configs differ only in seed and mode.
 
     Run c minimizes ``signs[c] * f`` (default +1; -1 maximizes f). Its own
     ``default_rng(seed)`` draws the uniform start, redrawn up to START_REDRAWS
     times while its value is not finite, then per temperature level
-    inner_iters x d Gaussian increments and then inner_iters uniforms, so its
-    path depends only on its seed and the values it sees. Those values may
-    depend on the batch: a ResNet's row value can change in the last bits
-    with the batch's row count (BLAS kernels), so on a network a seed's
-    chain can differ between batches of different sizes.
+    inner_iters x d Gaussian increments and then inner_iters uniforms. So its
+    path depends only on its seed and the values it sees, which may depend on
+    the batch: a ResNet's row value can change in the last bits with the
+    batch's row count (BLAS kernels).
     Each step proposes for every run, folds the reflected ones, evaluates f
     once on the batch and applies the acceptance rule to all rows at once.
-    After each level, the level's proposals are formed again from the stored
-    states with the same add, to mark those that left the box.
-    Raises EvalBudgetExceeded, before any work, when the batch could take
-    more than EVAL_BUDGET chain steps. Overflow and NaN raise no numpy warning
-    here: f returns every non-finite value as NaN (see ``Objective``), so a
-    non-finite start is redrawn and a non-finite proposal rejected.
+    Each level is reduced as it ends, into the runs' ``levels`` rows, best
+    states, ``iters_to_best`` and ``max_excursion``; no per-step record is
+    kept, so memory holds one level's steps whatever the number of levels.
+    Raises ValueError (f and the domain differ in dimension) or
+    EvalBudgetExceeded (over EVAL_BUDGET chain steps) before any evaluation.
+    Overflow and NaN raise no numpy warning here: f returns every non-finite
+    value as NaN (see ``Objective``), so a non-finite start is redrawn and a
+    non-finite proposal rejected.
     """
+    signs = np.ones(len(cfgs)) if signs is None else np.asarray(signs, dtype=float)
+    return _results(_lockstep(f, domain, cfgs, signs), domain, cfgs, signs)
+
+
+def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
+    """The kernel of ``run_many``. Yields the runs' start points, values and start draws,
+    then per level ``(t, proposals, states, values, accepted)``: the unfolded proposals and
+    the states after each step, (m, n, d), with the states' values and accepted flags, (m, n),
+    for m = inner_iters. The next level overwrites these buffers."""
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed, mode=cfg.mode) != cfg for c in cfgs):
         raise ValueError("runs in one batch may differ only in seed and mode")
+    if f.dim != domain.dim:
+        raise ValueError(f"the objective has dimension {f.dim}, the domain {domain.dim}")
     max_levels = cfg._max_levels()
     if max_levels * cfg.inner_iters * len(cfgs) > EVAL_BUDGET:
         raise EvalBudgetExceeded(
@@ -195,19 +195,12 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
             f"{cfg.inner_iters} steps exceed the budget of {EVAL_BUDGET} chain steps; "
             "lower delta or inner_iters, or raise t_min"
         )
-    levels, m, d, n = cfg.temperature_levels(), cfg.inner_iters, domain.dim, len(cfgs)
+    m, d, n = cfg.inner_iters, domain.dim, len(cfgs)
     sd = np.sqrt(cfg.resolve_variance(domain))
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    signs = np.ones(n) if signs is None else np.asarray(signs, dtype=float)
     fold = np.array([[c.mode == "reflected"] for c in cfgs])
     fold_all, fold_any = bool(fold.all()), bool(fold.any())
 
-    # step-major storage; row 0 holds the start, row i every run's state after step i
-    points = np.empty((1 + len(levels) * m, n, d))
-    values = np.empty(points.shape[:2])
-    accepted = np.zeros(points.shape[:2], dtype=bool)
-    left_box = np.zeros(points.shape[:2], dtype=bool)
-    lower, upper = domain.lower, domain.upper
     x = np.array([domain.sample_uniform(rng) for rng in rngs])
     fx = signs * f.evaluate_many(x)
     start_evals = np.ones(n, dtype=int)
@@ -218,14 +211,15 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
         x[bad] = [domain.sample_uniform(rngs[c]) for c in bad]
         fx[bad] = signs[bad] * f.evaluate_many(x[bad])
         start_evals[bad] += 1
-    points[0], values[0] = x, fx
-    i = 0
-    for t in levels:
-        i0 = i
+    yield x, fx, start_evals
+
+    proposals, states = np.empty((m, n, d)), np.empty((m, n, d))
+    values, accepted = np.empty((m, n)), np.empty((m, n), dtype=bool)
+    for t in cfg.temperature_levels():
         noise = np.stack([rng.normal(0.0, sd, size=(m, d)) for rng in rngs], axis=1)
         uniforms = np.stack([rng.uniform(size=m) for rng in rngs], axis=1)
         for k in range(m):
-            y = x + noise[k]
+            y = np.add(x, noise[k], out=proposals[k])
             if fold_any:
                 y = domain.reflect(y) if fold_all else np.where(fold, domain.reflect(y), y)
             fy = signs * f.evaluate_many(y)
@@ -235,31 +229,37 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
                 y, fy = np.where(acc[:, None], y, x), np.where(acc, fy, fx)
             if taken:
                 x, fx = y, fy
-            i += 1
-            points[i], values[i], accepted[i] = x, fx, acc
-        proposals = points[i0:i] + noise  # the level's steps, unfolded
-        left_box[i0 + 1:i + 1] = ((proposals < lower) | (proposals > upper)).any(axis=2)
-
-    # the best state is where the running minimum is first reached (NaN stays NaN)
-    best_values = np.minimum.accumulate(values)
-    first = np.argmin(values, axis=0)
-    temperatures, iterations = np.repeat(levels, m), np.arange(1, i + 1)
-    return [
-        AnnealResult(
-            best=points[j, c].copy(),
-            best_value=float(values[j, c]),
-            trace=Trace(iterations, temperatures, points[1:, c], values[1:, c], accepted[1:, c],
-                        best_values[1:, c], left_box[1:, c]),
-            eval_count=int(start_evals[c]) + i,
-            config=cfg,
-            sign=float(signs[c]),
-        )
-        for c, (j, cfg) in enumerate(zip(first, cfgs))
-    ]
+            states[k], values[k], accepted[k] = x, fx, acc
+        x = x.copy()  # unfolded, x may be a view of the proposals that the next level overwrites
+        yield t, proposals, states, values, accepted
 
 
-def max_excursion(trace: Trace, domain: BoxDomain) -> float:
-    """Largest componentwise overshoot of any trace point outside the box."""
-    over = np.maximum(trace.points - domain.upper, 0.0)
-    under = np.maximum(domain.lower - trace.points, 0.0)
-    return float(np.max(np.maximum(over, under)))
+@np.errstate(over="ignore", invalid="ignore")
+def _results(levels, domain: BoxDomain, cfgs, signs: np.ndarray) -> list[AnnealResult]:
+    """The runs of ``_lockstep``'s records. Each level is reduced to a row per run before
+    the next one starts; the runs' best states and scalars come from those rows."""
+    x0, fx0, start_evals = next(levels)
+    chains, rows = np.arange(len(cfgs)), []
+    for t, proposals, states, values, accepted in levels:
+        m, k = len(values), np.argmin(values, axis=0)  # per run, the level's first lowest step
+        by_run = values.T.copy()  # one contiguous row of m values per run, summed pairwise
+        mean = by_run.sum(axis=1) / m
+        big = np.isinf(mean)  # a sum past the largest float: add values / m instead
+        mean[big] = (by_run[big] / m).sum(axis=1)
+        outside = ((proposals < domain.lower) | (proposals > domain.upper)).any(axis=2)
+        rows.append((t, accepted.sum(axis=0) / m, outside.sum(axis=0), mean, k, values[k, chains],
+                     states[k, chains], states.min(axis=0), states.max(axis=0)))
+    t, acceptance, left_box, mean, k, low, low_x, lo, hi = (np.array(col) for col in zip(*rows))
+    level = np.argmin(low, axis=0)  # NaN runs: every value is NaN, and step 1 holds it
+    best = np.minimum.accumulate(np.concatenate([fx0[None], low]))[1:]  # the start included
+    from_steps = low[level, chains] < fx0  # strictly: on a tie the start held the value first
+    best_x = np.where(from_steps[:, None], low_x[level, chains], x0)
+    over = np.maximum(hi.max(axis=0) - domain.upper, domain.lower - lo.min(axis=0)).max(axis=1)
+    return [AnnealResult(
+        best=best_x[c], best_value=float(best[-1, c]), eval_count=int(start_evals[c]) + len(t) * m,
+        config=cfg, iters_to_best=int(level[c] * m + k[level[c], c] + 1),
+        max_excursion=max(float(over[c]), 0.0),
+        levels=LevelSummary(np.full(len(t), cfg.mode), np.full(len(t), cfg.seed),
+                            np.arange(len(t)), t, acceptance[:, c], left_box[:, c],
+                            signs[c] * mean[:, c], signs[c] * best[:, c]),
+        sign=float(signs[c])) for c, cfg in enumerate(cfgs)]

@@ -29,6 +29,8 @@ class BoxDomain:
                 raise ValueError(f"dimension {j}: bounds must be finite, got [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"dimension {j}: need lower < upper, got [{lo}, {hi}]")
+            if not np.isfinite(2.0 * (hi - lo)):  # the reflection's period
+                raise ValueError(f"dimension {j}: [{lo}, {hi}] is too wide, its width overflows")
         object.__setattr__(self, "bounds", bounds)
         lower, upper = (np.array(side) for side in zip(*bounds))
         for name, a in (("lower", lower), ("upper", upper), ("widths", upper - lower)):

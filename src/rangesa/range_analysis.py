@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .anneal import MODES, AnnealConfig, AnnealResult, max_excursion, run_many
+from .anneal import MODES, AnnealConfig, AnnealResult, _integer, run_many
 from .domain import BoxDomain
 from .objectives import Objective
 
@@ -100,10 +100,9 @@ def estimate_range(
     the interval exactly. Each endpoint comes from the chain with the lowest
     finite best value (the first seed on ties); ValueError when no chain saw a
     finite value. Both argpoints are re-validated by a fresh evaluation of f.
-    The result keeps the runs, with their per-step traces, in ``runs``.
+    The result keeps the runs, with their per-level rows, in ``runs``.
     """
-    if n_seeds < 1:
-        raise ValueError("need at least one seed")
+    n_seeds = _integer("n_seeds", n_seeds, 1)
     seeds = [cfg.seed + k for k in range(n_seeds)]
     cfgs = [replace(cfg, seed=s) for s in seeds]
     runs = run_many(f, domain, cfgs * 2, [1] * n_seeds + [-1] * n_seeds)
@@ -132,16 +131,14 @@ def compare_modes(
 
     Returns one summary row per run, seed by seed and reflected first:
     seed, mode, best value, the iteration that first held it and the
-    largest overshoot outside the box (``max_excursion``, 0 for reflected
-    runs); and the runs themselves.
+    largest overshoot of a state outside the box (0 for reflected runs);
+    and the runs themselves.
     """
-    if n_seeds < 1:
-        raise ValueError("need at least one seed")
+    n_seeds = _integer("n_seeds", n_seeds, 1)
     cfgs = [replace(cfg, seed=cfg.seed + k, mode=mode) for k in range(n_seeds) for mode in MODES]
     runs = run_many(f, domain, cfgs)
     rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
-             "iters_to_best": int(r.trace.iterations[np.argmin(r.trace.values)]),
-             "max_excursion": max_excursion(r.trace, domain)} for r in runs]
+             "iters_to_best": r.iters_to_best, "max_excursion": r.max_excursion} for r in runs]
     return rows, runs
 
 

@@ -25,11 +25,10 @@ from rangesa import (
     sample_dataset,
     train,
 )
-from rangesa.anneal import max_excursion
 from rangesa.cli import main
 from rangesa.presets import preset
 from rangesa.resnet import build_resnet
-from support import fixed_temperature_chain, gibbs_density, gradient
+from support import fixed_temperature_chain, gibbs_density, gradient, traced
 
 
 def report(criterion, ok, detail):
@@ -249,18 +248,18 @@ def test_c10_classical_vs_reflected():
     cfg = AnnealConfig(proposal_variance=4.0)
     oracle_min = grid_oracle(f, dom, 801).min_value
 
-    def iters_to(res, threshold):
-        hit = np.where(res.trace.best_values <= threshold)[0]
+    def iters_to(trace, threshold):
+        hit = np.where(trace.best_values <= threshold)[0]
         return hit[0] if len(hit) else np.inf
 
     wins = 0
     excursions_ok = True
-    runs = run_many(f, dom, [replace(cfg, seed=s, mode=m) for s in range(20)
-                             for m in ("reflected", "classical")])
-    for refl, clas in zip(runs[::2], runs[1::2]):
-        excursions_ok &= max_excursion(clas.trace, dom) > 0
-        excursions_ok &= max_excursion(refl.trace, dom) == 0
-        wins += iters_to(refl, oracle_min + 0.1) <= iters_to(clas, oracle_min + 0.1)
+    runs = traced(f, dom, [replace(cfg, seed=s, mode=m) for s in range(20)
+                           for m in ("reflected", "classical")])
+    for (refl, refl_trace), (clas, clas_trace) in zip(runs[::2], runs[1::2]):
+        excursions_ok &= clas.max_excursion > 0
+        excursions_ok &= refl.max_excursion == 0
+        wins += iters_to(refl_trace, oracle_min + 0.1) <= iters_to(clas_trace, oracle_min + 0.1)
     ok = excursions_ok and wins >= 14
     report("C10", ok, f"reflected no faster in {20 - wins}/20 seeds; excursions ok={excursions_ok}")
 

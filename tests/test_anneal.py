@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,10 +11,11 @@ from rangesa import (
     acceptance_probability,
     builtin,
     compare_modes,
+    estimate_range,
 )
-from rangesa.anneal import MODES, EvalBudgetExceeded, Trace, max_excursion, run_many
+from rangesa.anneal import LEVEL_COLUMNS, MODES, EvalBudgetExceeded, run_many
 from rangesa.objectives import _write_csv
-from support import fixed_temperature_chain, gibbs_density, run
+from support import Trace, fixed_temperature_chain, gibbs_density, run, traced
 
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
 PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")
@@ -105,10 +107,51 @@ class TestConfig:
             t = (cfg.t_max if cfg.cooling == "theorem" else t) * cfg.delta ** len(levels)
         assert cfg.temperature_levels() == levels
 
+    def test_numpy_integers_pass_as_ints(self):
+        cfg = AnnealConfig(inner_iters=np.int64(7), seed=np.uint8(3))
+        assert (cfg.inner_iters, cfg.seed) == (7, 3)
+        assert type(cfg.inner_iters) is int and type(cfg.seed) is int
+        res = estimate_range(SPHERE, BoxDomain.cube(-1, 1, 2), replace(cfg, t_min=5.0),
+                             n_seeds=np.int32(2))
+        assert res.seeds_used == [3, 4]
+
     def test_default_variance_from_domain(self):
         cfg = AnnealConfig()
         dom = BoxDomain(((-4, 4), (0, 2)))
         assert cfg.resolve_variance(dom) == pytest.approx((0.1 * 2) ** 2)
+
+
+_CALLS = {  # the entry points that check their own integer and number fields
+    "AnnealConfig": AnnealConfig,
+    "estimate_range": lambda **kw: estimate_range(SPHERE, BoxDomain.cube(-1, 1, 2),
+                                                  AnnealConfig(t_min=5.0), **kw),
+    "compare_modes": lambda **kw: compare_modes(SPHERE, BoxDomain.cube(-1, 1, 2),
+                                                AnnealConfig(t_min=5.0), **kw),
+}
+
+
+@pytest.mark.parametrize(
+    "call, field, value",
+    [
+        ("AnnealConfig", "inner_iters", 1.5),
+        ("AnnealConfig", "inner_iters", True),
+        ("AnnealConfig", "inner_iters", "100"),
+        ("AnnealConfig", "seed", -1),
+        ("AnnealConfig", "seed", 2.0),
+        ("AnnealConfig", "seed", True),
+        ("AnnealConfig", "t_max", True),
+        ("AnnealConfig", "t_min", True),
+        ("AnnealConfig", "delta", np.True_),
+        ("estimate_range", "n_seeds", 2.5),
+        ("estimate_range", "n_seeds", True),
+        ("estimate_range", "n_seeds", 0),
+        ("compare_modes", "n_seeds", 2.0),
+        ("compare_modes", "n_seeds", np.False_),
+    ],
+)
+def test_bad_field_value_raises_value_error_naming_it(call, field, value):
+    with pytest.raises(ValueError, match=field):
+        _CALLS[call](**{field: value})
 
 
 def _increments(variance, n_steps, seeds=(0,)):
@@ -116,9 +159,9 @@ def _increments(variance, n_steps, seeds=(0,)):
     move is accepted, so consecutive trace points differ by exactly one increment."""
     cfg = AnnealConfig(t_max=1e300, t_min=5e299, delta=0.5, inner_iters=n_steps,
                        proposal_variance=variance, mode="classical")
-    runs = run_many(SPHERE, BoxDomain.cube(-1, 1, 2), [replace(cfg, seed=s) for s in seeds])
-    assert all(r.trace.accepted.all() for r in runs)
-    return np.concatenate([np.diff(r.trace.points, axis=0) for r in runs])
+    runs = traced(SPHERE, BoxDomain.cube(-1, 1, 2), [replace(cfg, seed=s) for s in seeds])
+    assert all(trace.accepted.all() for _, trace in runs)
+    return np.concatenate([np.diff(trace.points, axis=0) for _, trace in runs])
 
 
 class TestPropose:
@@ -204,44 +247,44 @@ def _cold_config(temperature, variance, seed):
 
 
 class TestStep:
-    """Per-step properties of the chain, read off run traces."""
+    """Per-step properties of the chain, read off its per-step record."""
 
     dom = BoxDomain(((-1, 1), (-1, 1)))
 
     def _steps(self, cfg):
-        # value held before each step, value proposed, accepted flag
+        # the record, value held before each step, value proposed, accepted flag
         f, seen = _recorded_sphere()
-        res = run(f, self.dom, cfg)
-        held = np.concatenate([[seen[0]], res.trace.values[:-1]])
-        return res, held, np.array(seen[1:]), res.trace.accepted
+        _, trace = run(f, self.dom, cfg)
+        held = np.concatenate([[seen[0]], trace.values[:-1]])
+        return trace, held, np.array(seen[1:]), trace.accepted
 
     def test_downhill_always_accepted(self):
         # at near-zero temperature only the q = 1 branch can move the chain,
         # so every move must be strictly downhill, and moves do happen
-        res, held, proposed, accepted = self._steps(_cold_config(1e-300, 0.01, seed=3))
+        trace, held, proposed, accepted = self._steps(_cold_config(1e-300, 0.01, seed=3))
         assert np.all(accepted[proposed < held])
-        assert np.all(res.trace.values[accepted] < held[accepted])
+        assert np.all(trace.values[accepted] < held[accepted])
         assert accepted.sum() >= 5
 
     def test_cold_chain_rejects_uphill(self):
-        res, held, proposed, accepted = self._steps(_cold_config(1e-12, 0.04, seed=4))
+        trace, held, proposed, accepted = self._steps(_cold_config(1e-12, 0.04, seed=4))
         uphill = proposed > held
         assert not np.any(accepted[uphill])
-        assert np.all(res.trace.values[~accepted] == held[~accepted])
+        assert np.all(trace.values[~accepted] == held[~accepted])
         assert uphill.sum() >= 150  # the chain settles and then mostly proposes uphill
 
     def test_reflected_stays_inside(self):
-        res = run(SPHERE, self.dom, AnnealConfig(seed=5, proposal_variance=1.0, t_min=1.0))
-        assert np.all(self.dom.contains(res.trace.points))
+        _, trace = run(SPHERE, self.dom, AnnealConfig(seed=5, proposal_variance=1.0, t_min=1.0))
+        assert np.all(self.dom.contains(trace.points))
         pts = fixed_temperature_chain(SPHERE, self.dom, 1.0, 1.0, 500, seed=5)
         assert np.all(self.dom.contains(pts))
 
     def test_best_value_never_increases(self):
         f, seen = _recorded_sphere()
-        res = run(f, self.dom, AnnealConfig(seed=6))
-        best = res.trace.best_values
+        res, trace = run(f, self.dom, AnnealConfig(seed=6))
+        best = trace.best_values
         assert np.all(np.diff(best) <= 0)
-        assert np.array_equal(best, np.minimum.accumulate(np.minimum(res.trace.values, seen[0])))
+        assert np.array_equal(best, np.minimum.accumulate(np.minimum(trace.values, seen[0])))
         assert res.best_value == best[-1] == SPHERE(res.best)
 
 
@@ -250,16 +293,28 @@ class TestRun:
 
     def test_constant_objective(self):
         const = Objective(lambda x: np.full(np.asarray(x).shape[:-1], 4.2), 2, name="c")
-        res = run(const, self.dom, AnnealConfig(seed=0))
+        res, trace = run(const, self.dom, AnnealConfig(seed=0))
         assert res.best_value == 4.2
-        assert np.all(res.trace.accepted)  # dF = 0 means q = 1
+        assert np.all(trace.accepted)  # dF = 0 means q = 1
+        # every state ties: the start held the value first, and step 1 among the steps
+        assert np.array_equal(res.best, self.dom.sample_uniform(np.random.default_rng(0)))
+        assert res.iters_to_best == 1
+
+    def test_start_can_stay_best(self):
+        # the objective's minimum is the start point, so no step reaches the start's value
+        start = self.dom.sample_uniform(np.random.default_rng(7))
+        f = Objective(lambda X: np.sum((X - start) ** 2, axis=-1), 2)
+        res, trace = run(f, self.dom, AnnealConfig(seed=7, t_min=1.0))
+        assert res.best_value == 0.0 and np.array_equal(res.best, start)
+        assert trace.values.min() > 0 and np.all(res.levels.best_value == 0.0)
+        assert res.iters_to_best == 1 + np.argmin(trace.values)
 
     def test_eval_count_accounting(self):
         cfg = AnnealConfig(seed=1)
-        res = run(SPHERE, self.dom, cfg)
+        res, trace = run(SPHERE, self.dom, cfg)
         levels = len(cfg.temperature_levels())
         assert res.eval_count == 1 + cfg.inner_iters * levels
-        assert len(res.trace) == cfg.inner_iters * levels
+        assert len(trace) == cfg.inner_iters * levels
 
     def test_sphere_minimization(self):
         runs = run_many(SPHERE, self.dom, [AnnealConfig(seed=s) for s in range(20)])
@@ -267,8 +322,7 @@ class TestRun:
         assert wins >= 19
 
     def test_trace_invariants(self):
-        res = run(SPHERE, self.dom, AnnealConfig(seed=2))
-        t = res.trace
+        res, t = run(SPHERE, self.dom, AnnealConfig(seed=2))
         assert np.all(np.diff(t.iterations) == 1)
         assert np.all(np.diff(t.best_values) <= 0)
         assert np.all(np.diff(np.unique(t.temperatures)[::-1]) < 0)
@@ -276,11 +330,10 @@ class TestRun:
         assert res.best_value == t.best_values[-1]
 
     def test_bit_identical_reruns(self):
-        a = run(SPHERE, self.dom, AnnealConfig(seed=3))
-        b = run(SPHERE, self.dom, AnnealConfig(seed=3))
-        assert np.array_equal(a.trace.points, b.trace.points)
-        assert np.array_equal(a.trace.values, b.trace.values)
-        assert np.array_equal(a.trace.accepted, b.trace.accepted)
+        (a, ta), (b, tb) = (run(SPHERE, self.dom, AnnealConfig(seed=3)) for _ in range(2))
+        assert np.array_equal(ta.points, tb.points)
+        assert np.array_equal(ta.values, tb.values)
+        assert np.array_equal(ta.accepted, tb.accepted)
         assert a.best_value == b.best_value
 
     def test_reflected_never_evaluates_outside(self):
@@ -299,12 +352,19 @@ class TestRun:
     def test_classical_mode_escapes_domain(self):
         f = builtin("ackley")
         dom = BoxDomain.cube(-4, 4, 2)
-        res = run(f, dom, AnnealConfig(seed=5, mode="classical", proposal_variance=4.0))
-        assert not np.all(dom.contains(res.trace.points))
+        _, trace = run(f, dom, AnnealConfig(seed=5, mode="classical", proposal_variance=4.0))
+        assert not np.all(dom.contains(trace.points))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run(PARABOLA_1D, self.dom, AnnealConfig())
+        # named, and refused before any evaluation
+        calls = []
+        ackley = builtin("ackley")
+        f = Objective(lambda X: calls.append(X) or ackley.evaluate_many(X), 2)
+        with pytest.raises(ValueError, match="objective has dimension 2, the domain 3"):
+            run_many(f, BoxDomain.cube(-4, 4, 3), [AnnealConfig()])
+        assert calls == []
 
 
 def _trace_header(trace):
@@ -350,12 +410,20 @@ def test_trace_csv_matches_rowwise_formatting(tmp_path):
     assert (tmp_path / "e.csv").read_text() == _rowwise_csv(empty)
 
 
-def _assert_same_run(a, b):
+def _assert_same_run(traced_a, traced_b):
+    (a, ta), (b, tb) = traced_a, traced_b
     for name in ("iterations", "temperatures", "points", "values", "accepted", "best_values",
                  "left_box"):
-        assert np.array_equal(getattr(a.trace, name), getattr(b.trace, name)), name
+        assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+    _assert_same_result(a, b)
+
+
+def _assert_same_result(a, b):
     assert np.array_equal(a.best, b.best)
     assert a.best_value == b.best_value and a.eval_count == b.eval_count
+    assert (a.iters_to_best, a.max_excursion) == (b.iters_to_best, b.max_excursion)
+    for name in LEVEL_COLUMNS:
+        assert np.array_equal(getattr(a.levels, name), getattr(b.levels, name)), name
 
 
 class TestBatch:
@@ -367,21 +435,38 @@ class TestBatch:
     def test_mixed_modes_equal_single_runs(self):
         f = builtin("ackley")
         cfgs = [replace(self.cfg, seed=s, mode=m) for s in (4, 5, 6) for m in MODES]
-        runs = run_many(f, self.dom, cfgs)
-        assert [r.config for r in runs] == cfgs
-        for r in runs:
-            _assert_same_run(r, run(f, self.dom, r.config))
-        assert max_excursion(runs[1].trace, self.dom) > 0  # classical rows do leave the box
+        runs = traced(f, self.dom, cfgs)
+        assert [r.config for r, _ in runs] == cfgs
+        for r, trace in runs:
+            _assert_same_run((r, trace), run(f, self.dom, r.config))
+            # the per-run scalars are those of the per-step record
+            assert r.iters_to_best == trace.iterations[np.argmin(trace.values)]
+            over = np.maximum(trace.points - self.dom.upper, self.dom.lower - trace.points)
+            assert r.max_excursion == max(over.max(), 0.0)
+        assert runs[1][0].max_excursion > 0  # classical rows do leave the box
+
+    def test_lone_classical_chain_equals_its_row_in_a_mixed_batch(self):
+        # alone, a classical chain's state can be a view of the proposal buffer across a level
+        # boundary: cold levels of 10 steps often end before the next accepted move
+        cfg = AnnealConfig(t_max=1.0, t_min=1e-3, delta=0.7, inner_iters=10, mode="classical")
+        for seed in range(5):
+            alone = replace(cfg, seed=seed)
+            mixed = [alone, replace(alone, mode="reflected")]
+            _assert_same_run(traced(SPHERE, self.dom, [alone])[0],
+                             traced(SPHERE, self.dom, mixed)[0])
 
     def test_compare_chains_equal_single_runs(self):
         f = builtin("ackley")
         _, runs = compare_modes(f, self.dom, replace(self.cfg, seed=4), n_seeds=2)
         assert [(r.config.seed, r.config.mode) for r in runs] == \
             [(seed, mode) for seed in (4, 5) for mode in MODES]
-        for r in runs:
-            single = run(f, self.dom, r.config).trace
+        # the records of compare_modes' batch, which is one lockstep batch of these configs
+        for r, (same, trace) in zip(runs, traced(f, self.dom, [r.config for r in runs])):
+            _assert_same_result(r, same)
+            single_result, single = run(f, self.dom, r.config)
+            _assert_same_result(r, single_result)
             for field in fields(Trace):
-                a, b = getattr(r.trace, field.name), getattr(single, field.name)
+                a, b = getattr(trace, field.name), getattr(single, field.name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 
     def test_schedules_must_match(self):
@@ -398,6 +483,20 @@ class TestBatch:
                 run_many(f, self.dom, cfgs)
         assert calls == []
 
+    def test_memory_holds_one_level_of_steps(self):
+        # 20 chains x 14 levels x 2,000 steps: arrays of every step took about 25 MB,
+        # one level's buffers and draws take about 5 MB
+        cfg = replace(self.cfg, t_max=2.0, t_min=1.0, inner_iters=2000)
+        assert len(cfg.temperature_levels()) == 14
+        tracemalloc.start()
+        try:
+            runs = run_many(builtin("ackley"), self.dom, [replace(cfg, seed=s) for s in range(20)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert all(r.eval_count == 1 + 14 * 2000 for r in runs)
+
     def test_nan_start_redrawn_from_own_generator(self):
         calls = []
 
@@ -406,14 +505,14 @@ class TestBatch:
             return np.where(X[:, 0] < 0, np.nan, np.sum(X**2, axis=1))
 
         cfgs = [replace(self.cfg, seed=s) for s in range(8)]
-        runs = run_many(Objective(nan_left, 2), self.dom, cfgs)
+        runs = traced(Objective(nan_left, 2), self.dom, cfgs)
         draws = []  # each chain's starts, replayed from its seed: drawn until one is finite
-        for cfg, r in zip(cfgs, runs):
+        for cfg, (r, trace) in zip(cfgs, runs):
             rng = np.random.default_rng(cfg.seed)
             draws.append([self.dom.sample_uniform(rng)])
             while draws[-1][-1][0] < 0:
                 draws[-1].append(self.dom.sample_uniform(rng))
-            assert r.eval_count == len(draws[-1]) + len(r.trace)
+            assert r.eval_count == len(draws[-1]) + len(trace)
             assert np.isfinite(r.best_value)
         assert max(map(len, draws)) > 1 and min(map(len, draws)) == 1
         # call k evaluates draw k of every chain whose earlier draws were all NaN

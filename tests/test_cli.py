@@ -12,14 +12,13 @@ from rangesa import (
     Objective,
     builtin,
     compare_modes,
-    estimate_range,
     sample_dataset,
 )
-from rangesa.anneal import COOLINGS, LEVEL_COLUMNS, MODES, Trace
+from rangesa.anneal import COOLINGS, LEVEL_COLUMNS, MODES
 from rangesa.cli import build_parser, main, parse_domain
 from rangesa.presets import PRESETS
 from rangesa.resnet import build_resnet
-from support import run
+from support import Trace, run, traced
 
 
 def read(path):
@@ -151,17 +150,16 @@ class TestEstimateRange:
         args = ["estimate-range", "--fn", "ackley", "--n-seeds", "1",
                 "--seed", "2", "--t-min", "0.2"]
         cfg = AnnealConfig(seed=2, t_min=0.2)
-        results = []
+        records = []
         for sub in ("a", "b"):
             main(args + ["--out", str(tmp_path / sub)])
-            results.append(estimate_range(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg,
-                                          n_seeds=1))
+            # the records of estimate_range's batch: the seed on f, then on -f
+            records.append(traced(builtin("ackley"), BoxDomain.cube(-4, 4, 2), [cfg] * 2, [1, -1]))
         for name in ("range_result.json", "levels.csv"):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
-        for kind in ("min", "max"):
-            (a,), (b,) = (res.runs[kind] for res in results)
+        for (_, a), (_, b) in zip(*records):
             for field in fields(Trace):
-                x, y = getattr(a.trace, field.name), getattr(b.trace, field.name)
+                x, y = getattr(a, field.name), getattr(b, field.name)
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
 
 
@@ -208,7 +206,8 @@ class TestCompare:
                                 AnnealConfig(seed=9, t_min=1.0), n_seeds=1)
         assert [(r.config.mode, r.config.seed) for r in runs] == [("reflected", 9),
                                                                   ("classical", 9)]
-        assert all(len(r.trace) > 0 for r in runs)
+        records = traced(builtin("ackley"), BoxDomain.cube(-4, 4, 2), [r.config for r in runs])
+        assert all(len(trace) > 0 for _, trace in records)
 
 
 def read_levels(path):
@@ -227,7 +226,7 @@ def read_levels(path):
 
 
 class TestLevels:
-    """levels.csv: one row per chain per temperature level, reduced from the chains' traces."""
+    """levels.csv: one row per chain per temperature level, reduced from the chains' steps."""
 
     dom = BoxDomain.cube(-4, 4, 2)
     cfg = AnnealConfig(seed=3, t_min=0.5)
@@ -247,7 +246,7 @@ class TestLevels:
         for (kind, seed), got in chains.items():
             sign = 1.0 if kind == "min" else -1.0
             g = f if kind == "min" else Objective(lambda X: -f.evaluate_many(X), 2)
-            trace = run(g, self.dom, replace(self.cfg, seed=seed)).trace
+            _, trace = run(g, self.dom, replace(self.cfg, seed=seed))
             assert np.array_equal(got["level"], np.arange(n_levels))
             assert np.array_equal(got["temperature"], self.cfg.temperature_levels())
             assert np.array_equal(got["acceptance_rate"],
@@ -293,14 +292,14 @@ class TestLevels:
         n_levels = len(self.cfg.temperature_levels())
         assert all(len(c["level"]) == n_levels for c in chains.values()) and len(chains) == 4
         for (mode, seed), got in chains.items():
-            r = run(builtin("ackley"), self.dom, replace(self.cfg, seed=seed, mode=mode,
-                                                         proposal_variance=4.0))
-            assert np.array_equal(got["left_box"], self.per_level(r.trace.left_box).sum(axis=1))
+            _, trace = run(builtin("ackley"), self.dom, replace(self.cfg, seed=seed, mode=mode,
+                                                                proposal_variance=4.0))
+            assert np.array_equal(got["left_box"], self.per_level(trace.left_box).sum(axis=1))
             assert got["left_box"].sum() > 0
             if mode == "classical":  # an accepted move to a point outside was such a proposal
-                outside = ~self.dom.contains(r.trace.points)
-                assert np.all(r.trace.left_box[r.trace.accepted & outside])
-                assert (r.trace.accepted & outside).any()
+                outside = ~self.dom.contains(trace.points)
+                assert np.all(trace.left_box[trace.accepted & outside])
+                assert (trace.accepted & outside).any()
 
 
 @pytest.mark.parametrize("command", ["oracle", "train"])
@@ -351,6 +350,18 @@ def test_domain_dimension_mismatch_exits_2(tmp_path, capsys, argv):
     rc = main(argv + ["--fn", "ackley", "--domain=-1,1", "--out", str(tmp_path)])
     assert rc == 2
     assert "domain dimension 1 != objective dimension 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["estimate-range", "--n-seeds", "1"], ["oracle", "--points-per-dim", "3"]]
+)
+def test_overflowing_box_exits_2(tmp_path, capsys, argv):
+    rc = main(argv + ["--fn", "ackley", "--domain=-1e308,1e308,-1e308,1e308",
+                      "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "too wide" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 BAD_CONFIGS = {  # config-file text -> a part of its one-line error

@@ -35,6 +35,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             BoxDomain(((0, np.inf),))
 
+    @pytest.mark.parametrize("bounds", [((-1e308, 1e308),), ((0, 1), (0.0, 1.7e308))])
+    def test_overflowing_width_rejected(self, bounds):
+        # finite bounds whose width, or the reflection's period of twice the width, overflows
+        with pytest.raises(ValueError, match="too wide"):
+            BoxDomain(bounds)
+
     @pytest.mark.parametrize("name", ["lower", "upper", "widths"])
     def test_bound_arrays_are_read_only(self, name):
         d = BoxDomain(((0, 1), (-2, 3)))

@@ -15,7 +15,7 @@ from rangesa.range_analysis import (
     ORACLE_CHUNK, GridBudgetExceeded, RangeResult, _oracle_workers,
 )
 from rangesa.resnet import build_resnet
-from support import run
+from support import run, traced
 
 
 def _negated(f):
@@ -98,15 +98,21 @@ class TestEstimateRange:
         dom = BoxDomain.cube(-4, 4, 2)
         cfg = AnnealConfig(seed=7, t_min=0.05)
         res = estimate_range(f, dom, cfg, n_seeds=3)
-        for kind, g in (("min", f), ("max", _negated(f))):
+        cfgs = [r.config for r in res.runs["min"]]
+        batch = traced(f, dom, cfgs * 2, [1] * 3 + [-1] * 3)  # estimate_range's batch
+        for kind, g, records in (("min", f, batch[:3]), ("max", _negated(f), batch[3:])):
             assert [r.config.seed for r in res.runs[kind]] == [7, 8, 9]
-            for r in res.runs[kind]:
-                single = run(g, dom, r.config)
+            for r, (same, trace) in zip(res.runs[kind], records):
+                single, single_trace = run(g, dom, r.config)
                 for name in ("iterations", "temperatures", "points", "values", "accepted",
                              "best_values"):
-                    assert np.array_equal(getattr(r.trace, name), getattr(single.trace, name))
-                assert np.array_equal(r.best, single.best) and r.best_value == single.best_value
-                assert r.eval_count == single.eval_count
+                    assert np.array_equal(getattr(trace, name), getattr(single_trace, name))
+                for other in (same, single):
+                    assert np.array_equal(r.best, other.best) and r.best_value == other.best_value
+                    assert r.eval_count == other.eval_count
+                    assert r.iters_to_best == other.iters_to_best
+                for name in LEVEL_COLUMNS:
+                    assert np.array_equal(getattr(r.levels, name), getattr(same.levels, name))
         assert res.eval_count == 6 * res.runs["min"][0].eval_count + 2
 
     def test_interval_type_and_seed_bookkeeping(self):
@@ -156,10 +162,10 @@ NAN_BUT_STRIP = Objective(
 def test_nan_start_is_redrawn(seed):
     # these seeds draw their start in the NaN half: the chain redraws it, then moves
     cfg = AnnealConfig(seed=seed, delta=0.7)
-    r = run(NAN_LEFT, BoxDomain.cube(-1, 1, 2), cfg)
+    r, trace = run(NAN_LEFT, BoxDomain.cube(-1, 1, 2), cfg)
     assert np.isfinite(r.best_value) and r.best[0] >= 0
-    assert r.trace.accepted.any()
-    assert r.eval_count > 1 + len(r.trace)  # the redraws are counted
+    assert trace.accepted.any()
+    assert r.eval_count > 1 + len(trace)  # the redraws are counted
 
 
 @pytest.mark.parametrize("seed", [2, 3])
@@ -169,13 +175,16 @@ def test_estimate_range_skips_nan_chains(seed):
     dom = BoxDomain.cube(-1, 1, 2)
     cfg = AnnealConfig(seed=seed, delta=0.7)
     res = estimate_range(NAN_BUT_STRIP, dom, cfg, n_seeds=4)
-    for runs in res.runs.values():
+    cfgs = [r.config for r in res.runs["min"]]
+    batch = traced(NAN_BUT_STRIP, dom, cfgs * 2, [1] * 4 + [-1] * 4)  # estimate_range's batch
+    for runs, records in ((res.runs["min"], batch[:4]), (res.runs["max"], batch[4:])):
         nan = [np.isnan(r.best_value) for r in runs]
         assert any(nan) and not all(nan)
-        for r, stuck in zip(runs, nan):
+        for r, (same, trace), stuck in zip(runs, records, nan):
+            assert r.eval_count == same.eval_count
             if stuck:
-                assert r.eval_count == 1 + START_REDRAWS + len(r.trace)
-                assert not r.trace.accepted.any()
+                assert r.eval_count == 1 + START_REDRAWS + len(trace)
+                assert not trace.accepted.any()
     finite_mins = [r.best_value for r in res.runs["min"] if np.isfinite(r.best_value)]
     finite_maxs = [-r.best_value for r in res.runs["max"] if np.isfinite(r.best_value)]
     assert res.f_min == min(finite_mins) and res.f_max == max(finite_maxs)
