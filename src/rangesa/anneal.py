@@ -9,14 +9,13 @@ with one objective call per step for the whole batch.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Objective, _write_csv
+from .objectives import Objective, _integer, _write_csv
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
@@ -28,15 +27,6 @@ START_REDRAWS = 100  # extra start draws for a chain whose start value is not fi
 
 class EvalBudgetExceeded(ValueError):
     """Raised when a batch of annealing runs would take more steps than EVAL_BUDGET."""
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``, else ValueError naming ``name``.
-
-    Python and numpy integers pass; bools, floats and strings do not."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,12 @@ class AnnealConfig:
     def resolve_variance(self, domain: BoxDomain) -> float:
         if self.proposal_variance is not None:
             return self.proposal_variance
-        return (0.1 * float(np.min(domain.widths))) ** 2
+        side = float(np.min(domain.widths))
+        try:
+            return (0.1 * side) ** 2
+        except OverflowError:
+            raise ValueError(f"the default proposal_variance (0.1 * {side:g})^2 overflows on "
+                             "this box; give a finite proposal_variance") from None
 
     def _max_levels(self) -> int:
         """An upper bound on len(temperature_levels()), found without visiting the levels."""
@@ -153,6 +148,17 @@ def acceptance_probability(delta_f, temperature):
     return q if isinstance(q, np.ndarray) else float(q)
 
 
+def _check_budget(cfg: AnnealConfig, n_chains: int) -> None:
+    """EvalBudgetExceeded when n_chains runs of cfg could take more than EVAL_BUDGET chain steps."""
+    max_levels = cfg._max_levels()
+    if max_levels * cfg.inner_iters * n_chains > EVAL_BUDGET:
+        raise EvalBudgetExceeded(
+            f"{n_chains} chains of up to {max_levels} temperature levels x "
+            f"{cfg.inner_iters} steps exceed the budget of {EVAL_BUDGET} chain steps; "
+            "lower n_seeds, delta or inner_iters, or raise t_min"
+        )
+
+
 def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
     """Annealing runs advanced in lockstep, one per config; configs differ only in seed and mode.
 
@@ -168,8 +174,9 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     Each level is reduced as it ends, into the runs' ``levels`` rows, best
     states, ``iters_to_best`` and ``max_excursion``; no per-step record is
     kept, so memory holds one level's steps whatever the number of levels.
-    Raises ValueError (f and the domain differ in dimension) or
-    EvalBudgetExceeded (over EVAL_BUDGET chain steps) before any evaluation.
+    Raises ValueError (f and the domain differ in dimension, or the default
+    proposal variance overflows on the box) or EvalBudgetExceeded (over
+    EVAL_BUDGET chain steps) before any evaluation.
     Overflow and NaN raise no numpy warning here: f returns every non-finite
     value as NaN (see ``Objective``), so a non-finite start is redrawn and a
     non-finite proposal rejected.
@@ -188,13 +195,7 @@ def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
         raise ValueError("runs in one batch may differ only in seed and mode")
     if f.dim != domain.dim:
         raise ValueError(f"the objective has dimension {f.dim}, the domain {domain.dim}")
-    max_levels = cfg._max_levels()
-    if max_levels * cfg.inner_iters * len(cfgs) > EVAL_BUDGET:
-        raise EvalBudgetExceeded(
-            f"{len(cfgs)} chains of up to {max_levels} temperature levels x "
-            f"{cfg.inner_iters} steps exceed the budget of {EVAL_BUDGET} chain steps; "
-            "lower delta or inner_iters, or raise t_min"
-        )
+    _check_budget(cfg, len(cfgs))
     m, d, n = cfg.inner_iters, domain.dim, len(cfgs)
     sd = np.sqrt(cfg.resolve_variance(domain))
     rngs = [np.random.default_rng(c.seed) for c in cfgs]

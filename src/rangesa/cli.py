@@ -2,25 +2,27 @@
 
 Every command is deterministic given its configuration: all seeds are
 explicit and the config is echoed into every output artifact. Wall time goes
-to the log, never into output files.
+to the log, never into output files. The commands parse flags and config
+files and pass the values on: the library checks them, and ``main`` maps
+its ValueError to exit code 2. A command creates ``--out`` only once its
+work is done, so a refused input leaves nothing behind.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
-import math
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
-from .anneal import COOLINGS, MODES, AnnealConfig, EvalBudgetExceeded, LevelSummary
+from .anneal import COOLINGS, MODES, AnnealConfig, LevelSummary
 from .domain import BoxDomain
 from .objectives import Dataset, Objective, _write_csv, sample_dataset
-from .presets import PRESETS, Preset, builtin, preset
-from .range_analysis import GridBudgetExceeded, compare_modes, estimate_range, grid_oracle
-from .resnet import ResNet, WeightFormatError
+from .presets import PRESETS, builtin, preset
+from .range_analysis import compare_modes, estimate_range, grid_oracle
+from .resnet import ResNet
 from .trainer import TrainConfig, evaluate_fit, save_loss_history, train
 
 log = logging.getLogger("rangesa")
@@ -32,13 +34,9 @@ EXIT_USAGE = 2
 PATH_OPTIONS = ("data", "weights")  # echoed by file name only
 
 
-class UsageError(ValueError):
-    """Bad configuration or arguments; maps to exit code 2."""
-
-
 def _check(ok, message: str) -> None:
     if not ok:
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def parse_domain(spec) -> BoxDomain:
@@ -47,14 +45,14 @@ def parse_domain(spec) -> BoxDomain:
         try:
             vals = [float(v) for v in spec.split(",")]
         except ValueError:
-            raise UsageError(f"cannot parse domain {spec!r}") from None
+            raise ValueError(f"cannot parse domain {spec!r}") from None
         _check(vals and len(vals) % 2 == 0,
                "domain needs an even number of values: l1,u1,...,ld,ud")
         spec = [vals[i:i + 2] for i in range(0, len(vals), 2)]
     try:
         return BoxDomain(tuple(map(tuple, spec)))
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad domain {spec!r}: {exc}") from exc
+        raise ValueError(f"bad domain {spec!r}: {exc}") from exc
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
@@ -66,7 +64,7 @@ def _merged_options(args: argparse.Namespace) -> dict:
         try:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed config file {path}: {exc}") from exc
+            raise ValueError(f"malformed config file {path}: {exc}") from exc
         _check(isinstance(doc, dict), f"config file {path} must hold a JSON object")
         unknown = [key for key in doc if key not in args.flags]
         _check(not unknown,
@@ -108,28 +106,13 @@ def _opt(opts: dict, key: str, default):
     return default if value is None else value
 
 
-def _positive(opts: dict, key: str, default, kind=int):
-    """A count or scale option that must be above 0 and finite."""
-    value = kind(_opt(opts, key, default))
-    _check(0 < value < math.inf, f"{_flag(key)} must be positive and finite, got {value}")
-    return value
-
-
-def _builtin(fn: str) -> tuple[Objective, Preset]:
-    try:
-        return builtin(fn), preset(fn)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
     """Objective from --fn or --weights, and the domain to search it on."""
     fn = opts.get("fn")
     weights = opts.get("weights")
     _check((fn is None) != (weights is None), "exactly one of --fn or --weights is required")
     if fn is not None:
-        objective, p = _builtin(fn)
-        default_domain = p.train_domain
+        objective, default_domain = builtin(fn), preset(fn).train_domain
     else:
         objective = ResNet.load(weights).as_objective()
         default_domain = None
@@ -147,17 +130,9 @@ def _resolve_domain(opts: dict, default: BoxDomain | None, dim: int) -> BoxDomai
     return domain
 
 
-def _config(cls, opts: dict, keys, **fixed):
-    """``cls(**fixed)`` with every given option among ``keys``; bad values are usage errors."""
-    kwargs = {k: opts[k] for k in keys if opts.get(k) is not None}
-    try:
-        return cls(**fixed, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _anneal_config(opts: dict) -> AnnealConfig:
-    return _config(AnnealConfig, opts, [f.name for f in fields(AnnealConfig)])
+def _config(cls, opts: dict):
+    """``cls`` with every given option that names one of its fields."""
+    return cls(**{f.name: opts[f.name] for f in fields(cls) if opts.get(f.name) is not None})
 
 
 def _out_dir(opts: dict) -> Path:
@@ -188,16 +163,11 @@ def _write_fit_report(out: Path, report, opts: dict) -> None:
 def cmd_generate_data(args) -> int:
     opts = _merged_options(args)
     fn = _require(opts, "fn")
-    objective, p = _builtin(fn)
+    objective, p = builtin(fn), preset(fn)
     domain = _resolve_domain(opts, p.train_domain, objective.dim)
-    m = _positive(opts, "m", p.default_m)
-    noise_sd = float(_opt(opts, "noise_sd", 0.1))
-    _check(0 <= noise_sd < float("inf"), f"--noise-sd must be finite and >= 0, got {noise_sd}")
-    seed = int(_opt(opts, "seed", 0))
-    out = _out_dir(opts)
-
-    data = sample_dataset(objective, domain, m=m, noise_sd=noise_sd, seed=seed)
-    csv_path = out / f"{fn}_data.csv"
+    data = sample_dataset(objective, domain, m=_opt(opts, "m", p.default_m),
+                          noise_sd=_opt(opts, "noise_sd", 0.1), seed=_opt(opts, "seed", 0))
+    csv_path = _out_dir(opts) / f"{fn}_data.csv"
     data.save(csv_path)
     log.info("wrote %d rows to %s", len(data), csv_path)
     return EXIT_OK
@@ -206,31 +176,18 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     opts = _merged_options(args)
     p = preset(_require(opts, "preset"))
-    try:
-        data = Dataset.load(_require(opts, "data"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _check(data.dim == p.objective.dim,
-           f"dataset dimension {data.dim} does not match preset {p.name} ({p.objective.dim})")
-    seed = int(_opt(opts, "seed", 0))
-    width_scale = _positive(opts, "width_scale", 1.0, float)
-    cfg = _config(TrainConfig, opts, ("learning_rate", "epochs", "batch_size"), seed=seed)
-    _check(cfg.batch_size is None or cfg.batch_size <= len(data),
-           f"--batch-size {cfg.batch_size} exceeds the dataset's {len(data)} rows")
-    out = _out_dir(opts)
-
-    net = p.architecture(seed=seed, width_scale=width_scale)
+    data = Dataset.load(_require(opts, "data"))
+    cfg = _config(TrainConfig, opts)
+    net = p.architecture(seed=cfg.seed, width_scale=_opt(opts, "width_scale", 1.0))
     t0 = time.perf_counter()
-    try:
-        net, history = train(net, data, cfg)
-    except ValueError as exc:  # data beyond float32's range
-        raise UsageError(str(exc)) from exc
+    net, history = train(net, data, cfg)
     log.info("trained %d epochs in %.1f s (final loss %.6g)",
              cfg.epochs, time.perf_counter() - t0, history[-1])
 
+    out = _out_dir(opts)
     net.save(out / "weights.json")
     save_loss_history(history, out / "loss_history.csv")
-    report = evaluate_fit(net, p.objective, p.eval_domain, n=p.eval_n, seed=seed)
+    report = evaluate_fit(net, p.objective, p.eval_domain, n=p.eval_n, seed=cfg.seed)
     _write_fit_report(out, report, opts)
     return EXIT_OK
 
@@ -238,32 +195,27 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     opts = _merged_options(args)
     net = ResNet.load(_require(opts, "weights"))
-    objective, p = _builtin(_require(opts, "fn"))
-    _check(net.input_dim == objective.dim,
-           f"network input dimension {net.input_dim} != objective dimension {objective.dim}")
+    fn = _require(opts, "fn")
+    objective, p = builtin(fn), preset(fn)
     domain = _resolve_domain(opts, p.eval_domain, objective.dim)
-    n = _positive(opts, "n", p.eval_n)
-    seed = int(_opt(opts, "seed", 0))
-    out = _out_dir(opts)
-
-    _write_fit_report(out, evaluate_fit(net, objective, domain, n=n, seed=seed), opts)
+    report = evaluate_fit(net, objective, domain, n=_opt(opts, "n", p.eval_n),
+                          seed=_opt(opts, "seed", 0))
+    _write_fit_report(_out_dir(opts), report, opts)
     return EXIT_OK
 
 
 def cmd_estimate_range(args) -> int:
     opts = _merged_options(args)
     objective, domain = _load_objective(opts)
-    cfg = _anneal_config(opts)
-    n_seeds = _positive(opts, "n_seeds", 10)
-    out = _out_dir(opts)
-
+    cfg = _config(AnnealConfig, opts)
     t0 = time.perf_counter()
-    result = estimate_range(objective, domain, cfg, n_seeds=n_seeds)
+    result = estimate_range(objective, domain, cfg, n_seeds=_opt(opts, "n_seeds", 10))
     log.info("range [%.6g, %.6g] in %.1f s (%d evaluations)",
              result.f_min, result.f_max, time.perf_counter() - t0, result.eval_count)
 
+    out = _out_dir(opts)
     doc = result.to_json_dict(cfg)
-    doc["config"]["n_seeds"] = n_seeds
+    doc["config"]["n_seeds"] = len(result.seeds_used)
     _write_json(out / "range_result.json", doc)
     labelled = [(kind, r) for kind, runs in result.runs.items() for r in runs]
     LevelSummary.of(labelled).to_csv(out / "levels.csv")
@@ -273,28 +225,22 @@ def cmd_estimate_range(args) -> int:
 def cmd_oracle(args) -> int:
     opts = _merged_options(args)
     objective, domain = _load_objective(opts)
-    points_per_dim = int(_require(opts, "points_per_dim"))
-    _check(points_per_dim >= 2, f"--points-per-dim must be at least 2, got {points_per_dim}")
-    out = _out_dir(opts)
-
     t0 = time.perf_counter()
-    result = grid_oracle(objective, domain, points_per_dim)
+    result = grid_oracle(objective, domain, _require(opts, "points_per_dim"))
     log.info("oracle min %.6g / max %.6g over %d points in %.1f s",
              result.min_value, result.max_value, result.n_points, time.perf_counter() - t0)
     doc = result.to_json_dict()
     doc["config"] = _echo_config(opts)
-    _write_json(out / "oracle.json", doc)
+    _write_json(_out_dir(opts) / "oracle.json", doc)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     opts = _merged_options(args)
     objective, domain = _load_objective(opts)
-    cfg = _anneal_config(opts)
-    n_seeds = _positive(opts, "n_seeds", 10)
+    rows, runs = compare_modes(objective, domain, _config(AnnealConfig, opts),
+                               _opt(opts, "n_seeds", 10))
     out = _out_dir(opts)
-
-    rows, runs = compare_modes(objective, domain, cfg, n_seeds)
     LevelSummary.of((r.config.mode, r) for r in runs).to_csv(out / "levels.csv")
     _write_csv(out / "compare_summary.csv", rows[0], [[row[k] for row in rows] for k in rows[0]])
     _write_json(out / "compare_summary.json", {"rows": rows, "config": _echo_config(opts)})
@@ -391,8 +337,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, WeightFormatError, GridBudgetExceeded, EvalBudgetExceeded,
-            FileNotFoundError) as exc:
+    # a bad input: the library's ValueError names it (WeightFormatError,
+    # GridBudgetExceeded and EvalBudgetExceeded among them)
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure

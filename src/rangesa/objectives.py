@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,16 @@ class Objective:
 
     def __repr__(self):
         return f"Objective(name={self.name!r}, dim={self.dim})"
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``, else ValueError naming ``name``.
+
+    Python and numpy integers pass; bools, floats and strings do not. Every count
+    and seed that a library entry point takes goes through here."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return operator.index(value)
 
 
 def _points(p, d: int) -> np.ndarray:
@@ -158,11 +169,14 @@ def sample_dataset(
     noise_sd: float = 0.1,
     seed: int = 0,
 ) -> Dataset:
-    """Draw m uniform points from the domain and record noisy function values."""
-    if m < 1:
-        raise ValueError("need at least one sample")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    """Draw m uniform points from the domain and record noisy function values.
+
+    ValueError, before any evaluation, unless m >= 1 and seed >= 0 are integers
+    and noise_sd is finite and >= 0."""
+    m, seed = _integer("m", m, 1), _integer("seed", seed, 0)
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
+    noise_sd = float(noise_sd)
     rng = np.random.default_rng(seed)
     X = domain.sample_uniform(rng, m)
     y = f.evaluate_many(X)

@@ -7,9 +7,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .anneal import MODES, AnnealConfig, AnnealResult, _integer, run_many
+from .anneal import MODES, AnnealConfig, AnnealResult, _check_budget, run_many
 from .domain import BoxDomain
-from .objectives import Objective
+from .objectives import Objective, _integer
 
 GRID_BUDGET = 10**8
 # Grid rows evaluated per objective call. A 1,024-row chunk keeps a ResNet's
@@ -103,6 +103,7 @@ def estimate_range(
     The result keeps the runs, with their per-level rows, in ``runs``.
     """
     n_seeds = _integer("n_seeds", n_seeds, 1)
+    _check_budget(cfg, 2 * n_seeds)  # before any config is built
     seeds = [cfg.seed + k for k in range(n_seeds)]
     cfgs = [replace(cfg, seed=s) for s in seeds]
     runs = run_many(f, domain, cfgs * 2, [1] * n_seeds + [-1] * n_seeds)
@@ -135,6 +136,7 @@ def compare_modes(
     and the runs themselves.
     """
     n_seeds = _integer("n_seeds", n_seeds, 1)
+    _check_budget(cfg, 2 * n_seeds)  # before any config is built
     cfgs = [replace(cfg, seed=cfg.seed + k, mode=mode) for k in range(n_seeds) for mode in MODES]
     runs = run_many(f, domain, cfgs)
     rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
@@ -178,8 +180,7 @@ def grid_oracle(
     Deterministic; ties resolve to the first grid point in row-major order.
     Only finite values count; ValueError when the grid has none.
     """
-    if points_per_dim < 2:
-        raise ValueError("points_per_dim must be at least 2")
+    points_per_dim = _integer("points_per_dim", points_per_dim, 2)
     d = domain.dim
     n_total = points_per_dim**d
     if n_total > GRID_BUDGET:

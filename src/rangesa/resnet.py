@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, _integer
 
 WEIGHT_FORMAT_VERSION = 1
 _SAVE_SLICE = 4096  # floats turned into Python objects at a time by ResNet.save
@@ -321,7 +321,7 @@ def build_resnet(
     """
     if len(widths) < 2 or widths[-1] != 1:
         raise ValueError("widths must be [input_dim, hidden..., 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     layers = []
     n_layers = len(widths) - 1
     for i in range(n_layers):

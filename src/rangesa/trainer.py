@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Dataset, Objective, _write_csv
+from .objectives import Dataset, Objective, _integer, _write_csv
 from .resnet import ResNet, Workspace
 
 # Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
@@ -28,15 +28,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        self.epochs = _integer("epochs", self.epochs, 1)
+        if self.batch_size is not None:
+            self.batch_size = _integer("batch_size", self.batch_size, 1)
+        self.seed = _integer("seed", self.seed, 0)
 
     def resolve_batch_size(self, n_rows: int) -> int:
         if self.batch_size is not None:
             if self.batch_size > n_rows:
-                raise ValueError("batch_size exceeds dataset size")
+                raise ValueError(f"batch_size {self.batch_size} exceeds the dataset's {n_rows} rows")
             return self.batch_size
         return n_rows if n_rows <= 4096 else 256
 
@@ -135,6 +135,7 @@ def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray,
     return loss, grads
 
 
+@np.errstate(over="ignore", invalid="ignore")  # entered once per call, not per step
 def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[float]]:
     """Train a copy of the network by Adam on MSE; returns (net, loss history).
 
@@ -146,12 +147,15 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     Deterministic for fixed config and dataset: row order is shuffled by the
     seeded generator and all reductions run in fixed order. Raises
     ValueError, before any step, when a weight, a bias, an input or a target
-    is not a finite float32; TrainingDiverged on a non-finite loss, or the
-    forward pass's FloatingPointError when the network output itself is not
-    finite.
+    is not a finite float32, or when the batch size exceeds the rows;
+    TrainingDiverged on a non-finite loss, or the forward pass's
+    FloatingPointError when the network output itself is not finite. Since
+    those errors say where values stopped being finite, numpy's overflow and
+    invalid-value warnings are silenced.
     """
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
+    batch = cfg.resolve_batch_size(len(data))
     limit = float(np.finfo(np.float32).max)
     weights = [a for lyr in net.layers for a in (lyr.weights, lyr.bias)]
     if not all(np.all(np.abs(a) <= limit) for a in weights):
@@ -167,7 +171,6 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     _bind(net, params)
     inputs, targets = data.inputs.astype(np.float32), data.targets.astype(np.float32)
     n = len(data)
-    batch = cfg.resolve_batch_size(n)
     rng = np.random.default_rng(cfg.seed)
     ws = _TrainWorkspace(net, batch)
     g, s = ws.grad, ws.scratch
@@ -216,11 +219,16 @@ def evaluate_fit(
     n: int = 1000,
     seed: int = 0,
 ) -> FitReport:
-    """MAE/MSE between the network and the target on fresh uniform points."""
-    if f.dim != net.input_dim or eval_domain.dim != net.input_dim:
-        raise ValueError("objective, domain and network dimensions must agree")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    """MAE/MSE between the network and the target on fresh uniform points.
+
+    ValueError, before any evaluation, when the dimensions differ or unless
+    n >= 1 and seed >= 0 are integers."""
+    if f.dim != net.input_dim:
+        raise ValueError(f"network input dimension {net.input_dim} != objective dimension {f.dim}")
+    if eval_domain.dim != net.input_dim:
+        raise ValueError(f"network input dimension {net.input_dim} != domain dimension "
+                         f"{eval_domain.dim}")
+    n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = eval_domain.sample_uniform(rng, n)
     err = net.forward(X) - f.evaluate_many(X)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -394,7 +395,7 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("batch", "--batch-size 500 exceeds the dataset's 100 rows"),
+    ("batch", "batch_size 500 exceeds the dataset's 100 rows"),
     ("cell", "malformed dataset"),
     ("sidecar_not_json", "malformed dataset sidecar"),
     ("sidecar_without_source", "KeyError('source')"),
@@ -478,7 +479,10 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
     rc = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"error: {flag} must be positive" in err and err.count("\n") == 1
+    name = flag[2:].replace("-", "_")  # the library names the argument, not the flag
+    message = (f"{name} must be positive and finite, got 0.0" if name == "width_scale"
+               else f"{name} must be an integer of at least 1, got 0")
+    assert f"error: {message}" in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
@@ -487,7 +491,7 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
     [
         ("--learning-rate", "nan", "learning_rate must be positive and finite, got nan"),
         ("--learning-rate", "inf", "learning_rate must be positive and finite, got inf"),
-        ("--width-scale", "inf", "--width-scale must be positive and finite, got inf"),
+        ("--width-scale", "inf", "width_scale must be positive and finite, got inf"),
     ],
 )
 def test_non_finite_training_flag_exits_2(tmp_path, capsys, flag, value, message):
@@ -513,16 +517,56 @@ def test_annealing_over_budget_exits_2(tmp_path, capsys, command, cooling):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate-data", "--fn", "ackley", "--seed", "-1"], "seed must be an integer"),
+        (["train", "--preset", "ackley", "--data", "DATA", "--seed", "-1"],
+         "seed must be an integer"),
+        (["evaluate", "--weights", "WEIGHTS", "--fn", "ackley", "--seed", "-1"],
+         "seed must be an integer"),
+        (["estimate-range", "--fn", "ackley", "--domain=-1e160,1e160,-1e160,1e160"],
+         "the default proposal_variance"),
+        (["compare", "--fn", "ackley", "--domain=-1e160,1e160,-1e160,1e160"],
+         "the default proposal_variance"),
+        (["estimate-range", "--fn", "ackley", "--n-seeds", "100000000"], "lower n_seeds"),
+        (["compare", "--fn", "ackley", "--n-seeds", "100000000"], "lower n_seeds"),
+    ],
+)
+def test_library_refusal_exits_2(tmp_path, capsys, tiny_weights, argv, message):
+    data = tmp_path / "ackley_data.csv"
+    sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 20, 0.0, 1).save(data)
+    argv = [{"WEIGHTS": str(tiny_weights), "DATA": str(data)}.get(a, a) for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverging_training_prints_one_line(tmp_path, capsys):
+    data = tmp_path / "ackley_data.csv"
+    sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 20, 0.1, 1).save(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--preset", "ackley", "--data", str(data), "--epochs", "50",
+                   "--width-scale", "0.05", "--learning-rate", "1e30",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite value at layer 2\n"
+    assert [str(w.message) for w in caught] == []  # numpy's overflow warnings are silenced
+
+
 def test_one_point_per_dim_exits_2(tmp_path, capsys):
     rc = main(["oracle", "--fn", "ackley", "--points-per-dim", "1", "--out", str(tmp_path)])
     assert rc == 2
-    assert "--points-per-dim must be at least 2" in capsys.readouterr().err
+    assert "points_per_dim must be an integer of at least 2, got 1" in capsys.readouterr().err
 
 
 def test_negative_noise_exits_2(tmp_path, capsys):
     rc = main(["generate-data", "--fn", "ackley", "--noise-sd", "-1", "--out", str(tmp_path)])
     assert rc == 2
-    assert "--noise-sd must be finite and >= 0" in capsys.readouterr().err
+    assert "noise_sd must be finite and >= 0, got -1.0" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

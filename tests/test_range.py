@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rangesa import AnnealConfig, BoxDomain, Objective, builtin, estimate_range, grid_oracle
-from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS
+from rangesa import (
+    AnnealConfig, BoxDomain, Objective, builtin, compare_modes, estimate_range, grid_oracle,
+)
+from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS, EvalBudgetExceeded
 from rangesa.cli import main
 from rangesa.presets import preset
 from rangesa.range_analysis import (
@@ -134,6 +136,17 @@ class TestEstimateRange:
         res = estimate_range(f, dom, AnnealConfig(seed=3), n_seeds=3)
         # both are inner approximations of the true min (-1); SA stays above it
         assert res.f_min >= -1.0 - 1e-12
+
+
+@pytest.mark.parametrize("call", [estimate_range, compare_modes])
+def test_over_budget_n_seeds_builds_no_config(monkeypatch, call):
+    # a config takes about 5 us and 0.13 KB, so 600,000 of them would take seconds
+    cfg, built = AnnealConfig(), []
+    post_init = AnnealConfig.__post_init__
+    monkeypatch.setattr(AnnealConfig, "__post_init__", lambda c: built.append(c) or post_init(c))
+    with pytest.raises(EvalBudgetExceeded, match="n_seeds"):
+        call(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg, n_seeds=300_000)
+    assert built == []
 
 
 def test_range_result_orders_endpoints():

@@ -64,7 +64,8 @@ def test_nonfinite_error_names_layer():
     big = Layer(np.full((2, 2), 1e308), np.zeros(2), False, False)
     out = Layer(np.ones((1, 2)), np.zeros(1), False, False)
     net = ResNet([big, out])
-    with pytest.raises(FloatingPointError, match="layer 1"):
+    # forward raises on the non-finite value; numpy's own overflow warning comes first
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 1"):
         net.forward(np.array([1e308, 1e308]))
 
 
@@ -74,9 +75,9 @@ def test_nonfinite_batch_names_middle_layer():
     out = Layer(np.ones((1, 2)), np.zeros(1), False, False)
     net = ResNet([ident, big, out])
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(FloatingPointError, match="layer 2"):
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
         net.forward(X)
-    with pytest.raises(FloatingPointError, match="layer 2"):
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
         net.forward(X, cache=[])
 
 
