@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Objective, _integer, _write_csv
+from .objectives import Objective, _check_dims, _integer, _write_csv
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
@@ -193,8 +193,7 @@ def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed, mode=cfg.mode) != cfg for c in cfgs):
         raise ValueError("runs in one batch may differ only in seed and mode")
-    if f.dim != domain.dim:
-        raise ValueError(f"the objective has dimension {f.dim}, the domain {domain.dim}")
+    _check_dims(f, domain)
     _check_budget(cfg, len(cfgs))
     m, d, n = cfg.inner_iters, domain.dim, len(cfgs)
     sd = np.sqrt(cfg.resolve_variance(domain))

@@ -116,18 +116,16 @@ def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
     else:
         objective = ResNet.load(weights).as_objective()
         default_domain = None
-    return objective, _resolve_domain(opts, default_domain, objective.dim)
+    return objective, _resolve_domain(opts, default_domain)
 
 
-def _resolve_domain(opts: dict, default: BoxDomain | None, dim: int) -> BoxDomain:
-    """--domain, which must have ``dim`` dimensions, or else the default."""
+def _resolve_domain(opts: dict, default: BoxDomain | None) -> BoxDomain:
+    """--domain, or else the default; the library checks its dimension."""
     if opts.get("domain") is None:
         _check(default is not None,
                "--domain is required when the objective comes from a weights file")
         return default
-    domain = parse_domain(opts["domain"])
-    _check(domain.dim == dim, f"domain dimension {domain.dim} != objective dimension {dim}")
-    return domain
+    return parse_domain(opts["domain"])
 
 
 def _config(cls, opts: dict):
@@ -164,7 +162,7 @@ def cmd_generate_data(args) -> int:
     opts = _merged_options(args)
     fn = _require(opts, "fn")
     objective, p = builtin(fn), preset(fn)
-    domain = _resolve_domain(opts, p.train_domain, objective.dim)
+    domain = _resolve_domain(opts, p.train_domain)
     data = sample_dataset(objective, domain, m=_opt(opts, "m", p.default_m),
                           noise_sd=_opt(opts, "noise_sd", 0.1), seed=_opt(opts, "seed", 0))
     csv_path = _out_dir(opts) / f"{fn}_data.csv"
@@ -197,7 +195,7 @@ def cmd_evaluate(args) -> int:
     net = ResNet.load(_require(opts, "weights"))
     fn = _require(opts, "fn")
     objective, p = builtin(fn), preset(fn)
-    domain = _resolve_domain(opts, p.eval_domain, objective.dim)
+    domain = _resolve_domain(opts, p.eval_domain)
     report = evaluate_fit(net, objective, domain, n=_opt(opts, "n", p.eval_n),
                           seed=_opt(opts, "seed", 0))
     _write_fit_report(_out_dir(opts), report, opts)

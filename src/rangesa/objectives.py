@@ -19,7 +19,8 @@ class Objective:
     must be deterministic; the annealer only ever queries points, never
     gradients. ``grid_oracle`` calls ``evaluate_many`` from max(1, cpus // n) threads at
     once, n from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (one thread when neither is
-    set); the builtins and ``ResNet.as_objective`` are safe to call that way.
+    set); the builtins and ``ResNet.as_objective``, whose layer buffers are per thread,
+    are safe to call that way.
     Non-finite values follow one rule: ``evaluate_many`` returns every NaN,
     +inf and -inf value as NaN, which the annealer rejects (a start is
     redrawn) and the grid oracle skips.
@@ -59,6 +60,12 @@ def _integer(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return operator.index(value)
+
+
+def _check_dims(f: Objective, domain: BoxDomain) -> None:
+    """ValueError unless the objective and the domain have the same dimension."""
+    if f.dim != domain.dim:
+        raise ValueError(f"the objective has dimension {f.dim}, the domain {domain.dim}")
 
 
 def _points(p, d: int) -> np.ndarray:
@@ -171,8 +178,9 @@ def sample_dataset(
 ) -> Dataset:
     """Draw m uniform points from the domain and record noisy function values.
 
-    ValueError, before any evaluation, unless m >= 1 and seed >= 0 are integers
-    and noise_sd is finite and >= 0."""
+    ValueError, before any evaluation, unless f and the domain have the same
+    dimension, m >= 1 and seed >= 0 are integers and noise_sd is finite and >= 0."""
+    _check_dims(f, domain)
     m, seed = _integer("m", m, 1), _integer("seed", seed, 0)
     if not 0 <= noise_sd < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .anneal import MODES, AnnealConfig, AnnealResult, _check_budget, run_many
 from .domain import BoxDomain
-from .objectives import Objective, _integer
+from .objectives import Objective, _check_dims, _integer
 
 GRID_BUDGET = 10**8
 # Grid rows evaluated per objective call. A 1,024-row chunk keeps a ResNet's
@@ -178,8 +178,10 @@ def grid_oracle(
 
     Evaluated ORACLE_CHUNK rows at a time by ``_oracle_workers()`` threads.
     Deterministic; ties resolve to the first grid point in row-major order.
-    Only finite values count; ValueError when the grid has none.
+    Only finite values count; ValueError when the grid has none, and before
+    any evaluation when f and the domain differ in dimension.
     """
+    _check_dims(f, domain)
     points_per_dim = _integer("points_per_dim", points_per_dim, 2)
     d = domain.dim
     n_total = points_per_dim**d

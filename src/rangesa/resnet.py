@@ -5,13 +5,16 @@ the annealer, the grid oracle and the fit report see float64 values. The
 annealer compares tiny value differences, and float32 noise would pollute
 its acceptance decisions. Training is float32: ``trainer.train`` fits a
 private copy whose weights are float32, since float32 matrix products run
-about twice as fast and Adam's noisy steps do not need float64; it widens
-the weights to float64 when it returns. ``forward`` and the backward pass
-compute in the dtype of the network's own arrays.
+about twice as fast and Adam's noisy steps do not need float64; it returns
+each float32 weight as the float64 nearest its shortest decimal. ``forward``
+and the backward pass compute in the dtype of the network's own arrays.
+``as_objective`` evaluates through ``forward`` into two buffers per thread,
+which the layers write by turns, so a batch allocates no layer output.
 """
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -130,14 +133,17 @@ class ResNet:
     def forward(self, X, cache: list | None = None, strict: bool = True):
         """Network output at a (d,) point (a float) or an (n, d) batch (an (n,) array).
 
-        Each layer allocates one array, the matmul result, and applies the
-        bias, activation and skip to it in place. When ``cache`` is a list,
-        each layer's input and activation derivative at its pre-activation,
-        ``(h_in, d)``, is appended to it for backpropagation; ``d`` is a bool
-        mask for ReLU and None for a layer without activation. When ``cache``
-        is a ``Workspace``, its records are replaced by those of this batch,
-        and each layer writes its output and ``d`` into the leading rows of
-        the workspace's buffers instead of allocating them. Raises
+        Each layer computes its matmul result into a new array, or into a
+        buffer of ``cache`` (below), and applies the bias, activation and skip
+        to it in place. When ``cache`` is a list, each layer's input and
+        activation derivative at its pre-activation, ``(h_in, d)``, is
+        appended to it for backpropagation; ``d`` is a bool mask for ReLU and
+        None for a layer without activation. When ``cache`` is a
+        ``Workspace``, its records are replaced by those of this batch, and
+        each layer writes its output and ``d`` into the leading rows of the
+        workspace's buffers. When ``cache`` is ``as_objective``'s
+        ``_Buffers``, nothing is recorded: the hidden layers write into its
+        two buffers by turns, and only the (n, 1) output is allocated. Raises
         FloatingPointError naming the first non-finite layer when the output
         is not finite; training runs through here, so ``train`` may raise it
         too; with ``strict=False`` the outputs are returned as computed. The
@@ -147,20 +153,22 @@ class ResNet:
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
         act, act_deriv = _ACT_FNS[self.activation]
-        buffers = cache._rows(len(X)) if isinstance(cache, Workspace) else repeat((None, None))
+        record = isinstance(cache, list)
+        buffers = (cache._rows(len(X)) if isinstance(cache, (Workspace, _Buffers))
+                   else repeat((None, None)))
         h = X
         for lyr, (z_out, d_out) in zip(self.layers, buffers):
             z = np.matmul(h, lyr.weights.T, out=z_out)
             z += lyr.bias
             if lyr.has_activation:
                 act(z, out=z)
-            if cache is not None:
+            if record:
                 cache.append((h, act_deriv(z, out=d_out) if lyr.has_activation else None))
             if lyr.has_skip:
                 z += h
             h = z
         if strict and not np.isfinite(h).all():
-            if cache is None:
+            if not record:
                 self.forward(X, cache=[])  # walks the layers again, recording them, raises
             # layer k's output is the input recorded for layer k + 1; the last one is h
             outputs = [h_in for h_in, _ in cache[len(cache) - len(self.layers) + 1 :]] + [h]
@@ -171,8 +179,10 @@ class ResNet:
 
     def as_objective(self) -> Objective:
         """The network as a black box; a row whose output overflows evaluates to NaN
-        (see ``Objective``), which the annealer rejects and the grid oracle skips."""
-        return Objective(partial(self.forward, strict=False), self.input_dim, name="resnet")
+        (see ``Objective``), which the annealer rejects and the grid oracle skips.
+        Each calling thread's hidden layers write into buffers of its own (``_Buffers``)."""
+        return Objective(partial(self.forward, cache=_Buffers(self), strict=False),
+                         self.input_dim, name="resnet")
 
     def copy(self) -> "ResNet":
         return ResNet(
@@ -279,6 +289,36 @@ class Workspace(list):
         its output and derivative buffers."""
         self.clear()
         return [(z[:n], None if d is None else d[:n]) for z, d in zip(self.outputs, self.derivs)]
+
+
+class _Buffers(threading.local):
+    """Per thread, two flat buffers that a forward pass's hidden layers write by turns.
+
+    Layer k writes into buffer k % 2 and reads its input, and its skip term,
+    from the other one. The buffers hold the widest layer for the most rows
+    seen so far, and grow only when a larger batch arrives; the views for the
+    last row count are kept, so a repeated batch size pays no slicing. The
+    output layer's (n, 1) result is allocated, so the values returned belong
+    to the caller.
+    """
+
+    def __init__(self, net: ResNet):
+        self.widths = [lyr.out_width for lyr in net.layers]
+        self.dtype = net.layers[0].weights.dtype
+        self.pair = (np.empty(0, self.dtype),) * 2
+        self.n, self.views = -1, []
+
+    def _rows(self, n: int) -> list:
+        """Per layer, the (n, width) view to write its output into (None for the output
+        layer), and None for the derivative, which is not recorded."""
+        if n != self.n:
+            size = n * max(self.widths)
+            if size > self.pair[0].size:
+                self.pair = (np.empty(size, self.dtype), np.empty(size, self.dtype))
+            self.views = [(self.pair[k % 2][: n * w].reshape(n, w), None)
+                          for k, w in enumerate(self.widths[:-1])] + [(None, None)]
+            self.n = n
+        return self.views
 
 
 def _write_json_floats(f, values: np.ndarray) -> None:

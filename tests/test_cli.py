@@ -350,7 +350,7 @@ def test_both_fn_and_weights_rejected(tmp_path, tiny_weights):
 def test_domain_dimension_mismatch_exits_2(tmp_path, capsys, argv):
     rc = main(argv + ["--fn", "ackley", "--domain=-1,1", "--out", str(tmp_path)])
     assert rc == 2
-    assert "domain dimension 1 != objective dimension 2" in capsys.readouterr().err
+    assert "the objective has dimension 2, the domain 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from rangesa.range_analysis import (
 )
 from rangesa.resnet import build_resnet
 from support import run, traced
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _negated(f):
@@ -425,3 +430,27 @@ def test_grid_oracle_memory_stays_in_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults")
+def test_grid_oracle_network_takes_no_page_faults():
+    # each worker thread writes a network's layers into two buffers of its own, allocated
+    # once; a 1,024-row chunk whose layers allocated their 1 MiB outputs afresh took about
+    # 540 faults. A fresh interpreter, so earlier tests do not shape the allocator's state
+    # (freeing a large block raises glibc's mmap threshold and hides the faults).
+    script = textwrap.dedent("""
+        import resource
+        from rangesa import BoxDomain, grid_oracle, range_analysis
+        from rangesa.presets import preset
+        range_analysis._oracle_workers = lambda: 2
+        f = preset("dropwave").architecture(seed=1, width_scale=0.25).as_objective()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        grid_oracle(f, BoxDomain.cube(-5.12, 5.12, 2), 401)
+        chunks = -(-401**2 // range_analysis.ORACLE_CHUNK)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / chunks)
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 50, proc.stdout

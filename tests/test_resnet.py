@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -227,6 +229,44 @@ def test_relu_forward_piecewise_linear():
             hits += 1
     # allow a few breakpoint hits on the fine scale
     assert hits >= 17
+
+
+def test_objective_threads_match_serial_forward():
+    # four threads call one network objective at once, each alternating its own row
+    # counts, so each grows and re-slices its own buffers while the others compute; a
+    # short switch interval makes them interleave often
+    net = preset("dropwave").architecture(seed=3, width_scale=0.25)
+    f = net.as_objective()
+    rng = np.random.default_rng(0)
+    batches = [rng.uniform(-5.12, 5.12, size=(n, 2)) for n in (1024, 6, 300, 1, 513, 64)]
+    expected = [net.forward(X).tobytes() for X in batches]
+    owns = ((0, 1), (2, 3), (4, 5), (1, 4))
+    barrier, wrong, done = threading.Barrier(len(owns), timeout=60), [], []
+
+    def work(own):
+        barrier.wait()
+        for _ in range(30):
+            for i in own:
+                if f.evaluate_many(batches[i]).tobytes() != expected[i]:
+                    wrong.append(i)
+        done.append(own)
+
+    threads = [threading.Thread(target=work, args=(own,)) for own in owns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == len(owns) and wrong == []
+    # the values returned belong to the caller: a later call does not overwrite them
+    first = f.evaluate_many(batches[2])
+    f.evaluate_many(batches[2][::-1])
+    assert first.tobytes() == expected[2]
 
 
 class TestSerialization:

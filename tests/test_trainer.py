@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from rangesa import BoxDomain, Objective, TrainConfig, builtin, evaluate_fit, sample_dataset, train
+from rangesa.presets import preset
 from rangesa.resnet import Layer, ResNet, build_resnet
 from rangesa.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
     TrainingDiverged,
+    _short_decimals,
     _TrainWorkspace,
     loss_and_gradients,
 )
@@ -37,6 +39,13 @@ def set_params(net, p):
         n = l.bias.size
         l.bias[...] = p[k : k + n]
         k += n
+
+
+def short_decimals(values):
+    """Per float32 value, the float64 that Python parses from numpy's shortest repr of it."""
+    values = np.asarray(values)
+    assert values.dtype == np.float32
+    return np.array([float(str(v)) for v in values.ravel()]).reshape(values.shape)
 
 
 def float32_copy(net):
@@ -267,7 +276,9 @@ class TestTrain:
             ref_history.append(epoch_loss / len(data))
 
         assert get_params(ref).dtype == np.float32
-        assert get_params(trained).tobytes() == get_params(ref).astype(np.float64).tobytes()
+        trained_params = get_params(trained)
+        assert trained_params.astype(np.float32).tobytes() == get_params(ref).tobytes()
+        assert trained_params.tobytes() == short_decimals(get_params(ref)).tobytes()
         assert np.array(history).tobytes() == np.array(ref_history).tobytes()
         assert not np.array_equal(get_params(trained), get_params(net))
 
@@ -300,6 +311,7 @@ class TestTrain:
         assert len(per_step) == 2 and max(per_step) < 10, per_step
 
     def test_returns_float64_weights_exact_in_float32(self):
+        # each weight is the float64 nearest the shortest decimal of its float32 value
         f = builtin("ackley")
         data = sample_dataset(f, BoxDomain(((-4, 4), (-4, 4))), m=50, noise_sd=0.0, seed=3)
         net = build_resnet([2, 8, 8, 1], seed=3)
@@ -308,10 +320,46 @@ class TestTrain:
         for l in trained.layers:
             for a in (l.weights, l.bias):
                 assert a.dtype == np.float64
-                assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
+                assert a.tobytes() == short_decimals(a.astype(np.float32)).tobytes()
         assert all(a.dtype == np.float64 for l in net.layers for a in (l.weights, l.bias))
         assert get_params(net).tobytes() == before
         assert not np.array_equal(get_params(trained), get_params(net))
+
+    def test_trained_weights_are_short_and_resave_identically(self, tmp_path):
+        data = sample_dataset(builtin("dropwave"), BoxDomain.cube(-5.12, 5.12, 2), m=256,
+                              noise_sd=0.02, seed=5)
+        net = preset("dropwave").architecture(seed=5, width_scale=0.1)
+        trained, _ = train(net, data, TrainConfig(epochs=2, batch_size=64, seed=5))
+        values = get_params(trained)
+        # narrowed to float32 and mapped back, as training it again would do
+        assert _short_decimals(values.astype(np.float32)).tobytes() == values.tobytes()
+        digits = [len(repr(abs(v)).split("e")[0].replace(".", "").strip("0"))
+                  for v in values.tolist()]
+        assert max(digits) <= 9 and np.mean(digits) < 9
+        path, again = tmp_path / "w.json", tmp_path / "again.json"
+        trained.save(path)
+        back = ResNet.load(path)
+        assert get_params(back).tobytes() == values.tobytes()
+        back.save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_short_decimals_match_shortest_repr(self):
+        # the vectorized rounding against numpy's shortest float32 repr, on random bit
+        # patterns (every exponent), zeros, NaN, the infinities, and powers of 2 and of
+        # 10 with their neighbours, where a decimal exponent or the spacing of float32
+        # values changes
+        bits = np.random.default_rng(0).integers(0, 2**32, 20_000, dtype=np.uint64)
+        random = bits.astype(np.uint32).view(np.float32)
+        powers = np.concatenate([np.ldexp(1.0, np.arange(-149, 128)),
+                                 10.0 ** np.arange(-45, 39)]).astype(np.float32)
+        edges = np.concatenate([powers, np.nextafter(powers, np.float32(0)),
+                                np.nextafter(powers, np.float32(np.inf)), [0.0, np.inf]])
+        values = np.concatenate([random[np.isfinite(random)], edges, -edges, [np.nan]],
+                                dtype=np.float32)
+        got, want = _short_decimals(values), short_decimals(values)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
 
     def test_original_net_untouched(self):
         f = builtin("ackley")
