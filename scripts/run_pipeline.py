@@ -18,15 +18,13 @@ from pathlib import Path
 from rangesa.cli import main as cli_main
 from rangesa.presets import preset
 
-# per preset: seed, noise sd, (rows, epochs) full and reduced, oracle points per dim;
-# the range and oracle steps search the preset's training domain
+# per preset: seed, noise sd, (rows, epochs) of the reduced run, oracle points per dim.
+# A full run trains 1000 epochs on the preset's default number of rows; the range
+# and oracle steps search the preset's training domain
 PRESETS = {
-    "ackley": dict(seed=7, noise_sd="0.1", full=("2000", "1000"), reduced=("2000", "300"),
-                   points_per_dim="801"),
-    "dropwave": dict(seed=11, noise_sd="0.02", full=("2000", "1000"), reduced=("6000", "600"),
-                     points_per_dim="801"),
-    "multimin": dict(seed=13, noise_sd="0.1", full=("4000", "1000"), reduced=("4000", "400"),
-                     points_per_dim="61"),
+    "ackley": dict(seed=7, noise_sd="0.1", reduced=("2000", "300"), points_per_dim="801"),
+    "dropwave": dict(seed=11, noise_sd="0.02", reduced=("6000", "600"), points_per_dim="801"),
+    "multimin": dict(seed=13, noise_sd="0.1", reduced=("4000", "400"), points_per_dim="61"),
 }
 
 
@@ -44,13 +42,13 @@ def main():
     p = PRESETS[name]
     out = Path(args.out or f"out/{name}")
     seed = str(p["seed"] if args.seed is None else args.seed)
-    m, epochs = p["reduced"] if args.reduced else p["full"]
+    m, epochs = p["reduced"] if args.reduced else (None, "1000")
     width_scale = "0.25" if args.reduced else "1.0"
     bounds = preset(name).train_domain.bounds
     domain = "--domain=" + ",".join(f"{v:g}" for b in bounds for v in b)
 
     steps = [
-        ["generate-data", "--fn", name, "--m", m, "--noise-sd", p["noise_sd"],
+        ["generate-data", "--fn", name, *(["--m", m] if m else []), "--noise-sd", p["noise_sd"],
          "--seed", seed, "--out", str(out)],
         ["train", "--preset", name, "--data", str(out / f"{name}_data.csv"),
          "--epochs", epochs, "--width-scale", width_scale, "--seed", seed,

@@ -14,8 +14,10 @@ import json
 import logging
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .anneal import COOLINGS, MODES, AnnealConfig, LevelSummary
 from .domain import BoxDomain
@@ -146,13 +148,23 @@ def _echo_config(opts: dict) -> dict:
             for k, v in sorted(opts.items()) if k != "out" and not callable(v)}
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _plain(obj):
+    """json.dumps default: an ndarray as a list, a BoxDomain as its [lower, upper] pairs,
+    any other dataclass as the fields its repr shows; TypeError for anything else."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, BoxDomain):
+        return [list(b) for b in obj.bounds]
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
+    raise TypeError(f"cannot write a {type(obj).__name__} to a report")
 
 
-def _write_fit_report(out: Path, report, opts: dict) -> None:
-    _write_json(out / "fit_report.json", {**report.to_json_dict(), "config": _echo_config(opts)})
-    log.info("fit: MAE %.4f, MSE %.4f", report.mae, report.mse)
+def _write_json(path: Path, result, **keys) -> None:
+    """Write a report: the result's fields (see ``_plain``), or a dict's items, and ``keys``,
+    as JSON with sorted keys and two-space indents."""
+    doc = {**(result if isinstance(result, dict) else _plain(result)), **keys}
+    path.write_text(json.dumps(doc, default=_plain, indent=2, sort_keys=True) + "\n")
 
 
 # --- commands ----------------------------------------------------------
@@ -186,7 +198,8 @@ def cmd_train(args) -> int:
     net.save(out / "weights.json")
     save_loss_history(history, out / "loss_history.csv")
     report = evaluate_fit(net, p.objective, p.eval_domain, n=p.eval_n, seed=cfg.seed)
-    _write_fit_report(out, report, opts)
+    _write_json(out / "fit_report.json", report, config=_echo_config(opts))
+    log.info("fit: MAE %.4f, MSE %.4f", report.mae, report.mse)
     return EXIT_OK
 
 
@@ -198,7 +211,8 @@ def cmd_evaluate(args) -> int:
     domain = _resolve_domain(opts, p.eval_domain)
     report = evaluate_fit(net, objective, domain, n=_opt(opts, "n", p.eval_n),
                           seed=_opt(opts, "seed", 0))
-    _write_fit_report(_out_dir(opts), report, opts)
+    _write_json(_out_dir(opts) / "fit_report.json", report, config=_echo_config(opts))
+    log.info("fit: MAE %.4f, MSE %.4f", report.mae, report.mse)
     return EXIT_OK
 
 
@@ -212,9 +226,11 @@ def cmd_estimate_range(args) -> int:
              result.f_min, result.f_max, time.perf_counter() - t0, result.eval_count)
 
     out = _out_dir(opts)
-    doc = result.to_json_dict(cfg)
-    doc["config"]["n_seeds"] = len(result.seeds_used)
-    _write_json(out / "range_result.json", doc)
+    # the resolved schedule and the searched objective and box
+    source = _echo_config({k: opts[k] for k in ("fn", "weights") if opts.get(k) is not None})
+    config = {**asdict(cfg), "n_seeds": len(result.seeds_used), "domain": domain, **source}
+    _write_json(out / "range_result.json", result, seed_agreement=result.seed_agreement(),
+                config=config)
     labelled = [(kind, r) for kind, runs in result.runs.items() for r in runs]
     LevelSummary.of(labelled).to_csv(out / "levels.csv")
     return EXIT_OK
@@ -227,21 +243,21 @@ def cmd_oracle(args) -> int:
     result = grid_oracle(objective, domain, _require(opts, "points_per_dim"))
     log.info("oracle min %.6g / max %.6g over %d points in %.1f s",
              result.min_value, result.max_value, result.n_points, time.perf_counter() - t0)
-    doc = result.to_json_dict()
-    doc["config"] = _echo_config(opts)
-    _write_json(_out_dir(opts) / "oracle.json", doc)
+    _write_json(_out_dir(opts) / "oracle.json", result, config=_echo_config(opts))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     opts = _merged_options(args)
     objective, domain = _load_objective(opts)
-    rows, runs = compare_modes(objective, domain, _config(AnnealConfig, opts),
-                               _opt(opts, "n_seeds", 10))
+    runs = compare_modes(objective, domain, _config(AnnealConfig, opts), _opt(opts, "n_seeds", 10))
+    # max_excursion: the largest overshoot of a state outside the box (0 for reflected runs)
+    rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
+             "iters_to_best": r.iters_to_best, "max_excursion": r.max_excursion} for r in runs]
     out = _out_dir(opts)
     LevelSummary.of((r.config.mode, r) for r in runs).to_csv(out / "levels.csv")
     _write_csv(out / "compare_summary.csv", rows[0], [[row[k] for row in rows] for k in rows[0]])
-    _write_json(out / "compare_summary.json", {"rows": rows, "config": _echo_config(opts)})
+    _write_json(out / "compare_summary.json", {"rows": rows}, config=_echo_config(opts))
     return EXIT_OK
 
 

@@ -17,10 +17,9 @@ class Objective:
     Wraps a vectorized callable taking an (n, d) batch and returning (n,)
     values; a single point is evaluated as a batch of one row. Evaluation
     must be deterministic; the annealer only ever queries points, never
-    gradients. ``grid_oracle`` calls ``evaluate_many`` from max(1, cpus // n) threads at
-    once, n from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS (one thread when neither is
-    set); the builtins and ``ResNet.as_objective``, whose layer buffers are per thread,
-    are safe to call that way.
+    gradients. ``grid_oracle`` may call ``evaluate_many`` from several threads at once
+    (see there); the builtins and ``ResNet.as_objective``, whose layer buffers are per
+    thread, are safe to call that way.
     Non-finite values follow one rule: ``evaluate_many`` returns every NaN,
     +inf and -inf value as NaN, which the annealer rejects (a start is
     redrawn) and the grid oracle skips.

@@ -3,7 +3,7 @@ the brute-force grid oracle."""
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class RangeResult:
         if self.f_min > self.f_max:
             raise ValueError("f_min must not exceed f_max")
 
-    def _seed_agreement(self) -> dict:
+    def seed_agreement(self) -> dict:
         """Per kind: the seeds' best values, their spread and the spread's share of the range.
 
         Non-finite best values are written as None and left out of the spread;
@@ -69,22 +69,6 @@ class RangeResult:
                 "spread": spread,
                 "spread_share_of_range": spread / width if width > 0 else None,
             }
-        return doc
-
-    def to_json_dict(self, config: AnnealConfig | None = None) -> dict:
-        doc = {
-            "f_min": self.f_min,
-            "f_max": self.f_max,
-            "x_min": list(map(float, self.x_min)),
-            "x_max": list(map(float, self.x_max)),
-            "interval_type": self.interval_type,
-            "eval_count": self.eval_count,
-            "seeds_used": self.seeds_used,
-        }
-        if self.runs:
-            doc["seed_agreement"] = self._seed_agreement()
-        if config is not None:
-            doc["config"] = asdict(config)
         return doc
 
 
@@ -127,21 +111,15 @@ def compare_modes(
     domain: BoxDomain,
     cfg: AnnealConfig,
     n_seeds: int = 10,
-) -> tuple[list[dict], list[AnnealResult]]:
+) -> list[AnnealResult]:
     """Reflected and classical runs of cfg on the seeds cfg.seed, cfg.seed + 1, ..., in one batch.
 
-    Returns one summary row per run, seed by seed and reflected first:
-    seed, mode, best value, the iteration that first held it and the
-    largest overshoot of a state outside the box (0 for reflected runs);
-    and the runs themselves.
+    Returns the runs seed by seed, the reflected run first.
     """
     n_seeds = _integer("n_seeds", n_seeds, 1)
     _check_budget(cfg, 2 * n_seeds)  # before any config is built
     cfgs = [replace(cfg, seed=cfg.seed + k, mode=mode) for k in range(n_seeds) for mode in MODES]
-    runs = run_many(f, domain, cfgs)
-    rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
-             "iters_to_best": r.iters_to_best, "max_excursion": r.max_excursion} for r in runs]
-    return rows, runs
+    return run_many(f, domain, cfgs)
 
 
 @dataclass
@@ -151,15 +129,6 @@ class OracleResult:
     max_value: float
     max_point: np.ndarray
     n_points: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_value": self.min_value,
-            "min_point": list(map(float, self.min_point)),
-            "max_value": self.max_value,
-            "max_point": list(map(float, self.max_point)),
-            "n_points": self.n_points,
-        }
 
 
 def _oracle_workers() -> int:

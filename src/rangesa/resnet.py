@@ -138,12 +138,11 @@ class ResNet:
         to it in place. When ``cache`` is a list, each layer's input and
         activation derivative at its pre-activation, ``(h_in, d)``, is
         appended to it for backpropagation; ``d`` is a bool mask for ReLU and
-        None for a layer without activation. When ``cache`` is a
-        ``Workspace``, its records are replaced by those of this batch, and
-        each layer writes its output and ``d`` into the leading rows of the
-        workspace's buffers. When ``cache`` is ``as_objective``'s
-        ``_Buffers``, nothing is recorded: the hidden layers write into its
-        two buffers by turns, and only the (n, 1) output is allocated. Raises
+        None for a layer without activation. When ``cache`` has a ``_rows(n)``
+        method, it gives, per layer, the arrays to write the output and ``d``
+        into (None: allocate one). ``as_objective``'s ``_Buffers`` is such a
+        cache and records nothing; the trainer's workspace is a list that
+        drops its previous records in ``_rows``, so it records. Raises
         FloatingPointError naming the first non-finite layer when the output
         is not finite; training runs through here, so ``train`` may raise it
         too; with ``strict=False`` the outputs are returned as computed. The
@@ -154,8 +153,7 @@ class ResNet:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
         act, act_deriv = _ACT_FNS[self.activation]
         record = isinstance(cache, list)
-        buffers = (cache._rows(len(X)) if isinstance(cache, (Workspace, _Buffers))
-                   else repeat((None, None)))
+        buffers = cache._rows(len(X)) if hasattr(cache, "_rows") else repeat((None, None))
         h = X
         for lyr, (z_out, d_out) in zip(self.layers, buffers):
             z = np.matmul(h, lyr.weights.T, out=z_out)
@@ -232,23 +230,22 @@ class ResNet:
             layers = []
             for i, entry in enumerate(doc["layers"]):
                 n_in, n_out = int(entry["in_width"]), int(entry["out_width"])
-                w = np.asarray(entry["weights"], dtype=float)
-                if w.size != n_in * n_out:
-                    raise WeightFormatError(
-                        f"layer {i}: field 'weights' has {w.size} numbers, "
-                        f"expected {n_out}x{n_in}"
-                    )
-                b = np.asarray(entry["bias"], dtype=float)
-                if b.size != n_out:
-                    raise WeightFormatError(
-                        f"layer {i}: field 'bias' has {b.size} numbers, expected {n_out}"
-                    )
                 for key in ("weights", "bias"):
                     if not isinstance(entry[key], np.ndarray):  # see _layer_arrays
                         raise WeightFormatError(
                             f"weight file {path}: layer {i}: field '{key}' must be a list "
                             "of numbers, without null or strings"
                         )
+                w, b = entry["weights"], entry["bias"]
+                if w.size != n_in * n_out:
+                    raise WeightFormatError(
+                        f"layer {i}: field 'weights' has {w.size} numbers, "
+                        f"expected {n_out}x{n_in}"
+                    )
+                if b.size != n_out:
+                    raise WeightFormatError(
+                        f"layer {i}: field 'bias' has {b.size} numbers, expected {n_out}"
+                    )
                 layers.append(
                     Layer(
                         weights=w.reshape(n_out, n_in),
@@ -263,32 +260,6 @@ class ResNet:
         except (TypeError, ValueError) as exc:
             raise WeightFormatError(str(exc)) from exc
         return net
-
-
-class Workspace(list):
-    """A forward cache whose arrays are allocated once, for batches of up to ``rows`` rows.
-
-    ``forward(X, ws)`` records ``(h_in, d)`` per layer as into a list cache,
-    but writes each layer's output into ``outputs[k]`` and its activation
-    derivative into ``derivs[k]`` (None for a layer without activation); a
-    batch of n rows uses the leading n rows of each buffer. The records of
-    one call stay valid until the next call overwrites the buffers. The
-    buffers take the dtype of the network's arrays, ``dtype``.
-    """
-
-    def __init__(self, net: ResNet, rows: int):
-        super().__init__()
-        self.dtype = net.layers[0].weights.dtype
-        deriv_dtype = bool if net.activation == "relu" else self.dtype
-        self.outputs = [np.empty((rows, lyr.out_width), self.dtype) for lyr in net.layers]
-        self.derivs = [np.empty((rows, lyr.out_width), dtype=deriv_dtype) if lyr.has_activation
-                       else None for lyr in net.layers]
-
-    def _rows(self, n: int) -> list:
-        """Drop the previous records; per layer, views of the first n rows of
-        its output and derivative buffers."""
-        self.clear()
-        return [(z[:n], None if d is None else d[:n]) for z, d in zip(self.outputs, self.derivs)]
 
 
 class _Buffers(threading.local):

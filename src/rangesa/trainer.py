@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Dataset, Objective, _integer, _write_csv
-from .resnet import ResNet, Workspace
+from .objectives import Dataset, Objective, _check_dims, _integer, _write_csv
+from .resnet import ResNet
 
 # Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
@@ -53,33 +53,38 @@ class FitReport:
     eval_domain: BoxDomain
     eval_seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "mse": self.mse,
-            "n_eval_points": self.n_eval_points,
-            "eval_domain": [list(b) for b in self.eval_domain.bounds],
-            "eval_seed": self.eval_seed,
-        }
 
-
-class _TrainWorkspace(Workspace):
+class _TrainWorkspace(list):
     """Every array a training step writes, allocated once for batches of up to ``rows`` rows.
 
-    Beside the forward cache's buffers: the flat gradient ``grad``, in
+    A forward cache (see ``ResNet.forward``) that records like a list, with
+    each layer's output and activation derivative in ``outputs[k]`` and
+    ``derivs[k]`` (None without activation); a batch of n rows uses their
+    leading n rows. Beside those: the flat gradient ``grad``, in
     ``_layer_views``' order and with per-layer ``(dW, db)`` views in
     ``grads``; two dL/dh buffers sized to the widest layer, which the
     backward pass alternates between; and one scratch array for Adam. All
-    of them take the network's dtype.
+    of them take the network's dtype, except a ReLU's bool derivative mask.
     """
 
     def __init__(self, net: ResNet, rows: int):
-        super().__init__(net, rows)
-        self.grad = np.empty(net.num_params, self.dtype)
+        super().__init__()
+        dtype = net.layers[0].weights.dtype
+        deriv_dtype = bool if net.activation == "relu" else dtype
+        self.outputs = [np.empty((rows, lyr.out_width), dtype) for lyr in net.layers]
+        self.derivs = [np.empty((rows, lyr.out_width), deriv_dtype) if lyr.has_activation
+                       else None for lyr in net.layers]
+        self.grad = np.empty(net.num_params, dtype)
         self.grads = _layer_views(self.grad, net)
         widest = max(net.widths())
-        self.chain = (np.empty(rows * widest, self.dtype), np.empty(rows * widest, self.dtype))
-        self.scratch = np.empty(net.num_params, self.dtype)
+        self.chain = (np.empty(rows * widest, dtype), np.empty(rows * widest, dtype))
+        self.scratch = np.empty(net.num_params, dtype)
+
+    def _rows(self, n: int) -> list:
+        """Drop the previous records; per layer, views of the first n rows of
+        its output and derivative buffers (see ``ResNet.forward``)."""
+        self.clear()
+        return [(z[:n], None if d is None else d[:n]) for z, d in zip(self.outputs, self.derivs)]
 
     def _layer(self, i: int, n: int):
         """The arrays layer i's backward step on n rows writes: dW, db, the
@@ -264,9 +269,7 @@ def evaluate_fit(
     n >= 1 and seed >= 0 are integers."""
     if f.dim != net.input_dim:
         raise ValueError(f"network input dimension {net.input_dim} != objective dimension {f.dim}")
-    if eval_domain.dim != net.input_dim:
-        raise ValueError(f"network input dimension {net.input_dim} != domain dimension "
-                         f"{eval_domain.dim}")
+    _check_dims(f, eval_domain)
     n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = eval_domain.sample_uniform(rng, n)

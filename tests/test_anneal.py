@@ -457,7 +457,7 @@ class TestBatch:
 
     def test_compare_chains_equal_single_runs(self):
         f = builtin("ackley")
-        _, runs = compare_modes(f, self.dom, replace(self.cfg, seed=4), n_seeds=2)
+        runs = compare_modes(f, self.dom, replace(self.cfg, seed=4), n_seeds=2)
         assert [(r.config.seed, r.config.mode) for r in runs] == \
             [(seed, mode) for seed in (4, 5) for mode in MODES]
         # the records of compare_modes' batch, which is one lockstep batch of these configs

@@ -2,7 +2,7 @@ import argparse
 import csv
 import json
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from rangesa import (
     sample_dataset,
 )
 from rangesa.anneal import COOLINGS, LEVEL_COLUMNS, MODES
-from rangesa.cli import build_parser, main, parse_domain
+from rangesa.cli import _write_json, build_parser, main, parse_domain
 from rangesa.presets import PRESETS
 from rangesa.resnet import build_resnet
 from support import Trace, run, traced
@@ -203,8 +203,8 @@ class TestCompare:
         main(["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "9",
               "--t-min", "1.0", "--out", str(tmp_path)])
         assert sorted(read_levels(tmp_path / "levels.csv")) == [("classical", 9), ("reflected", 9)]
-        _, runs = compare_modes(builtin("ackley"), BoxDomain.cube(-4, 4, 2),
-                                AnnealConfig(seed=9, t_min=1.0), n_seeds=1)
+        runs = compare_modes(builtin("ackley"), BoxDomain.cube(-4, 4, 2),
+                             AnnealConfig(seed=9, t_min=1.0), n_seeds=1)
         assert [(r.config.mode, r.config.seed) for r in runs] == [("reflected", 9),
                                                                   ("classical", 9)]
         records = traced(builtin("ackley"), BoxDomain.cube(-4, 4, 2), [r.config for r in runs])
@@ -595,10 +595,12 @@ def _malformed_layer(layer, case):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("string_weight", "could not convert string to float: 'abc'"),
+    ("string_weight", "weight file {path}: layer 1: field 'weights' must be a list of numbers, "
+                      "without null or strings"),
     ("short_bias", "layer 1: field 'bias' has 7 numbers, expected 8"),
     ("missing_weights", "weight file missing field 'weights'"),
-    ("weights_object", "float() argument must be a string or a real number, not 'dict'"),
+    ("weights_object", "weight file {path}: layer 1: field 'weights' must be a list of numbers, "
+                       "without null or strings"),
     ("nested_bias", "weights must be (out, in) with matching bias"),
     ("null_weight", "weight file {path}: layer 1: field 'weights' must be a list of numbers, "
                     "without null or strings"),
@@ -626,3 +628,70 @@ def test_non_object_weights_exits_2(tmp_path, capsys, doc):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_domain_dimension_mismatch_exits_2(tmp_path, capsys, tiny_weights):
+    rc = main(["evaluate", "--weights", str(tiny_weights), "--fn", "ackley", "--domain=-1,1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the objective has dimension 2, the domain 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+class TestReports:
+    """Every report's exact keys, so that a new result field cannot leak into one unseen."""
+
+    AGREEMENT_KEYS = {"best_values", "spread", "spread_share_of_range"}
+
+    def estimate(self, tmp_path, argv):
+        assert main(["estimate-range", *argv, "--n-seeds", "2", "--t-min", "1.0",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "range_result.json").read_text())
+        assert set(doc) == {"config", "eval_count", "f_max", "f_min", "interval_type",
+                            "seed_agreement", "seeds_used", "x_max", "x_min"}
+        assert {kind: set(v) for kind, v in doc["seed_agreement"].items()} == \
+            {"min": self.AGREEMENT_KEYS, "max": self.AGREEMENT_KEYS}
+        return doc["config"]
+
+    def test_range_result_names_the_builtin_and_the_preset_box(self, tmp_path):
+        assert self.estimate(tmp_path, ["--fn", "ackley"]) == {
+            **asdict(AnnealConfig(t_min=1.0)), "n_seeds": 2, "fn": "ackley",
+            "domain": [[-4.0, 4.0], [-4.0, 4.0]]}
+
+    def test_range_result_names_the_weights_file_and_the_given_box(self, tmp_path, tiny_weights):
+        assert self.estimate(tmp_path, ["--weights", str(tiny_weights), "--domain=-1,1,-3,2"]) == {
+            **asdict(AnnealConfig(t_min=1.0)), "n_seeds": 2, "weights": "weights.json",
+            "domain": [[-1.0, 1.0], [-3.0, 2.0]]}
+
+    def test_oracle_keys(self, tmp_path):
+        assert main(["oracle", "--fn", "ackley", "--points-per-dim", "5",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "oracle.json").read_text())
+        assert set(doc) == {"config", "max_point", "max_value", "min_point", "min_value",
+                            "n_points"}
+
+    def test_fit_report_keys_of_train_and_evaluate(self, tmp_path):
+        assert main(["generate-data", "--fn", "ackley", "--m", "40", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["train", "--preset", "ackley", "--data", str(tmp_path / "ackley_data.csv"),
+                     "--epochs", "2", "--width-scale", "0.05", "--out", str(tmp_path)]) == 0
+        assert main(["evaluate", "--weights", str(tmp_path / "weights.json"), "--fn", "ackley",
+                     "--n", "50", "--out", str(tmp_path / "eval")]) == 0
+        for out in (tmp_path, tmp_path / "eval"):  # both on the preset's eval domain
+            doc = json.loads((out / "fit_report.json").read_text())
+            assert set(doc) == {"config", "eval_domain", "eval_seed", "mae", "mse",
+                                "n_eval_points"}
+            assert doc["eval_domain"] == [[-5.0, 5.0], [-5.0, 5.0]]
+
+    def test_compare_summary_keys(self, tmp_path):
+        assert main(["compare", "--fn", "ackley", "--n-seeds", "1", "--t-min", "1.0",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "compare_summary.json").read_text())
+        assert set(doc) == {"config", "rows"}
+        assert [set(row) for row in doc["rows"]] == \
+            [{"seed", "mode", "best_value", "iters_to_best", "max_excursion"}] * len(MODES)
+
+    @pytest.mark.parametrize("value", [{"x": {1, 2}}, {"x": np.float32(1.0)}, object()])
+    def test_writer_refuses_an_unknown_type(self, tmp_path, value):
+        with pytest.raises(TypeError, match="cannot write a (set|float32|object) to a report"):
+            _write_json(tmp_path / "report.json", value)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from rangesa import (
     AnnealConfig, BoxDomain, Objective, builtin, compare_modes, estimate_range, grid_oracle,
 )
 from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS, EvalBudgetExceeded
-from rangesa.cli import main
+from rangesa.cli import _plain, _write_json, main
 from rangesa.presets import preset
 from rangesa.range_analysis import (
     ORACLE_CHUNK, GridBudgetExceeded, RangeResult, _oracle_workers,
@@ -122,13 +123,14 @@ class TestEstimateRange:
                     assert np.array_equal(getattr(r.levels, name), getattr(same.levels, name))
         assert res.eval_count == 6 * res.runs["min"][0].eval_count + 2
 
-    def test_interval_type_and_seed_bookkeeping(self):
+    def test_interval_type_and_seed_bookkeeping(self, tmp_path):
         f = builtin("ackley")
         res = estimate_range(f, BoxDomain.cube(-4, 4, 2), AnnealConfig(seed=5), n_seeds=3)
         assert res.interval_type == "inner"
         assert res.seeds_used == [5, 6, 7]
-        doc = res.to_json_dict(AnnealConfig(seed=5))
-        assert doc["interval_type"] == "inner"
+        _write_json(tmp_path / "range.json", res, config=AnnealConfig(seed=5))
+        doc = json.loads((tmp_path / "range.json").read_text())
+        assert doc["interval_type"] == "inner" and "runs" not in doc
         assert doc["config"]["seed"] == 5
 
     def test_n_seeds_validation(self):
@@ -285,7 +287,7 @@ def test_grid_oracle_skips_nan_values():
     assert res.min_value == 0.0 and np.array_equal(res.min_point, [0.0, 0.0])
     # (1, -1) and (1, 1) tie at 2; the first in row-major order wins
     assert res.max_value == 2.0 and np.array_equal(res.max_point, [1.0, -1.0])
-    assert res.to_json_dict()["max_point"] == [1.0, -1.0]
+    assert json.loads(json.dumps(res, default=_plain))["max_point"] == [1.0, -1.0]
     with pytest.raises(ValueError, match="no finite"):
         grid_oracle(ALL_NAN, dom, 5)
 
@@ -415,7 +417,8 @@ def test_grid_oracle_network_same_with_workers(monkeypatch):
     _set_workers(monkeypatch)
     serial = grid_oracle(f, dom, 121)
     _set_workers(monkeypatch, openblas="1")
-    assert grid_oracle(f, dom, 121).to_json_dict() == serial.to_json_dict()
+    parallel = grid_oracle(f, dom, 121)
+    assert json.dumps(parallel, default=_plain) == json.dumps(serial, default=_plain)
 
 
 def test_grid_oracle_memory_stays_in_chunks(monkeypatch):
