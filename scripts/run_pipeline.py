@@ -19,8 +19,8 @@ from rangesa.cli import main as cli_main
 from rangesa.presets import preset
 
 # per preset: seed, noise sd, (rows, epochs) of the reduced run, oracle points per dim.
-# A full run trains 1000 epochs on the preset's default number of rows; the range
-# and oracle steps search the preset's training domain
+# A full run trains 1000 epochs on the preset's default number of rows and hidden
+# widths; the range and oracle steps search the preset's training domain
 PRESETS = {
     "ackley": dict(seed=7, noise_sd="0.1", reduced=("2000", "300"), points_per_dim="801"),
     "dropwave": dict(seed=11, noise_sd="0.02", reduced=("6000", "600"), points_per_dim="801"),
@@ -43,7 +43,7 @@ def main():
     out = Path(args.out or f"out/{name}")
     seed = str(p["seed"] if args.seed is None else args.seed)
     m, epochs = p["reduced"] if args.reduced else (None, "1000")
-    width_scale = "0.25" if args.reduced else "1.0"
+    width_scale = ["--width-scale", "0.25"] if args.reduced else []
     bounds = preset(name).train_domain.bounds
     domain = "--domain=" + ",".join(f"{v:g}" for b in bounds for v in b)
 
@@ -51,11 +51,10 @@ def main():
         ["generate-data", "--fn", name, *(["--m", m] if m else []), "--noise-sd", p["noise_sd"],
          "--seed", seed, "--out", str(out)],
         ["train", "--preset", name, "--data", str(out / f"{name}_data.csv"),
-         "--epochs", epochs, "--width-scale", width_scale, "--seed", seed,
+         "--epochs", epochs, *width_scale, "--seed", seed,
          "--out", str(out)],
         ["estimate-range", "--weights", str(out / "weights.json"),
-         domain, "--n-seeds", "5", "--seed", "0",
-         "--out", str(out / "range")],
+         domain, "--n-seeds", "5", "--out", str(out / "range")],
         ["oracle", "--weights", str(out / "weights.json"),
          domain, "--points-per-dim", p["points_per_dim"],
          "--out", str(out / "oracle")],

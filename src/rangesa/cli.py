@@ -3,9 +3,9 @@
 Every command is deterministic given its configuration: all seeds are
 explicit and the config is echoed into every output artifact. Wall time goes
 to the log, never into output files. The commands parse flags and config
-files and pass the values on: the library checks them, and ``main`` maps
-its ValueError to exit code 2. A command creates ``--out`` only once its
-work is done, so a refused input leaves nothing behind.
+files and pass on only the values given, for the library to check and
+default; ``main`` maps its ValueError to exit code 2. A command creates
+``--out`` only once its work is done, so a refused input leaves nothing behind.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anneal import COOLINGS, MODES, AnnealConfig, LevelSummary
+from .anneal import COOLINGS, AnnealConfig, LevelSummary
 from .domain import BoxDomain
 from .objectives import Dataset, Objective, _write_csv, sample_dataset
 from .presets import PRESETS, builtin, preset
@@ -60,7 +60,7 @@ def parse_domain(spec) -> BoxDomain:
 def _merged_options(args: argparse.Namespace) -> dict:
     """Config file values overridden by explicitly given flags."""
     opts = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         _check(path.exists(), f"config file not found: {path}")
         try:
@@ -102,10 +102,10 @@ def _require(opts: dict, key: str):
     return opts[key]
 
 
-def _opt(opts: dict, key: str, default):
-    """The option's value, or the default when it is absent (not when it is 0)."""
-    value = opts.get(key)
-    return default if value is None else value
+def _given(opts: dict, *keys: str, **defaults) -> dict:
+    """``defaults`` overridden by the options among ``keys`` and ``defaults`` that were given
+    (not None): what is left out takes the library's default."""
+    return {**defaults, **{k: opts[k] for k in (*keys, *defaults) if opts.get(k) is not None}}
 
 
 def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
@@ -132,7 +132,7 @@ def _resolve_domain(opts: dict, default: BoxDomain | None) -> BoxDomain:
 
 def _config(cls, opts: dict):
     """``cls`` with every given option that names one of its fields."""
-    return cls(**{f.name: opts[f.name] for f in fields(cls) if opts.get(f.name) is not None})
+    return cls(**_given(opts, *(f.name for f in fields(cls))))
 
 
 def _out_dir(opts: dict) -> Path:
@@ -170,25 +170,22 @@ def _write_json(path: Path, result, **keys) -> None:
 # --- commands ----------------------------------------------------------
 
 
-def cmd_generate_data(args) -> int:
-    opts = _merged_options(args)
+def cmd_generate_data(opts: dict) -> int:
     fn = _require(opts, "fn")
     objective, p = builtin(fn), preset(fn)
     domain = _resolve_domain(opts, p.train_domain)
-    data = sample_dataset(objective, domain, m=_opt(opts, "m", p.default_m),
-                          noise_sd=_opt(opts, "noise_sd", 0.1), seed=_opt(opts, "seed", 0))
+    data = sample_dataset(objective, domain, **_given(opts, "noise_sd", "seed", m=p.default_m))
     csv_path = _out_dir(opts) / f"{fn}_data.csv"
     data.save(csv_path)
     log.info("wrote %d rows to %s", len(data), csv_path)
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    opts = _merged_options(args)
+def cmd_train(opts: dict) -> int:
     p = preset(_require(opts, "preset"))
     data = Dataset.load(_require(opts, "data"))
     cfg = _config(TrainConfig, opts)
-    net = p.architecture(seed=cfg.seed, width_scale=_opt(opts, "width_scale", 1.0))
+    net = p.architecture(seed=cfg.seed, **_given(opts, "width_scale"))
     t0 = time.perf_counter()
     net, history = train(net, data, cfg)
     log.info("trained %d epochs in %.1f s (final loss %.6g)",
@@ -203,25 +200,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    opts = _merged_options(args)
+def cmd_evaluate(opts: dict) -> int:
     net = ResNet.load(_require(opts, "weights"))
     fn = _require(opts, "fn")
     objective, p = builtin(fn), preset(fn)
     domain = _resolve_domain(opts, p.eval_domain)
-    report = evaluate_fit(net, objective, domain, n=_opt(opts, "n", p.eval_n),
-                          seed=_opt(opts, "seed", 0))
+    report = evaluate_fit(net, objective, domain, **_given(opts, "seed", n=p.eval_n))
     _write_json(_out_dir(opts) / "fit_report.json", report, config=_echo_config(opts))
     log.info("fit: MAE %.4f, MSE %.4f", report.mae, report.mse)
     return EXIT_OK
 
 
-def cmd_estimate_range(args) -> int:
-    opts = _merged_options(args)
+def cmd_estimate_range(opts: dict) -> int:
     objective, domain = _load_objective(opts)
     cfg = _config(AnnealConfig, opts)
     t0 = time.perf_counter()
-    result = estimate_range(objective, domain, cfg, n_seeds=_opt(opts, "n_seeds", 10))
+    result = estimate_range(objective, domain, cfg, **_given(opts, "n_seeds"))
     log.info("range [%.6g, %.6g] in %.1f s (%d evaluations)",
              result.f_min, result.f_max, time.perf_counter() - t0, result.eval_count)
 
@@ -236,8 +230,7 @@ def cmd_estimate_range(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    opts = _merged_options(args)
+def cmd_oracle(opts: dict) -> int:
     objective, domain = _load_objective(opts)
     t0 = time.perf_counter()
     result = grid_oracle(objective, domain, _require(opts, "points_per_dim"))
@@ -247,10 +240,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    opts = _merged_options(args)
+def cmd_compare(opts: dict) -> int:
     objective, domain = _load_objective(opts)
-    runs = compare_modes(objective, domain, _config(AnnealConfig, opts), _opt(opts, "n_seeds", 10))
+    runs = compare_modes(objective, domain, _config(AnnealConfig, opts), **_given(opts, "n_seeds"))
     # max_excursion: the largest overshoot of a state outside the box (0 for reflected runs)
     rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
              "iters_to_best": r.iters_to_best, "max_excursion": r.max_excursion} for r in runs]
@@ -266,7 +258,6 @@ def cmd_compare(args) -> int:
 
 def _add_common(sp):
     sp.add_argument("--config", help="JSON config file; explicit flags win")
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--out", help="output directory (default: current)")
 
 
@@ -277,12 +268,12 @@ def _add_objective_flags(sp):
 
 
 def _add_anneal_flags(sp):
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--t-max", dest="t_max", type=float)
     sp.add_argument("--t-min", dest="t_min", type=float)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--inner-iters", dest="inner_iters", type=int)
     sp.add_argument("--variance", dest="proposal_variance", type=float)
-    sp.add_argument("--mode", choices=MODES)
     sp.add_argument("--cooling", choices=COOLINGS)
     sp.add_argument("--n-seeds", dest="n_seeds", type=int)
 
@@ -297,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generate-data", help="sample a noisy dataset from a builtin objective")
     _add_common(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--fn")
     sp.add_argument("--domain")
     sp.add_argument("--m", type=int)
@@ -305,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a preset architecture on a dataset")
     _add_common(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--preset", choices=sorted(PRESETS))
     sp.add_argument("--data", help="dataset CSV (with .meta.json sidecar)")
     sp.add_argument("--epochs", type=int)
@@ -316,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evaluate", help="fit metrics of a weights file against a builtin")
     _add_common(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--weights")
     sp.add_argument("--fn")
     sp.add_argument("--domain")
@@ -350,7 +344,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merged_options(args))
     # a bad input: the library's ValueError names it (WeightFormatError,
     # GridBudgetExceeded and EvalBudgetExceeded among them)
     except (ValueError, FileNotFoundError) as exc:

@@ -20,11 +20,11 @@ class Preset:
     hidden: tuple[int, ...]  # hidden widths at width scale 1
 
     def architecture(self, seed: int = 0, width_scale: float = 1.0) -> ResNet:
-        """The preset's ReLU ResNet, each hidden width scaled and rounded (at least 1)."""
+        """The preset's ResNet, each hidden width scaled and rounded (at least 1)."""
         if not 0 < width_scale < math.inf:
             raise ValueError(f"width_scale must be positive and finite, got {width_scale}")
         scaled = [max(1, int(round(h * width_scale))) for h in self.hidden]
-        return build_resnet([self.objective.dim, *scaled, 1], activation="relu", seed=seed)
+        return build_resnet([self.objective.dim, *scaled, 1], seed=seed)
 
 
 PRESETS = {

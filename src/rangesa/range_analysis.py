@@ -78,14 +78,17 @@ def estimate_range(
     cfg: AnnealConfig,
     n_seeds: int = 10,
 ) -> RangeResult:
-    """Estimate [f_min, f_max] via n_seeds annealing runs on f and on -f, all in one batch.
+    """Estimate [f_min, f_max] via n_seeds reflected annealing runs on f and on -f, in one batch.
 
     The runs on -f reuse the same seeds, so estimate_range(-f) swaps and negates
     the interval exactly. Each endpoint comes from the chain with the lowest
     finite best value (the first seed on ties); ValueError when no chain saw a
     finite value. Both argpoints are re-validated by a fresh evaluation of f.
-    The result keeps the runs, with their per-level rows, in ``runs``.
+    The result keeps the runs, with their per-level rows, in ``runs``. Only reflected
+    chains stay in the box, so a classical cfg is refused, before any evaluation.
     """
+    if cfg.mode != "reflected":
+        raise ValueError(f"estimate_range runs reflected chains only, got mode {cfg.mode!r}")
     n_seeds = _integer("n_seeds", n_seeds, 1)
     _check_budget(cfg, 2 * n_seeds)  # before any config is built
     seeds = [cfg.seed + k for k in range(n_seeds)]

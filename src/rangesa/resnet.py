@@ -229,12 +229,18 @@ class ResNet:
                 raise WeightFormatError(f"unsupported format_version {version}")
             layers = []
             for i, entry in enumerate(doc["layers"]):
-                n_in, n_out = int(entry["in_width"]), int(entry["out_width"])
+                where = f"weight file {path}: layer {i}: field"
+                # JSON integers only: 2.7, 2.0 and true are refused, not truncated
+                n_in, n_out = (_integer(f"{where} '{key}'", entry[key], 1)
+                               for key in ("in_width", "out_width"))
+                for key in ("has_activation", "has_skip"):
+                    if not isinstance(entry[key], bool):
+                        raise WeightFormatError(
+                            f"{where} '{key}' must be true or false, got {entry[key]!r}")
                 for key in ("weights", "bias"):
                     if not isinstance(entry[key], np.ndarray):  # see _layer_arrays
                         raise WeightFormatError(
-                            f"weight file {path}: layer {i}: field '{key}' must be a list "
-                            "of numbers, without null or strings"
+                            f"{where} '{key}' must be a list of numbers, without null or strings"
                         )
                 w, b = entry["weights"], entry["bias"]
                 if w.size != n_in * n_out:
@@ -250,11 +256,15 @@ class ResNet:
                     Layer(
                         weights=w.reshape(n_out, n_in),
                         bias=b,
-                        has_activation=bool(entry["has_activation"]),
-                        has_skip=bool(entry["has_skip"]),
+                        has_activation=entry["has_activation"],
+                        has_skip=entry["has_skip"],
                     )
                 )
             net = cls(layers=layers, activation=doc["activation"])
+            if type(doc["input_dim"]) is not int or doc["input_dim"] != net.input_dim:
+                raise WeightFormatError(f"weight file {path}: field 'input_dim' is "
+                                        f"{doc['input_dim']!r}, but layer 0 has in_width "
+                                        f"{net.input_dim}")
         except KeyError as exc:
             raise WeightFormatError(f"weight file missing field {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -1,8 +1,11 @@
 import argparse
 import csv
 import json
+import re
+import shlex
 import warnings
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,7 +376,8 @@ BAD_CONFIGS = {  # config-file text -> a part of its one-line error
     '{"delta": "0.9"}': "delta must be int or float, got '0.9'",
     '{"seed": "x"}': "seed must be int, got 'x'",
     '{"seed": true}': "seed must be int, got True",
-    '{"mode": "sideways"}': "mode must be reflected or classical, got 'sideways'",
+    '{"cooling": "sideways"}': "cooling must be theorem or algorithm1, got 'sideways'",
+    '{"mode": "classical"}': "unknown keys for estimate-range: mode",
     '{"domain": 5}': "domain must be str or list, got 5",
     '{"domain": [5]}': "bad domain [5]",
     '{"domain": [[1, "a"]]}': "bad domain [[1, 'a']]",
@@ -444,16 +448,91 @@ def test_null_config_values_take_the_defaults(tmp_path):
     assert read(tmp_path / "a" / "ackley_data.csv") == read(tmp_path / "b" / "ackley_data.csv")
 
 
+def _subcommands():
+    """Command name -> its subparser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _choices(command, dest):
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+    return next(a.choices for a in _subcommands()[command]._actions if a.dest == dest)
 
 
 def test_flag_choices_come_from_the_library():
     for command in ("estimate-range", "compare"):
-        assert list(_choices(command, "mode")) == list(MODES)
         assert list(_choices(command, "cooling")) == list(COOLINGS)
     assert list(_choices("train", "preset")) == sorted(PRESETS)
+
+
+# Per command, a tiny run, and per option a value that differs from the run's. Exempt are
+# --config, --out and the inputs that choose the objective or the data.
+NO_EFFECT_NEEDED = {"help", "config", "out", "fn", "weights", "preset", "data"}
+TINY_ANNEAL = ["--fn", "ackley", "--n-seeds", "1", "--t-min", "1", "--inner-iters", "5"]
+TINY_RUNS = {
+    "generate-data": ["--fn", "ackley", "--m", "20"],
+    "train": ["--preset", "ackley", "--data", "DATA", "--epochs", "2", "--width-scale", "0.05",
+              "--batch-size", "10"],
+    "evaluate": ["--weights", "WEIGHTS", "--fn", "ackley", "--n", "20"],
+    "estimate-range": TINY_ANNEAL,
+    "oracle": ["--fn", "ackley", "--points-per-dim", "5"],
+    "compare": TINY_ANNEAL,
+}
+ANNEAL_VALUES = {"seed": "1", "t_max": "5", "t_min": "2", "delta": "0.9", "inner_iters": "6",
+                 "proposal_variance": "0.5", "cooling": "algorithm1", "n_seeds": "2",
+                 "domain": "-1,1,-1,1"}
+OPTION_VALUES = {
+    "generate-data": {"seed": "1", "domain": "-1,1,-1,1", "m": "21", "noise_sd": "0.5"},
+    "train": {"seed": "1", "epochs": "3", "learning_rate": "0.01", "batch_size": "20",
+              "width_scale": "0.1"},
+    "evaluate": {"seed": "1", "domain": "-1,1,-1,1", "n": "21"},
+    "estimate-range": ANNEAL_VALUES,
+    "oracle": {"domain": "-1,1,-1,1", "points_per_dim": "6"},
+    "compare": ANNEAL_VALUES,
+}
+
+
+def _results(out):
+    """Each file a command wrote, a JSON report without its echoed config; a dataset's
+    .meta.json sidecar, which echoes the sampling options, is left out."""
+    docs = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix != ".json":
+            docs[path.name] = read(path)
+        elif not path.name.endswith(".meta.json"):
+            docs[path.name] = {k: v for k, v in json.loads(path.read_text()).items()
+                               if k != "config"}
+    return docs
+
+
+@pytest.mark.parametrize("command", list(_subcommands()))
+def test_every_option_changes_a_result(tmp_path, tiny_weights, command):
+    data = tmp_path / "ackley_data.csv"
+    sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 40, 0.1, 1).save(data)
+    base = [command] + [{"WEIGHTS": str(tiny_weights), "DATA": str(data)}.get(a, a)
+                        for a in TINY_RUNS[command]]
+    assert main(base + ["--out", str(tmp_path / "base")]) == 0
+    before = _results(tmp_path / "base")
+    options = [a for a in _subcommands()[command]._actions if a.dest not in NO_EFFECT_NEEDED]
+    for action in options:
+        flag = action.option_strings[0]
+        assert action.dest in OPTION_VALUES[command], f"{command} {flag}: no value to try"
+        out = tmp_path / action.dest
+        assert main(base + [f"{flag}={OPTION_VALUES[command][action.dest]}",
+                            "--out", str(out)]) == 0
+        assert _results(out) != before, f"{command} {flag} changes no result"
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```\w*\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("rangesa ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_infinite_temperature_exits_2(tmp_path, capsys):
@@ -577,7 +656,8 @@ def test_evaluate_network_dimension_mismatch_exits_2(tmp_path, capsys, tiny_weig
     assert "network input dimension 2 != objective dimension 3" in capsys.readouterr().err
 
 
-def _malformed_layer(layer, case):
+def _malformed(doc, case):
+    layer = doc["layers"][1]
     if case == "string_weight":
         layer["weights"][3] = "abc"
     elif case == "short_bias":
@@ -592,6 +672,16 @@ def _malformed_layer(layer, case):
         layer["weights"][0] = None
     elif case == "numeric_string_weight":
         layer["weights"][2] = "0.5"
+    elif case == "fractional_width":
+        layer["in_width"] = 8.7
+    elif case == "float_width":
+        layer["out_width"] = 8.0
+    elif case == "string_flag":
+        layer["has_skip"] = "false"
+    elif case == "numeric_flag":
+        layer["has_activation"] = 1
+    elif case == "input_dim":
+        doc["input_dim"] = 3
 
 
 @pytest.mark.parametrize("case, message", [
@@ -606,10 +696,19 @@ def _malformed_layer(layer, case):
                     "without null or strings"),
     ("numeric_string_weight", "weight file {path}: layer 1: field 'weights' must be a list of "
                               "numbers, without null or strings"),
+    ("fractional_width", "weight file {path}: layer 1: field 'in_width' must be an integer of "
+                         "at least 1, got 8.7"),
+    ("float_width", "weight file {path}: layer 1: field 'out_width' must be an integer of "
+                    "at least 1, got 8.0"),
+    ("string_flag", "weight file {path}: layer 1: field 'has_skip' must be true or false, "
+                    "got 'false'"),
+    ("numeric_flag", "weight file {path}: layer 1: field 'has_activation' must be true or "
+                     "false, got 1"),
+    ("input_dim", "weight file {path}: field 'input_dim' is 3, but layer 0 has in_width 2"),
 ])
 def test_malformed_weight_values_exit_2(tmp_path, capsys, tiny_weights, case, message):
     doc = json.loads(tiny_weights.read_text())
-    _malformed_layer(doc["layers"][1], case)
+    _malformed(doc, case)
     bad = tmp_path / "weights.json"
     bad.write_text(json.dumps(doc))
     rc = main(["oracle", "--weights", str(bad), "--domain=-1,1,-1,1", "--points-per-dim", "3",

@@ -29,6 +29,9 @@ PROBES = {
     "evaluate_fit-seed": ("seed", lambda f: evaluate_fit(NET, f, BOX, n=5, seed=-1)),
     "estimate_range-wide-box": ("proposal_variance",
                                 lambda f: estimate_range(f, WIDE, AnnealConfig(), n_seeds=1)),
+    # a classical chain may leave the box, and its values would not be attained on it
+    "estimate_range-classical": ("mode", lambda f: estimate_range(
+        f, BOX, AnnealConfig(mode="classical"), n_seeds=1)),
     "compare_modes-wide-box": ("proposal_variance",
                                lambda f: compare_modes(f, WIDE, AnnealConfig(), n_seeds=1)),
     "TrainConfig-fractional-epochs": ("epochs", lambda f: TrainConfig(epochs=2.5)),

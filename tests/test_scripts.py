@@ -36,3 +36,5 @@ def test_full_run_samples_the_preset_default_rows(monkeypatch, tmp_path, name):
     calls = _pipeline_calls(monkeypatch, "--preset", name, "--out", str(tmp_path))
     assert calls[0][0] == "generate-data" and "--m" not in calls[0]
     assert calls[1][calls[1].index("--epochs") + 1] == "1000"
+    assert "--width-scale" not in calls[1]
+    assert calls[2][0] == "estimate-range" and "--seed" not in calls[2]
