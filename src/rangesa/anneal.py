@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Objective, _check_dims, _integer, _write_csv
+from .objectives import Objective, _check_dims, _integer, _real, _write_csv
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
@@ -41,16 +41,14 @@ class AnnealConfig:
     cooling: str = "theorem"  # T_i = T0*delta^i; "algorithm1": T_i = T_{i-1}*delta^i
 
     def __post_init__(self):
-        for name in ("t_max", "t_min", "delta", "proposal_variance"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not 0 < self.t_min < self.t_max < math.inf:
+        if not 0 < _real("t_min", self.t_min) < _real("t_max", self.t_max) < math.inf:
             raise ValueError("need 0 < t_min < t_max < inf")
-        if not 0 < self.delta < 1:
+        if not 0 < _real("delta", self.delta) < 1:
             raise ValueError("delta must be in (0, 1)")
         object.__setattr__(self, "inner_iters", _integer("inner_iters", self.inner_iters, 1))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
-        if self.proposal_variance is not None and not 0 < self.proposal_variance < math.inf:
+        variance = self.proposal_variance
+        if variance is not None and not 0 < _real("proposal_variance", variance) < math.inf:
             raise ValueError("proposal_variance must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")

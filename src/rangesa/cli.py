@@ -2,10 +2,11 @@
 
 Every command is deterministic given its configuration: all seeds are
 explicit and the config is echoed into every output artifact. Wall time goes
-to the log, never into output files. The commands parse flags and config
-files and pass on only the values given, for the library to check and
-default; ``main`` maps its ValueError to exit code 2. A command creates
-``--out`` only once its work is done, so a refused input leaves nothing behind.
+to the log, never into output files. Flags are the only input: the commands
+pass on only the flags given, for the library to check and default. ``main``
+maps a ValueError, the parser's own errors among them, to exit code 2 and one
+``error:`` line. A command creates ``--out`` only once its work is done, so a
+refused input leaves nothing behind.
 """
 from __future__ import annotations
 
@@ -41,71 +42,20 @@ def _check(ok, message: str) -> None:
         raise ValueError(message)
 
 
-def parse_domain(spec) -> BoxDomain:
-    """Accept 'l1,u1,...,ld,ud' strings or [[l, u], ...] lists."""
-    if isinstance(spec, str):
-        try:
-            vals = [float(v) for v in spec.split(",")]
-        except ValueError:
-            raise ValueError(f"cannot parse domain {spec!r}") from None
-        _check(vals and len(vals) % 2 == 0,
-               "domain needs an even number of values: l1,u1,...,ld,ud")
-        spec = [vals[i:i + 2] for i in range(0, len(vals), 2)]
+def parse_domain(spec: str) -> BoxDomain:
+    """The box of an 'l1,u1,...,ld,ud' string; BoxDomain checks its bounds."""
     try:
-        return BoxDomain(tuple(map(tuple, spec)))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad domain {spec!r}: {exc}") from exc
-
-
-def _merged_options(args: argparse.Namespace) -> dict:
-    """Config file values overridden by explicitly given flags."""
-    opts = {}
-    if args.config:
-        path = Path(args.config)
-        _check(path.exists(), f"config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config file {path}: {exc}") from exc
-        _check(isinstance(doc, dict), f"config file {path} must hold a JSON object")
-        unknown = [key for key in doc if key not in args.flags]
-        _check(not unknown,
-               f"config file {path}: unknown keys for {args.command}: {', '.join(unknown)}")
-        for key, value in doc.items():
-            if value is not None:
-                _check_config_value(path, args.flags[key], value)
-        opts.update(doc)
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func", "flags"):
-            continue
-        if value is not None:
-            opts[key] = value
-    return opts
-
-
-def _check_config_value(path: Path, flag: argparse.Action, value) -> None:
-    """A config-file value must be JSON of its flag's type (a domain may be a list) and choices."""
-    kinds = {int: (int,), float: (int, float), None: (str,)}[flag.type]
-    kinds += (list,) if flag.dest == "domain" else ()
-    allowed = flag.choices or [k.__name__ for k in kinds]
-    _check(isinstance(value, kinds) and not isinstance(value, bool)
-           and (flag.choices is None or value in flag.choices),
-           f"config file {path}: {flag.dest} must be {' or '.join(allowed)}, got {value!r}")
-
-
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _require(opts: dict, key: str):
-    _check(opts.get(key) is not None, f"missing required option {_flag(key)}")
-    return opts[key]
+        vals = [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"cannot parse domain {spec!r}") from None
+    _check(len(vals) % 2 == 0, "domain needs an even number of values: l1,u1,...,ld,ud")
+    return BoxDomain(tuple(zip(vals[::2], vals[1::2])))
 
 
 def _given(opts: dict, *keys: str, **defaults) -> dict:
-    """``defaults`` overridden by the options among ``keys`` and ``defaults`` that were given
-    (not None): what is left out takes the library's default."""
-    return {**defaults, **{k: opts[k] for k in (*keys, *defaults) if opts.get(k) is not None}}
+    """``defaults`` overridden by the options among ``keys`` and ``defaults`` that were given:
+    what is left out takes the library's default."""
+    return {**defaults, **{k: opts[k] for k in (*keys, *defaults) if k in opts}}
 
 
 def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
@@ -123,7 +73,7 @@ def _load_objective(opts: dict) -> tuple[Objective, BoxDomain]:
 
 def _resolve_domain(opts: dict, default: BoxDomain | None) -> BoxDomain:
     """--domain, or else the default; the library checks its dimension."""
-    if opts.get("domain") is None:
+    if "domain" not in opts:
         _check(default is not None,
                "--domain is required when the objective comes from a weights file")
         return default
@@ -136,7 +86,7 @@ def _config(cls, opts: dict):
 
 
 def _out_dir(opts: dict) -> Path:
-    out = Path(opts.get("out") or ".")
+    out = Path(opts.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -144,8 +94,8 @@ def _out_dir(opts: dict) -> Path:
 def _echo_config(opts: dict) -> dict:
     # "out" is left out and input paths are cut to their file names, so artifacts
     # stay byte-identical across directories
-    return {k: Path(v).name if k in PATH_OPTIONS and isinstance(v, str) else v
-            for k, v in sorted(opts.items()) if k != "out" and not callable(v)}
+    return {k: Path(v).name if k in PATH_OPTIONS else v
+            for k, v in sorted(opts.items()) if k != "out"}
 
 
 def _plain(obj):
@@ -171,7 +121,7 @@ def _write_json(path: Path, result, **keys) -> None:
 
 
 def cmd_generate_data(opts: dict) -> int:
-    fn = _require(opts, "fn")
+    fn = opts["fn"]
     objective, p = builtin(fn), preset(fn)
     domain = _resolve_domain(opts, p.train_domain)
     data = sample_dataset(objective, domain, **_given(opts, "noise_sd", "seed", m=p.default_m))
@@ -182,8 +132,8 @@ def cmd_generate_data(opts: dict) -> int:
 
 
 def cmd_train(opts: dict) -> int:
-    p = preset(_require(opts, "preset"))
-    data = Dataset.load(_require(opts, "data"))
+    p = preset(opts["preset"])
+    data = Dataset.load(opts["data"])
     cfg = _config(TrainConfig, opts)
     net = p.architecture(seed=cfg.seed, **_given(opts, "width_scale"))
     t0 = time.perf_counter()
@@ -201,8 +151,8 @@ def cmd_train(opts: dict) -> int:
 
 
 def cmd_evaluate(opts: dict) -> int:
-    net = ResNet.load(_require(opts, "weights"))
-    fn = _require(opts, "fn")
+    net = ResNet.load(opts["weights"])
+    fn = opts["fn"]
     objective, p = builtin(fn), preset(fn)
     domain = _resolve_domain(opts, p.eval_domain)
     report = evaluate_fit(net, objective, domain, **_given(opts, "seed", n=p.eval_n))
@@ -233,7 +183,7 @@ def cmd_estimate_range(opts: dict) -> int:
 def cmd_oracle(opts: dict) -> int:
     objective, domain = _load_objective(opts)
     t0 = time.perf_counter()
-    result = grid_oracle(objective, domain, _require(opts, "points_per_dim"))
+    result = grid_oracle(objective, domain, opts["points_per_dim"])
     log.info("oracle min %.6g / max %.6g over %d points in %.1f s",
              result.min_value, result.max_value, result.n_points, time.perf_counter() - t0)
     _write_json(_out_dir(opts) / "oracle.json", result, config=_echo_config(opts))
@@ -256,9 +206,9 @@ def cmd_compare(opts: dict) -> int:
 # --- argument parsing ---------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; explicit flags win")
-    sp.add_argument("--out", help="output directory (default: current)")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it: exit 2 and one line, no usage text
+        raise ValueError(message)
 
 
 def _add_objective_flags(sp):
@@ -279,7 +229,7 @@ def _add_anneal_flags(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rangesa",
         description="Output range estimation for black-box functions by "
         "simulated annealing with reflective boundary conditions.",
@@ -287,19 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("generate-data", help="sample a noisy dataset from a builtin objective")
-    _add_common(sp)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--fn")
+    sp.add_argument("--fn", required=True)
     sp.add_argument("--domain")
     sp.add_argument("--m", type=int)
     sp.add_argument("--noise-sd", dest="noise_sd", type=float)
     sp.set_defaults(func=cmd_generate_data)
 
     sp = sub.add_parser("train", help="train a preset architecture on a dataset")
-    _add_common(sp)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--preset", choices=sorted(PRESETS))
-    sp.add_argument("--data", help="dataset CSV (with .meta.json sidecar)")
+    sp.add_argument("--preset", choices=sorted(PRESETS), required=True)
+    sp.add_argument("--data", required=True, help="dataset CSV (with .meta.json sidecar)")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--learning-rate", dest="learning_rate", type=float)
     sp.add_argument("--batch-size", dest="batch_size", type=int)
@@ -308,44 +256,40 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("evaluate", help="fit metrics of a weights file against a builtin")
-    _add_common(sp)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--weights")
-    sp.add_argument("--fn")
+    sp.add_argument("--weights", required=True)
+    sp.add_argument("--fn", required=True)
     sp.add_argument("--domain")
     sp.add_argument("--n", type=int)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("estimate-range", help="estimate [f_min, f_max] by annealing")
-    _add_common(sp)
     _add_objective_flags(sp)
     _add_anneal_flags(sp)
     sp.set_defaults(func=cmd_estimate_range)
 
     sp = sub.add_parser("oracle", help="brute-force tensor grid min/max")
-    _add_common(sp)
     _add_objective_flags(sp)
-    sp.add_argument("--points-per-dim", dest="points_per_dim", type=int)
+    sp.add_argument("--points-per-dim", dest="points_per_dim", type=int, required=True)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("compare", help="reflected vs classical chains with shared seeds")
-    _add_common(sp)
     _add_objective_flags(sp)
     _add_anneal_flags(sp)
     sp.set_defaults(func=cmd_compare)
 
-    for sp in sub.choices.values():  # the keys a config file may set, and their checks
-        sp.set_defaults(flags={a.dest: a for a in sp._actions if a.dest not in ("help", "config")})
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="output directory (default: current)")
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(_merged_options(args))
-    # a bad input: the library's ValueError names it (WeightFormatError,
+        args = build_parser().parse_args(argv)
+        return args.func({k: v for k, v in vars(args).items()
+                          if v is not None and k not in ("command", "func")})
+    # a bad input: the parser's or the library's ValueError names it (WeightFormatError,
     # GridBudgetExceeded and EvalBudgetExceeded among them)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import numbers
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +61,16 @@ def _integer(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return operator.index(value)
+
+
+def _real(name: str, value):
+    """``value`` if it is a real number, else ValueError naming ``name``.
+
+    Python and numpy reals pass; bools, which Python counts as integers, and strings
+    do not. Every float argument of a library entry point goes through here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _check_dims(f: Objective, domain: BoxDomain) -> None:
@@ -143,8 +155,10 @@ class Dataset:
         """Read what ``save`` wrote; ValueError names a CSV or sidecar that does not parse."""
         csv_path, meta_path = Path(csv_path), sidecar_path(csv_path)
         try:
-            raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
+            with warnings.catch_warnings():  # numpy only warns on a file without rows
+                warnings.simplefilter("error", UserWarning)
+                raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        except (ValueError, UserWarning) as exc:
             raise ValueError(f"malformed dataset {csv_path}: {exc}") from exc
         try:
             meta = json.loads(meta_path.read_text())
@@ -181,7 +195,7 @@ def sample_dataset(
     dimension, m >= 1 and seed >= 0 are integers and noise_sd is finite and >= 0."""
     _check_dims(f, domain)
     m, seed = _integer("m", m, 1), _integer("seed", seed, 0)
-    if not 0 <= noise_sd < np.inf:
+    if not 0 <= _real("noise_sd", noise_sd) < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     noise_sd = float(noise_sd)
     rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import BoxDomain
-from .objectives import Objective, ackley, drop_wave, multi_minima
+from .objectives import Objective, _real, ackley, drop_wave, multi_minima
 from .resnet import ResNet, build_resnet
 
 
@@ -21,7 +21,7 @@ class Preset:
 
     def architecture(self, seed: int = 0, width_scale: float = 1.0) -> ResNet:
         """The preset's ResNet, each hidden width scaled and rounded (at least 1)."""
-        if not 0 < width_scale < math.inf:
+        if not 0 < _real("width_scale", width_scale) < math.inf:
             raise ValueError(f"width_scale must be positive and finite, got {width_scale}")
         scaled = [max(1, int(round(h * width_scale))) for h in self.hidden]
         return build_resnet([self.objective.dim, *scaled, 1], seed=seed)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Dataset, Objective, _check_dims, _integer, _write_csv
+from .objectives import Dataset, Objective, _check_dims, _integer, _real, _write_csv
 from .resnet import ResNet
 
 # Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
@@ -30,7 +30,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
+        if not 0 < _real("learning_rate", self.learning_rate) < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         self.epochs = _integer("epochs", self.epochs, 1)
         if self.batch_size is not None:

@@ -17,6 +17,7 @@ from rangesa import (
     grid_oracle,
     sample_dataset,
 )
+from rangesa.presets import preset
 
 BOX = BoxDomain.cube(-1.0, 1.0, 2)
 WIDE = BoxDomain.cube(-1e160, 1e160, 2)  # (0.1 x its side)^2 overflows a float
@@ -36,6 +37,14 @@ PROBES = {
                                lambda f: compare_modes(f, WIDE, AnnealConfig(), n_seeds=1)),
     "TrainConfig-fractional-epochs": ("epochs", lambda f: TrainConfig(epochs=2.5)),
     "TrainConfig-bool-epochs": ("epochs", lambda f: TrainConfig(epochs=True)),
+    # bools are Python integers, yet no float argument takes one
+    "TrainConfig-bool-learning_rate": ("learning_rate",
+                                       lambda f: TrainConfig(learning_rate=True)),
+    "sample_dataset-bool-noise": ("noise_sd",
+                                  lambda f: sample_dataset(f, BOX, m=5, noise_sd=True)),
+    "architecture-bool-width_scale": ("width_scale",
+                                      lambda f: preset("ackley").architecture(width_scale=True)),
+    "AnnealConfig-bool-delta": ("delta", lambda f: AnnealConfig(delta=True)),
     "grid_oracle-points_per_dim": ("points_per_dim", lambda f: grid_oracle(f, BOX, 2.5)),
     "sample_dataset-m": ("m", lambda f: sample_dataset(f, BOX, m=2.5)),
     "sample_dataset-nan-noise": ("noise_sd",
