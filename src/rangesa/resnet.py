@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -130,47 +129,39 @@ class ResNet:
     def widths(self) -> list[int]:
         return [self.input_dim] + [lyr.out_width for lyr in self.layers]
 
-    def forward(self, X, cache: list | None = None, strict: bool = True):
+    def forward(self, X, buffers=None, strict: bool = True):
         """Network output at a (d,) point (a float) or an (n, d) batch (an (n,) array).
 
-        Each layer computes its matmul result into a new array, or into a
-        buffer of ``cache`` (below), and applies the bias, activation and skip
-        to it in place. When ``cache`` is a list, each layer's input and
-        activation derivative at its pre-activation, ``(h_in, d)``, is
-        appended to it for backpropagation; ``d`` is a bool mask for ReLU and
-        None for a layer without activation. When ``cache`` has a ``_rows(n)``
-        method, it gives, per layer, the arrays to write the output and ``d``
-        into (None: allocate one). ``as_objective``'s ``_Buffers`` is such a
-        cache and records nothing; the trainer's workspace is a list that
-        drops its previous records in ``_rows``, so it records. Raises
-        FloatingPointError naming the first non-finite layer when the output
-        is not finite; training runs through here, so ``train`` may raise it
-        too; with ``strict=False`` the outputs are returned as computed. The
-        arithmetic is in the dtype of the layers' arrays.
+        Each layer computes its matmul result into a new array, or into the
+        ``z`` of its ``(z, d)`` pair in ``buffers``, and applies the bias,
+        activation and skip to it in place; where ``d`` is not None, the
+        activation's derivative at the pre-activation goes into it (a bool
+        mask for ReLU). ``X`` is never written. Raises FloatingPointError
+        naming the first non-finite layer when the output is not finite;
+        training runs through here, so ``train`` may raise it too; with
+        ``strict=False`` the outputs are returned as computed. The arithmetic
+        is in the dtype of the layers' arrays.
         """
         X = np.asarray(X, dtype=self.layers[0].weights.dtype)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
         act, act_deriv = _ACT_FNS[self.activation]
-        record = isinstance(cache, list)
-        buffers = cache._rows(len(X)) if hasattr(cache, "_rows") else repeat((None, None))
         h = X
-        for lyr, (z_out, d_out) in zip(self.layers, buffers):
+        for lyr, (z_out, d_out) in zip(self.layers, buffers or repeat((None, None))):
             z = np.matmul(h, lyr.weights.T, out=z_out)
             z += lyr.bias
             if lyr.has_activation:
                 act(z, out=z)
-            if record:
-                cache.append((h, act_deriv(z, out=d_out) if lyr.has_activation else None))
+                if d_out is not None:
+                    act_deriv(z, out=d_out)
             if lyr.has_skip:
                 z += h
             h = z
         if strict and not np.isfinite(h).all():
-            if not record:
-                self.forward(X, cache=[])  # walks the layers again, recording them, raises
-            # layer k's output is the input recorded for layer k + 1; the last one is h
-            outputs = [h_in for h_in, _ in cache[len(cache) - len(self.layers) + 1 :]] + [h]
-            layer = next(k for k, o in enumerate(outputs, start=1) if not np.all(np.isfinite(o)))
+            # walk the layers again, each into an array of its own, to find the first bad one
+            outputs = [np.empty(X.shape[:-1] + (lyr.out_width,), X.dtype) for lyr in self.layers]
+            self.forward(X, [(z, None) for z in outputs], strict=False)
+            layer = next(k for k, z in enumerate(outputs, start=1) if not np.isfinite(z).all())
             raise FloatingPointError(f"non-finite value at layer {layer}")
         out = h[..., 0]
         return out if out.ndim else float(out)
@@ -179,7 +170,8 @@ class ResNet:
         """The network as a black box; a row whose output overflows evaluates to NaN
         (see ``Objective``), which the annealer rejects and the grid oracle skips.
         Each calling thread's hidden layers write into buffers of its own (``_Buffers``)."""
-        return Objective(partial(self.forward, cache=_Buffers(self), strict=False),
+        buffers = _Buffers(self)
+        return Objective(lambda X: self.forward(X, buffers._rows(len(X)), strict=False),
                          self.input_dim, name="resnet")
 
     def copy(self) -> "ResNet":
@@ -291,7 +283,7 @@ class _Buffers(threading.local):
 
     def _rows(self, n: int) -> list:
         """Per layer, the (n, width) view to write its output into (None for the output
-        layer), and None for the derivative, which is not recorded."""
+        layer), and None for the derivative, which is not needed."""
         if n != self.n:
             size = n * max(self.widths)
             if size > self.pair[0].size:

@@ -12,6 +12,12 @@ from .resnet import ResNet
 
 # Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+# Row passes (rows x epochs) that train makes at most. This bounds its time and
+# the loss history's length; the full multimin pipeline makes 4,000 x 1,000.
+TRAIN_BUDGET = 10**7
+# Points evaluate_fit draws at most: it evaluates them in one batch, so memory
+# grows with n times the widest layer
+FIT_BUDGET = 10**4
 # Weights rounded at a time by _short_decimals. Its temporaries come from the heap,
 # which glibc shrinks only from the top; in 4,096-weight slices they left the train
 # command's peak RSS about 0.4 MB higher than in 1,024-weight slices.
@@ -54,21 +60,20 @@ class FitReport:
     eval_seed: int
 
 
-class _TrainWorkspace(list):
+class _TrainWorkspace:
     """Every array a training step writes, allocated once for batches of up to ``rows`` rows.
 
-    A forward cache (see ``ResNet.forward``) that records like a list, with
-    each layer's output and activation derivative in ``outputs[k]`` and
+    Each layer's output and activation derivative go into ``outputs[k]`` and
     ``derivs[k]`` (None without activation); a batch of n rows uses their
-    leading n rows. Beside those: the flat gradient ``grad``, in
-    ``_layer_views``' order and with per-layer ``(dW, db)`` views in
-    ``grads``; two dL/dh buffers sized to the widest layer, which the
-    backward pass alternates between; and one scratch array for Adam. All
-    of them take the network's dtype, except a ReLU's bool derivative mask.
+    leading n rows, which ``_rows(n)`` hands to ``ResNet.forward``. Beside
+    those: the flat gradient ``grad``, in ``_layer_views``' order and with
+    per-layer ``(dW, db)`` views in ``grads``; two dL/dh buffers sized to
+    the widest layer, which the backward pass alternates between; and one
+    scratch array for Adam. All of them take the network's dtype, except a
+    ReLU's bool derivative mask.
     """
 
     def __init__(self, net: ResNet, rows: int):
-        super().__init__()
         dtype = net.layers[0].weights.dtype
         deriv_dtype = bool if net.activation == "relu" else dtype
         self.outputs = [np.empty((rows, lyr.out_width), dtype) for lyr in net.layers]
@@ -81,18 +86,8 @@ class _TrainWorkspace(list):
         self.scratch = np.empty(net.num_params, dtype)
 
     def _rows(self, n: int) -> list:
-        """Drop the previous records; per layer, views of the first n rows of
-        its output and derivative buffers (see ``ResNet.forward``)."""
-        self.clear()
+        """Per layer, views of the first n rows of its output and derivative buffers."""
         return [(z[:n], None if d is None else d[:n]) for z, d in zip(self.outputs, self.derivs)]
-
-    def _layer(self, i: int, n: int):
-        """The arrays layer i's backward step on n rows writes: dW, db, the
-        pre-activation gradient (into layer i's output buffer, spent once layer
-        i + 1's dW is done) and dL/dh_in (into one of the two chain buffers)."""
-        dW, db = self.grads[i]
-        width_in = dW.shape[1]
-        return dW, db, self.outputs[i][:n], self.chain[i % 2][: n * width_in].reshape(n, width_in)
 
 
 def _layer_views(flat: np.ndarray, net: ResNet) -> list:
@@ -147,33 +142,33 @@ def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray,
                        ws: _TrainWorkspace | None = None):
     """Mean squared error over the rows and its gradient w.r.t. every weight and bias.
 
-    Returns (loss, grads) where grads is a list of (dW, db) per layer, in the
-    network's dtype; the inputs and targets should already have it. Without
-    a workspace every array is allocated; with one (``train``'s), the pass
-    writes into its buffers and grads are views of ``ws.grad``, with the same
-    bits.
+    Returns (loss, grads) where grads is a list of (dW, db) per layer, views
+    of ``ws.grad`` in the network's dtype; the inputs and targets should
+    already have it. Without a workspace (``train`` passes its own), the
+    pass allocates one for the rows of X.
     """
-    cache = [] if ws is None else ws
-    out = net.forward(X, cache)
-    resid = out - targets
+    n = len(X)
+    ws = _TrainWorkspace(net, n) if ws is None else ws
+    layers = ws._rows(n)
+    resid = net.forward(X, layers) - targets
     loss = float(np.mean(resid**2))
 
-    n = len(X)
     g = (2.0 / n * resid)[:, None]  # dL/dh for the output layer, shape (n, 1)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         lyr = net.layers[i]
-        h_in, d = cache[i]
-        dW, db, gz, gh = (None,) * 4 if ws is None else ws._layer(i, n)
-        gz = g if d is None else np.multiply(g, d, out=gz)
-        dW = np.matmul(gz.T, h_in, out=dW)
-        db = np.sum(gz, axis=0, out=db)
-        gh = np.matmul(gz, lyr.weights, out=gh)
-        if lyr.has_skip:
-            gh += g
-        grads[i] = (dW, db)
-        g = gh
-    return loss, grads
+        z, d = layers[i]
+        dW, db = ws.grads[i]
+        # the pre-activation gradient, into layer i's output: layer i + 1's dW has used it
+        gz = g if d is None else np.multiply(g, d, out=z)
+        np.matmul(gz.T, layers[i - 1][0] if i else X, out=dW)
+        np.sum(gz, axis=0, out=db)
+        if i:  # dL/dh_in into one of the two chain buffers; no result reads layer 0's
+            w = lyr.in_width
+            g_in = np.matmul(gz, lyr.weights, out=ws.chain[i % 2][: n * w].reshape(n, w))
+            if lyr.has_skip:
+                g_in += g
+            g = g_in
+    return loss, ws.grads
 
 
 @np.errstate(over="ignore", invalid="ignore")  # entered once per call, not per step
@@ -191,7 +186,8 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     Deterministic for fixed config and dataset: row order is shuffled by the
     seeded generator and all reductions run in fixed order. Raises
     ValueError, before any step, when a weight, a bias, an input or a target
-    is not a finite float32, or when the batch size exceeds the rows;
+    is not a finite float32, when the batch size exceeds the rows, or when
+    rows x epochs exceed TRAIN_BUDGET;
     TrainingDiverged on a non-finite loss, or the forward pass's
     FloatingPointError when the network output itself is not finite. Since
     those errors say where values stopped being finite, numpy's overflow and
@@ -200,6 +196,9 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
     batch = cfg.resolve_batch_size(len(data))
+    if len(data) * cfg.epochs > TRAIN_BUDGET:
+        raise ValueError(f"{len(data)} rows x {cfg.epochs} epochs exceed the budget of "
+                         f"{TRAIN_BUDGET} row passes; lower epochs or the rows")
     limit = float(np.finfo(np.float32).max)
     weights = [a for lyr in net.layers for a in (lyr.weights, lyr.bias)]
     if not all(np.all(np.abs(a) <= limit) for a in weights):
@@ -266,11 +265,13 @@ def evaluate_fit(
     """MAE/MSE between the network and the target on fresh uniform points.
 
     ValueError, before any evaluation, when the dimensions differ or unless
-    n >= 1 and seed >= 0 are integers."""
+    1 <= n <= FIT_BUDGET and seed >= 0 are integers."""
     if f.dim != net.input_dim:
         raise ValueError(f"network input dimension {net.input_dim} != objective dimension {f.dim}")
     _check_dims(f, eval_domain)
     n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
+    if n > FIT_BUDGET:
+        raise ValueError(f"n = {n} points exceed the budget of {FIT_BUDGET}; lower n")
     rng = np.random.default_rng(seed)
     X = eval_domain.sample_uniform(rng, n)
     err = net.forward(X) - f.evaluate_many(X)
@@ -284,4 +285,4 @@ def evaluate_fit(
 
 
 def save_loss_history(history: list[float], path) -> None:
-    _write_csv(path, ("epoch", "loss"), [range(len(history)), history])
+    _write_csv(path, ("epoch", "loss"), [np.arange(len(history)), history])

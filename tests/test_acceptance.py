@@ -95,10 +95,13 @@ def test_c3_gradient_oracle():
         net = build_resnet(widths, seed=trial)
         for _ in range(100):  # resample probes sitting on a ReLU breakpoint
             x = rng.uniform(-1, 1, 2)
-            cache = []
-            net.forward(x[None, :], cache)
-            z = [h_in @ lyr.weights.T + lyr.bias for lyr, (h_in, _) in zip(net.layers, cache)]
-            if min(np.min(np.abs(z_k)) for z_k in z) > 1e-6:
+            h, z_min = x[None, :], np.inf  # the layer formula, in forward's arithmetic
+            for lyr in net.layers:
+                z = h @ lyr.weights.T + lyr.bias
+                z_min = min(z_min, np.min(np.abs(z)))
+                a = np.maximum(z, 0.0) if lyr.has_activation else z
+                h = a + h if lyr.has_skip else a
+            if z_min > 1e-6:
                 break
         target = float(rng.normal())
         g = gradient(net, x, target)

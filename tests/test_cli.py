@@ -546,6 +546,27 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate-data", "--fn", "ackley", "--m", "100000000000"],
+         "m = 100000000000 points exceed the budget of 1000000"),
+        (["train", "--preset", "ackley", "--data", "DATA", "--epochs", "1000000000"],
+         "20 rows x 1000000000 epochs exceed the budget of 10000000 row passes"),
+        (["evaluate", "--weights", "WEIGHTS", "--fn", "ackley", "--n", "10000000000"],
+         "n = 10000000000 points exceed the budget of 10000"),
+    ],
+)
+def test_over_budget_exits_2(tmp_path, capsys, tiny_weights, argv, message):
+    data = tmp_path / "ackley_data.csv"
+    sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 20, 0.0, 1).save(data)
+    argv = [{"WEIGHTS": str(tiny_weights), "DATA": str(data)}.get(a, a) for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"error: {message};") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--learning-rate", "nan", "learning_rate must be positive and finite, got nan"),

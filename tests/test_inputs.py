@@ -8,7 +8,9 @@ import pytest
 from rangesa import (
     AnnealConfig,
     BoxDomain,
+    Dataset,
     Objective,
+    ResNet,
     TrainConfig,
     build_resnet,
     compare_modes,
@@ -16,8 +18,11 @@ from rangesa import (
     evaluate_fit,
     grid_oracle,
     sample_dataset,
+    train,
 )
+from rangesa.objectives import DATASET_BUDGET
 from rangesa.presets import preset
+from rangesa.trainer import FIT_BUDGET, TRAIN_BUDGET
 
 BOX = BoxDomain.cube(-1.0, 1.0, 2)
 WIDE = BoxDomain.cube(-1e160, 1e160, 2)  # (0.1 x its side)^2 overflows a float
@@ -67,3 +72,32 @@ def test_bad_argument_refused_before_any_evaluation(probe):
     with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
         call(f)
     assert calls == []
+
+
+class _Started(Exception):
+    """Raised by the first evaluation: the call got past its checks."""
+
+
+def _started(*args, **kwargs):
+    raise _Started
+
+
+ZEROS = Dataset(np.zeros((100, 2)), np.zeros(100), "zeros", 0.0, 0, BOX)
+
+# entry point -> its budget, and a call of it with k points (k row passes for train)
+BUDGETS = {
+    "train": (TRAIN_BUDGET, lambda f, k: train(NET, ZEROS, TrainConfig(epochs=k // 100))),
+    "sample_dataset": (DATASET_BUDGET, lambda f, k: sample_dataset(f, BOX, m=k)),
+    "evaluate_fit": (FIT_BUDGET, lambda f, k: evaluate_fit(NET, f, BOX, n=k)),
+}
+
+
+@pytest.mark.parametrize("entry", list(BUDGETS))
+def test_over_budget_refused_before_any_evaluation(entry, monkeypatch):
+    budget, call = BUDGETS[entry]
+    monkeypatch.setattr(ResNet, "forward", _started)  # train and evaluate_fit evaluate here
+    f = Objective(_started, 2)
+    with pytest.raises(ValueError, match=rf"exceed the budget of {budget}\b"):
+        call(f, budget + 100)
+    with pytest.raises(_Started):  # at the budget the work starts
+        call(f, budget)

@@ -8,7 +8,7 @@ import pytest
 
 from rangesa import Layer, ResNet, WeightFormatError, build_resnet
 from rangesa.presets import preset
-from rangesa.resnet import ACTIVATIONS
+from rangesa.resnet import ACTIVATIONS, _Buffers
 
 ACKLEY_WIDTHS = [2, 128, 256, 256, 256, 256, 128, 1]
 DROPWAVE_WIDTHS = [2, 128, 256, 256, 512, 512, 512, 256, 128, 1]
@@ -71,6 +71,15 @@ def test_nonfinite_error_names_layer():
         net.forward(np.array([1e308, 1e308]))
 
 
+def _layer_buffers(net, n, derivs=True):
+    """Per layer, a fresh (n, width) output array and, where the layer has an activation
+    and ``derivs`` is set, a derivative array (bool for ReLU)."""
+    d_dtype = bool if net.activation == "relu" else float
+    return [(np.empty((n, lyr.out_width)),
+             np.empty((n, lyr.out_width), d_dtype) if derivs and lyr.has_activation else None)
+            for lyr in net.layers]
+
+
 def test_nonfinite_batch_names_middle_layer():
     ident = Layer(np.eye(2), np.zeros(2), False, False)
     big = Layer(np.full((2, 2), 1e308), np.zeros(2), False, False)
@@ -80,24 +89,40 @@ def test_nonfinite_batch_names_middle_layer():
     with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
         net.forward(X)
     with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
-        net.forward(X, cache=[])
+        net.forward(X, _layer_buffers(net, len(X)))
+
+
+def test_nonfinite_walk_names_layer_when_shared_buffers_are_overwritten():
+    # as_objective's two buffers, written by turns: layer 3's NaN overwrites layer 1's
+    # finite output, yet the re-walk into arrays of its own names layer 2
+    ident = Layer(np.eye(2), np.zeros(2), False, False)
+    big = Layer(np.full((2, 2), 1e308), np.zeros(2), False, False)
+    out = Layer(np.ones((1, 2)), np.zeros(1), False, False)
+    net = ResNet([ident, big, ident, out])
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    buffers = _Buffers(net)._rows(len(X))
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
+        net.forward(X, buffers)
+    assert not np.isfinite(buffers[0][0]).all()  # layer 1's buffer now holds layer 3's output
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in layer 3 is NaN
+        assert np.array_equal(net.forward(X, buffers, strict=False), [0.0, np.nan],
+                              equal_nan=True)
 
 
 def test_forward_cache_holds_layer_inputs_and_preactivations():
     net = build_resnet([2, 4, 4, 1], seed=7)
     X = np.random.default_rng(2).uniform(-1, 1, size=(5, 2))
-    cache = []
-    out = net.forward(X, cache)
-    assert len(cache) == len(net.layers)
-    assert np.array_equal(cache[0][0], X)
-    z = [h_in @ lyr.weights.T + lyr.bias for lyr, (h_in, _) in zip(net.layers, cache)]
-    for lyr, (_, d), z_k in zip(net.layers, cache, z):
+    buffers = _layer_buffers(net, len(X))
+    out = net.forward(X, buffers)
+    inputs = [X] + [z for z, _ in buffers[:-1]]
+    z = [h_in @ lyr.weights.T + lyr.bias for lyr, h_in in zip(net.layers, inputs)]
+    for lyr, (_, d), z_k in zip(net.layers, buffers, z):
         if lyr.has_activation:
             assert d.dtype == bool and np.array_equal(d, z_k > 0.0)
         else:
             assert d is None
-    assert np.array_equal(out, z[-1][:, 0])
-    assert np.array_equal(cache[2][0], np.maximum(z[1], 0.0) + cache[1][0])
+    assert np.array_equal(out, z[-1][:, 0]) and np.shares_memory(out, buffers[-1][0])
+    assert np.array_equal(buffers[1][0], np.maximum(z[1], 0.0) + buffers[0][0])
 
 
 def _sigmoid(z):
@@ -151,12 +176,12 @@ def test_forward_cache_is_never_overwritten(activation):
     X = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
     for net in (build_resnet([2, 8, 8, 1], activation=activation, seed=4),
                 _odd_skips_net(activation)):
-        cache = []
-        out = net.forward(X, cache)
-        assert cache[0][0] is X and len(cache) == len(net.layers)
+        buffers = _layer_buffers(net, len(X))
+        out = net.forward(X, buffers)
         act, deriv = _ACT_FORMULAS[activation]
-        outputs = [h_in for h_in, _ in cache[1:]] + [out[:, None]]
-        for lyr, (h_in, d), h_out in zip(net.layers, cache, outputs):
+        # after the pass, every buffer still holds its own layer's output and derivative
+        inputs = [X] + [z for z, _ in buffers[:-1]]
+        for lyr, (h_out, d), h_in in zip(net.layers, buffers, inputs):
             z = h_in @ lyr.weights.T + lyr.bias
             a = act(z) if lyr.has_activation else z
             assert np.array_equal(h_out, a + h_in if lyr.has_skip else a)
@@ -164,7 +189,24 @@ def test_forward_cache_is_never_overwritten(activation):
                 assert np.array_equal(d, deriv(z))
             else:
                 assert d is None
+        assert np.array_equal(out, buffers[-1][0][:, 0])
         assert np.array_equal(out, net.forward(X))
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_derivative_written_only_where_given_and_input_never_written(activation):
+    net = _odd_skips_net(activation)  # layer 1 has an activation, layers 2 and 3 have none
+    X = np.random.default_rng(6).uniform(-2, 2, size=(7, 2))
+    X_before = X.copy()
+    X.setflags(write=False)  # any write into X raises
+    buffers = _layer_buffers(net, len(X), derivs=False)
+    given, unused = np.full((7, 2), 7.0), np.full((7, 1), 7.0)
+    buffers[0], buffers[2] = (buffers[0][0], given), (buffers[2][0], unused)
+    out = net.forward(X, buffers)
+    _, deriv = _ACT_FORMULAS[activation]
+    assert np.array_equal(given, deriv(X @ net.layers[0].weights.T + net.layers[0].bias))
+    assert np.all(unused == 7.0)  # a layer without activation has no derivative to write
+    assert np.array_equal(X, X_before) and np.array_equal(out, _layer_formula(net, X))
 
 
 def test_nonpositive_width_scale_rejected():

@@ -73,10 +73,14 @@ def finite_difference(net, x, target, h=1e-5):
 
 
 def min_preactivation(net, x):
-    cache = []
-    net.forward(np.asarray(x)[None, :], cache)
-    z = [h_in @ lyr.weights.T + lyr.bias for lyr, (h_in, _) in zip(net.layers, cache)]
-    for lyr, (_, d), z_k in zip(net.layers, cache, z):
+    """Smallest |pre-activation| over every layer at x, from the outputs forward writes."""
+    buffers = [(np.empty((1, lyr.out_width)),
+                np.empty((1, lyr.out_width), bool) if lyr.has_activation else None)
+               for lyr in net.layers]
+    net.forward(np.asarray(x)[None, :], buffers)
+    inputs = [np.asarray(x)[None, :]] + [z for z, _ in buffers[:-1]]
+    z = [h_in @ lyr.weights.T + lyr.bias for lyr, h_in in zip(net.layers, inputs)]
+    for lyr, (_, d), z_k in zip(net.layers, buffers, z):
         if lyr.has_activation:
             assert np.array_equal(d, z_k > 0.0)
         else:
@@ -138,6 +142,23 @@ class TestGradient:
         assert ws.grad.dtype == np.float32 and g64.dtype == np.float64
         assert np.max(np.abs(ws.grad - g64)) < 1e-6 * np.max(np.abs(g64))
         assert abs(loss32 - loss64) < 1e-6 * loss64
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_own_workspace_matches_a_given_one_byte_for_byte(self, activation, dtype):
+        data = sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), m=64, noise_sd=0.1,
+                              seed=6)
+        net = build_resnet([2, 16, 16, 8, 1], activation=activation, seed=6)
+        if dtype == np.float32:
+            net = float32_copy(net)
+        X, y = data.inputs.astype(dtype), data.targets.astype(dtype)
+        ws = _TrainWorkspace(net, 80)  # 64 rows use the leading rows
+        ws.outputs[0][64:] = np.nan  # rows past the batch must not leak into the result
+        loss, grads = loss_and_gradients(net, X, y, ws)
+        loss_own, grads_own = loss_and_gradients(net, X, y)
+        assert loss == loss_own
+        assert flatten_gradients(grads).tobytes() == flatten_gradients(grads_own).tobytes()
+        assert flatten_gradients(grads).dtype == dtype
 
     def test_flatten_ordering_stable(self):
         net = build_resnet([2, 3, 1], seed=2)
