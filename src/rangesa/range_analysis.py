@@ -9,13 +9,9 @@ import numpy as np
 
 from .anneal import MODES, AnnealConfig, AnnealResult, _check_budget, run_many
 from .domain import BoxDomain
-from .objectives import Objective, _check_dims, _integer
+from .objectives import ROW_BLOCK, Objective, _check_dims, _integer
 
 GRID_BUDGET = 10**8
-# Grid rows evaluated per objective call. A 1,024-row chunk keeps a ResNet's
-# widest reduced layer (1,024 x 128 float64 = 1 MiB) inside a 2 MiB L2 cache;
-# 512 and 1,024 rows were fastest on a 2-vCPU machine, 2,048 already spilled.
-ORACLE_CHUNK = 1024
 
 
 class GridBudgetExceeded(ValueError):
@@ -148,7 +144,7 @@ def grid_oracle(
 ) -> OracleResult:
     """Exhaustive evaluation on the uniform tensor grid (endpoints included).
 
-    Evaluated ORACLE_CHUNK rows at a time by ``_oracle_workers()`` threads.
+    Evaluated ROW_BLOCK rows at a time by ``_oracle_workers()`` threads.
     Deterministic; ties resolve to the first grid point in row-major order.
     Only finite values count; ValueError when the grid has none, and before
     any evaluation when f and the domain differ in dimension.
@@ -169,10 +165,10 @@ def grid_oracle(
         return np.stack([axis[i] for axis, i in zip(axes, ijk)], axis=1)
 
     @np.errstate(over="ignore", invalid="ignore")  # set per call, so in each worker thread
-    def scan(first):  # (min, index) and (-max, index) over every workers-th chunk
+    def scan(first):  # (min, index) and (-max, index) over every workers-th block
         best = [(np.inf, -1), (np.inf, -1)]
-        for start in range(first * ORACLE_CHUNK, n_total, workers * ORACLE_CHUNK):
-            vals = f.evaluate_many(points(np.arange(start, min(start + ORACLE_CHUNK, n_total))))
+        for start in range(first * ROW_BLOCK, n_total, workers * ROW_BLOCK):
+            vals = f.evaluate_many(points(np.arange(start, min(start + ROW_BLOCK, n_total))))
             finite = np.isfinite(vals)
             for j, v in enumerate((vals, -vals)):
                 k = int(np.argmin(np.where(finite, v, np.inf)))
@@ -180,12 +176,12 @@ def grid_oracle(
                     best[j] = (float(v[k]), start + k)
         return best
 
-    workers = min(_oracle_workers(), -(-n_total // ORACLE_CHUNK))
+    workers = min(_oracle_workers(), -(-n_total // ROW_BLOCK))
     if workers == 1:
         scans = [scan(0)]
     else:
         from concurrent.futures import ThreadPoolExecutor  # 384 KB of RSS: imported only here
-        with ThreadPoolExecutor(workers) as pool:  # one chunk in flight per worker
+        with ThreadPoolExecutor(workers) as pool:  # one block in flight per worker
             scans = list(pool.map(scan, range(workers)))
     (min_value, i_min), (neg_max, i_max) = map(min, zip(*scans))  # ties: lowest index
     if i_min < 0:

@@ -6,10 +6,10 @@ annealer compares tiny value differences, and float32 noise would pollute
 its acceptance decisions. Training is float32: ``trainer.train`` fits a
 private copy whose weights are float32, since float32 matrix products run
 about twice as fast and Adam's noisy steps do not need float64; it returns
-each float32 weight as the float64 nearest its shortest decimal. ``forward``
-and the backward pass compute in the dtype of the network's own arrays.
-``as_objective`` evaluates through ``forward`` into two buffers per thread,
-which the layers write by turns, so a batch allocates no layer output.
+each float32 weight parsed as float64 from numpy's shortest float32 repr.
+``forward`` and the backward pass compute in the dtype of the network's own
+arrays. ``as_objective`` evaluates through ``forward`` into two buffers per
+thread, which the layers write by turns, so a batch allocates no layer output.
 """
 from __future__ import annotations
 
@@ -269,10 +269,11 @@ class _Buffers(threading.local):
 
     Layer k writes into buffer k % 2 and reads its input, and its skip term,
     from the other one. The buffers hold the widest layer for the most rows
-    seen so far, and grow only when a larger batch arrives; the views for the
-    last row count are kept, so a repeated batch size pays no slicing. The
-    output layer's (n, 1) result is allocated, so the values returned belong
-    to the caller.
+    seen so far, never more than ROW_BLOCK since ``Objective.evaluate_many``
+    passes a larger batch a block at a time, and grow only when a larger
+    batch arrives; the views for the last row count are kept, so a repeated
+    batch size pays no slicing. The output layer's (n, 1) result is
+    allocated, so the values returned belong to the caller.
     """
 
     def __init__(self, net: ResNet):

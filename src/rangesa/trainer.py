@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Dataset, Objective, _check_dims, _integer, _real, _write_csv
+from .objectives import (DATASET_BUDGET, ROW_BLOCK, Dataset, Objective, _check_dims, _integer,
+                         _real, _write_csv)
 from .resnet import ResNet
 
 # Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
@@ -15,12 +16,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # Row passes (rows x epochs) that train makes at most. This bounds its time and
 # the loss history's length; the full multimin pipeline makes 4,000 x 1,000.
 TRAIN_BUDGET = 10**7
-# Points evaluate_fit draws at most: it evaluates them in one batch, so memory
-# grows with n times the widest layer
-FIT_BUDGET = 10**4
-# Weights rounded at a time by _short_decimals. Its temporaries come from the heap,
-# which glibc shrinks only from the top; in 4,096-weight slices they left the train
-# command's peak RSS about 0.4 MB higher than in 1,024-weight slices.
+# Steps (epochs x batches per epoch) that train makes at most. Each costs about a
+# millisecond whatever its rows, so this bounds the time of few rows over many
+# epochs; the reduced drop-wave pipeline makes 600 x 24 = 14,400.
+STEP_BUDGET = 10**5
+# Weights rounded at a time by _short_decimals. Its strings come from the heap, which glibc
+# shrinks only from the top; for 58,081 weights, 4,096-weight slices left the train command's
+# peak RSS 0.2 MB higher than 1,024-weight slices, and one slice of all of them 5 MB higher.
 _ROUND_SLICE = 1024
 
 
@@ -107,34 +109,14 @@ def _bind(net: ResNet, flat: np.ndarray) -> None:
 
 
 def _short_decimals(params: np.ndarray) -> np.ndarray:
-    """Per float32 value w, the float64 nearest the shortest decimal that rounds to w in float32.
-
-    That is ``float(str(w))``, so the float64 prints as that decimal (at
-    most 9 significant digits) and narrows back to w. For 1e-14 <= |w| <
-    1e22, where every power 10^k used is exact in float64, it is computed
-    a slice at a time: for p = 1, ..., 9 significant digits, the nearest
-    p-digit decimal round(w 10^k) / 10^k (for k < 0, times 10^-k), one
-    correctly rounded operation on exact operands, is kept where it rounds
-    back to w in float32. Other values, zeros among them, go through ``str``.
-    """
-    wide = params.astype(np.float64)
-    for start in range(0, wide.size, _ROUND_SLICE):
-        w32, w = params[start : start + _ROUND_SLICE], wide[start : start + _ROUND_SLICE]
-        a = np.abs(w)
-        fast = (a >= 1e-14) & (a < 1e22)
-        todo = fast.copy()
-        e = np.floor(np.log10(np.where(fast, a, 1.0)))  # w's decimal exponent
-        for p in range(1, 10):
-            k = p - 1 - e
-            scale = 10.0 ** np.abs(k)
-            up = k >= 0
-            q = np.round(np.where(up, w * scale, w / scale))
-            c = np.where(up, q / scale, q * scale)
-            kept = todo & (c.astype(np.float32) == w32)
-            w[kept] = c[kept]
-            todo &= ~kept
-        rest = np.flatnonzero(todo | ~fast)
-        w[rest] = [float(str(v)) for v in w32[rest]]
+    """Per float32 value w, ``float(str(w))``: the float64 nearest the shortest decimal
+    that rounds to w in float32, so it prints as that decimal (at most 9 significant
+    digits) and narrows back to w. numpy's float32 -> str cast writes that decimal; it
+    runs a slice at a time, so the strings of one slice are all that is held."""
+    wide = np.empty(params.size)
+    for start in range(0, params.size, _ROUND_SLICE):
+        part = slice(start, start + _ROUND_SLICE)
+        wide[part] = params[part].astype(str).astype(np.float64)
     return wide
 
 
@@ -178,16 +160,16 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     All of the training arithmetic is float32: the copy's weights, the
     dataset's inputs and targets, the workspace and Adam's moments. The
     returned network evaluates in float64 like any other: each weight is the
-    float64 nearest the shortest decimal that rounds to its float32 value
-    (``_short_decimals``), so the weight file holds at most 9 significant
-    digits per weight and training it again starts from the same float32
-    values.
+    float64 nearest the shortest decimal that rounds to its float32 value,
+    numpy's own shortest float32 repr (``_short_decimals``), so the weight
+    file holds at most 9 significant digits per weight and training it again
+    starts from the same float32 values.
 
     Deterministic for fixed config and dataset: row order is shuffled by the
     seeded generator and all reductions run in fixed order. Raises
     ValueError, before any step, when a weight, a bias, an input or a target
-    is not a finite float32, when the batch size exceeds the rows, or when
-    rows x epochs exceed TRAIN_BUDGET;
+    is not a finite float32, when the batch size exceeds the rows, when
+    rows x epochs exceed TRAIN_BUDGET or when batches x epochs exceed STEP_BUDGET;
     TrainingDiverged on a non-finite loss, or the forward pass's
     FloatingPointError when the network output itself is not finite. Since
     those errors say where values stopped being finite, numpy's overflow and
@@ -199,6 +181,10 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     if len(data) * cfg.epochs > TRAIN_BUDGET:
         raise ValueError(f"{len(data)} rows x {cfg.epochs} epochs exceed the budget of "
                          f"{TRAIN_BUDGET} row passes; lower epochs or the rows")
+    batches = -(-len(data) // batch)
+    if batches * cfg.epochs > STEP_BUDGET:
+        raise ValueError(f"{batches} batches x {cfg.epochs} epochs exceed the budget of "
+                         f"{STEP_BUDGET} steps; lower epochs or raise the batch size")
     limit = float(np.finfo(np.float32).max)
     weights = [a for lyr in net.layers for a in (lyr.weights, lyr.bias)]
     if not all(np.all(np.abs(a) <= limit) for a in weights):
@@ -264,17 +250,20 @@ def evaluate_fit(
 ) -> FitReport:
     """MAE/MSE between the network and the target on fresh uniform points.
 
-    ValueError, before any evaluation, when the dimensions differ or unless
-    1 <= n <= FIT_BUDGET and seed >= 0 are integers."""
+    The network runs ROW_BLOCK rows at a time, each block through the strict
+    ``forward``, which names the first non-finite layer. ValueError, before
+    any evaluation, when the dimensions differ or unless 1 <= n <=
+    DATASET_BUDGET and seed >= 0 are integers."""
     if f.dim != net.input_dim:
         raise ValueError(f"network input dimension {net.input_dim} != objective dimension {f.dim}")
     _check_dims(f, eval_domain)
     n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
-    if n > FIT_BUDGET:
-        raise ValueError(f"n = {n} points exceed the budget of {FIT_BUDGET}; lower n")
+    if n > DATASET_BUDGET:
+        raise ValueError(f"n = {n} points exceed the budget of {DATASET_BUDGET}; lower n")
     rng = np.random.default_rng(seed)
     X = eval_domain.sample_uniform(rng, n)
-    err = net.forward(X) - f.evaluate_many(X)
+    outputs = np.concatenate([net.forward(X[s : s + ROW_BLOCK]) for s in range(0, n, ROW_BLOCK)])
+    err = outputs - f.evaluate_many(X)
     return FitReport(
         mae=float(np.mean(np.abs(err))),
         mse=float(np.mean(err**2)),

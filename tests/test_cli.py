@@ -553,7 +553,10 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
         (["train", "--preset", "ackley", "--data", "DATA", "--epochs", "1000000000"],
          "20 rows x 1000000000 epochs exceed the budget of 10000000 row passes"),
         (["evaluate", "--weights", "WEIGHTS", "--fn", "ackley", "--n", "10000000000"],
-         "n = 10000000000 points exceed the budget of 10000"),
+         "n = 10000000000 points exceed the budget of 1000000"),
+        # 10^7 row passes, within their budget, in as many full-batch steps
+        (["train", "--preset", "ackley", "--data", "DATA", "--epochs", "500000"],
+         "1 batches x 500000 epochs exceed the budget of 100000 steps"),
     ],
 )
 def test_over_budget_exits_2(tmp_path, capsys, tiny_weights, argv, message):

@@ -22,7 +22,7 @@ from rangesa import (
 )
 from rangesa.objectives import DATASET_BUDGET
 from rangesa.presets import preset
-from rangesa.trainer import FIT_BUDGET, TRAIN_BUDGET
+from rangesa.trainer import STEP_BUDGET, TRAIN_BUDGET
 
 BOX = BoxDomain.cube(-1.0, 1.0, 2)
 WIDE = BoxDomain.cube(-1e160, 1e160, 2)  # (0.1 x its side)^2 overflows a float
@@ -83,12 +83,15 @@ def _started(*args, **kwargs):
 
 
 ZEROS = Dataset(np.zeros((100, 2)), np.zeros(100), "zeros", 0.0, 0, BOX)
+ONE_ROW = Dataset(np.zeros((1, 2)), np.zeros(1), "zero", 0.0, 0, BOX)
 
-# entry point -> its budget, and a call of it with k points (k row passes for train)
+# entry point -> its budget, and a call of it with k points (k row passes for train,
+# k steps for train-steps)
 BUDGETS = {
     "train": (TRAIN_BUDGET, lambda f, k: train(NET, ZEROS, TrainConfig(epochs=k // 100))),
+    "train-steps": (STEP_BUDGET, lambda f, k: train(NET, ONE_ROW, TrainConfig(epochs=k))),
     "sample_dataset": (DATASET_BUDGET, lambda f, k: sample_dataset(f, BOX, m=k)),
-    "evaluate_fit": (FIT_BUDGET, lambda f, k: evaluate_fit(NET, f, BOX, n=k)),
+    "evaluate_fit": (DATASET_BUDGET, lambda f, k: evaluate_fit(NET, f, BOX, n=k)),
 }
 
 
@@ -101,3 +104,11 @@ def test_over_budget_refused_before_any_evaluation(entry, monkeypatch):
         call(f, budget + 100)
     with pytest.raises(_Started):  # at the budget the work starts
         call(f, budget)
+
+
+def test_one_row_at_the_row_pass_budget_refused_before_any_step(monkeypatch):
+    # 1 row x TRAIN_BUDGET epochs stays within the row passes, yet would take 10^7 steps
+    # of about a millisecond each; the first step raises, so a missing check fails fast
+    monkeypatch.setattr(ResNet, "forward", _started)
+    with pytest.raises(ValueError, match=rf"exceed the budget of {STEP_BUDGET} steps"):
+        train(NET, ONE_ROW, TrainConfig(epochs=TRAIN_BUDGET))

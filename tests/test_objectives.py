@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +16,9 @@ from rangesa import (
     multi_minima,
     sample_dataset,
 )
-from rangesa.objectives import Dataset
+from rangesa.objectives import ROW_BLOCK, Dataset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # frozen high-precision reference values (30-digit evaluation of the formulas)
 ACKLEY_1_1 = 3.62538493844036282660128982762
@@ -141,3 +149,36 @@ def test_non_finite_values_become_nan():
                           equal_nan=True)
     assert np.isinf(values[1:3]).all()  # the callable's own array is left as it was
     assert np.isnan(Objective(lambda x: np.full(len(x), -np.inf), 2)(np.zeros(2)))
+
+
+def test_large_batch_evaluated_a_block_at_a_time():
+    rows = []
+    f = Objective(lambda X: rows.append(len(X)) or drop_wave(X), 2)
+    X = np.random.default_rng(4).uniform(-5, 5, size=(2 * ROW_BLOCK + 5, 2))
+    values = f.evaluate_many(X)
+    assert rows == [ROW_BLOCK, ROW_BLOCK, 5]
+    assert values.tobytes() == drop_wave(X).tobytes()
+    with pytest.raises(ValueError, match=r"expected \(5,\)"):  # the short last block
+        Objective(lambda X: np.zeros(ROW_BLOCK), 2).evaluate_many(X)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_network_dataset_memory_stays_one_block():
+    # 10^5 rows through the reduced drop-wave network in one pass held every layer's
+    # 10^5 x 128 outputs and peaked at about 234 MB; a block at a time, about 42 MB.
+    # A fresh interpreter, whose VmHWM is its own peak; its ru_maxrss would start from
+    # this test process's.
+    script = textwrap.dedent("""
+        import re
+        from rangesa import BoxDomain, sample_dataset
+        from rangesa.presets import preset
+        f = preset("dropwave").architecture(seed=0, width_scale=0.25).as_objective()
+        sample_dataset(f, BoxDomain.cube(-5.12, 5.12, 2), m=10**5, seed=0)
+        with open("/proc/self/status") as status:
+            print(int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1]) / 1024)
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 60, proc.stdout

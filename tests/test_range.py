@@ -17,9 +17,8 @@ from rangesa import (
 from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS, EvalBudgetExceeded
 from rangesa.cli import _plain, _write_json, main
 from rangesa.presets import preset
-from rangesa.range_analysis import (
-    ORACLE_CHUNK, GridBudgetExceeded, RangeResult, _oracle_workers,
-)
+from rangesa.objectives import ROW_BLOCK
+from rangesa.range_analysis import GridBudgetExceeded, RangeResult, _oracle_workers
 from rangesa.resnet import build_resnet
 from support import run, traced
 
@@ -332,7 +331,7 @@ def test_grid_oracle_first_extreme_across_chunks():
     # chunk boundary and at its maximum within the second chunk
     n = 41
     grid = _grid(n)
-    boundary = ORACLE_CHUNK
+    boundary = ROW_BLOCK
     assert boundary < len(grid)
     f = _with_ties({tuple(grid[boundary - 3]), tuple(grid[boundary + 2])},
                    {tuple(grid[boundary + 5]), tuple(grid[len(grid) - 1])})
@@ -366,7 +365,7 @@ def test_grid_oracle_workers_equal_whole_grid(monkeypatch, env):
     # the chunk boundary of test_grid_oracle_first_extreme_across_chunks and in chunks 2
     # and 7; the maximum first in chunk 5, later in chunk 8 (workers 1 and 0 of 2 or 4)
     _set_workers(monkeypatch, **env)
-    n, c = 101, ORACLE_CHUNK
+    n, c = 101, ROW_BLOCK
     workers = min(_oracle_workers(), -(-n * n // c))
     grid = _grid(n)
     ties = _with_ties({tuple(grid[i]) for i in (c - 3, c + 2, 2 * c + 40, 7 * c + 9)},
@@ -444,12 +443,13 @@ def test_grid_oracle_network_takes_no_page_faults():
     script = textwrap.dedent("""
         import resource
         from rangesa import BoxDomain, grid_oracle, range_analysis
+        from rangesa.objectives import ROW_BLOCK
         from rangesa.presets import preset
         range_analysis._oracle_workers = lambda: 2
         f = preset("dropwave").architecture(seed=1, width_scale=0.25).as_objective()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         grid_oracle(f, BoxDomain.cube(-5.12, 5.12, 2), 401)
-        chunks = -(-401**2 // range_analysis.ORACLE_CHUNK)
+        chunks = -(-401**2 // ROW_BLOCK)
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / chunks)
     """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))

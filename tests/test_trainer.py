@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rangesa import BoxDomain, Objective, TrainConfig, builtin, evaluate_fit, sample_dataset, train
+from rangesa import (BoxDomain, Objective, TrainConfig, builtin, drop_wave, evaluate_fit,
+                     sample_dataset, train)
+from rangesa.objectives import ROW_BLOCK
 from rangesa.presets import preset
 from rangesa.resnet import Layer, ResNet, build_resnet
 from rangesa.trainer import (
@@ -415,3 +417,29 @@ class TestEvaluateFit:
         net = build_resnet([2, 4, 1], seed=0)
         with pytest.raises(ValueError, match="n must be"):
             evaluate_fit(net, builtin("ackley"), BoxDomain.cube(-5, 5, 2), n=0, seed=0)
+
+    def test_network_runs_a_block_at_a_time(self, monkeypatch):
+        net = build_resnet([2, 8, 8, 1], seed=4)
+        box, n = BoxDomain.cube(-5, 5, 2), 2 * ROW_BLOCK + 5
+        X = box.sample_uniform(np.random.default_rng(9), n)
+        err = np.concatenate([net.forward(X[s : s + ROW_BLOCK])
+                              for s in range(0, n, ROW_BLOCK)]) - drop_wave(X)
+        rows, forward = [], ResNet.forward
+
+        def counted(self, X, *args, **kwargs):
+            rows.append(len(X))
+            return forward(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(ResNet, "forward", counted)
+        report = evaluate_fit(net, builtin("dropwave"), box, n=n, seed=9)
+        assert rows == [ROW_BLOCK, ROW_BLOCK, 5]
+        assert report.mae == np.mean(np.abs(err)) and report.mse == np.mean(err**2)
+
+    def test_non_finite_layer_named_over_several_blocks(self):
+        # 1e308 (x1 + x2) >= 2e308 overflows on every point of the box
+        net = ResNet([Layer(np.full((2, 2), 1e308), np.zeros(2), False, False),
+                      Layer(np.ones((1, 2)), np.zeros(1), False, False)])
+        f = Objective(lambda X: np.zeros(len(X)), 2)
+        box = BoxDomain.cube(1.0, 2.0, 2)
+        with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 1"):
+            evaluate_fit(net, f, box, n=ROW_BLOCK + 1, seed=0)
