@@ -19,8 +19,9 @@ from .objectives import Objective, _check_dims, _integer, _real, _write_csv
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
-# Chain steps x chains in one batch. This bounds a run's time only: the kernel
-# keeps one level's steps, so memory does not grow with the number of levels.
+# Chain steps x chains in one batch. This bounds a run's time. The kernel keeps one
+# level's steps, and per level one row per chain: run_many peaks at 104 bytes a row
+# (the LevelSummary it returns included), so memory grows with the levels, not the steps.
 EVAL_BUDGET = 10**7
 START_REDRAWS = 100  # extra start draws for a chain whose start value is not finite
 
@@ -92,13 +93,12 @@ class AnnealConfig:
 @dataclass
 class AnnealResult:
     best: np.ndarray
-    best_value: float  # of sign * f, the minimized objective
+    best_value: float  # f's value at best: its lowest, or its highest on a run that maximized
     eval_count: int
     config: AnnealConfig
     levels: "LevelSummary"  # the run's rows, labelled with its mode
     iters_to_best: int  # the first step that held the best value over the steps, from 1
     max_excursion: float  # largest componentwise overshoot of any state outside the box
-    sign: float = 1.0  # -1: the run minimized -f
 
 
 @dataclass
@@ -171,7 +171,8 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     once on the batch and applies the acceptance rule to all rows at once.
     Each level is reduced as it ends, into the runs' ``levels`` rows, best
     states, ``iters_to_best`` and ``max_excursion``; no per-step record is
-    kept, so memory holds one level's steps whatever the number of levels.
+    kept, so memory holds one level's steps and a row per run per level.
+    Each result's ``best_value`` is f's value at its ``best``.
     Raises ValueError (f and the domain differ in dimension, or the default
     proposal variance overflows on the box) or EvalBudgetExceeded (over
     EVAL_BUDGET chain steps) before any evaluation.
@@ -185,7 +186,7 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
 
 def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
     """The kernel of ``run_many``. Yields the runs' start points, values and start draws,
-    then per level ``(t, proposals, states, values, accepted)``: the unfolded proposals and
+    then per level ``(proposals, states, values, accepted)``: the unfolded proposals and
     the states after each step, (m, n, d), with the states' values and accepted flags, (m, n),
     for m = inner_iters. The next level overwrites these buffers."""
     cfg = cfgs[0]
@@ -229,35 +230,45 @@ def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
                 x, fx = y, fy
             states[k], values[k], accepted[k] = x, fx, acc
         x = x.copy()  # unfolded, x may be a view of the proposals that the next level overwrites
-        yield t, proposals, states, values, accepted
+        yield proposals, states, values, accepted
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _results(levels, domain: BoxDomain, cfgs, signs: np.ndarray) -> list[AnnealResult]:
-    """The runs of ``_lockstep``'s records. Each level is reduced to a row per run before
-    the next one starts; the runs' best states and scalars come from those rows."""
+    """The runs of ``_lockstep``'s records. Level i is reduced, before the next one starts,
+    into row i of arrays of one row per level and run, and into each run's lowest step so
+    far and its state bounds; so memory grows by those rows alone, 32 bytes a run a level."""
     x0, fx0, start_evals = next(levels)
-    chains, rows = np.arange(len(cfgs)), []
-    for t, proposals, states, values, accepted in levels:
-        m, k = len(values), np.argmin(values, axis=0)  # per run, the level's first lowest step
+    t, m = np.array(cfgs[0].temperature_levels()), cfgs[0].inner_iters
+    n, chains = len(cfgs), np.arange(len(cfgs))
+    acceptance, mean, best = np.empty((len(t), n)), np.empty((len(t), n)), np.empty((len(t), n))
+    left_box = np.empty((len(t), n), dtype=int)
+    # per run, the first lowest step: its value, level, step in the level and state
+    low, level, step, low_x = np.full(n, np.inf), np.zeros(n, int), np.zeros(n, int), x0.copy()
+    lo, hi = np.full_like(x0, np.inf), np.full_like(x0, -np.inf)  # the states' bounds
+    for i, (proposals, states, values, accepted) in enumerate(levels):
+        k = np.argmin(values, axis=0)  # per run, the level's first lowest step
         by_run = values.T.copy()  # one contiguous row of m values per run, summed pairwise
-        mean = by_run.sum(axis=1) / m
-        big = np.isinf(mean)  # a sum past the largest float: add values / m instead
-        mean[big] = (by_run[big] / m).sum(axis=1)
+        mean[i] = by_run.sum(axis=1) / m
+        big = np.isinf(mean[i])  # a sum past the largest float: add values / m instead
+        mean[i, big] = (by_run[big] / m).sum(axis=1)
         outside = ((proposals < domain.lower) | (proposals > domain.upper)).any(axis=2)
-        rows.append((t, accepted.sum(axis=0) / m, outside.sum(axis=0), mean, k, values[k, chains],
-                     states[k, chains], states.min(axis=0), states.max(axis=0)))
-    t, acceptance, left_box, mean, k, low, low_x, lo, hi = (np.array(col) for col in zip(*rows))
-    level = np.argmin(low, axis=0)  # NaN runs: every value is NaN, and step 1 holds it
-    best = np.minimum.accumulate(np.concatenate([fx0[None], low]))[1:]  # the start included
-    from_steps = low[level, chains] < fx0  # strictly: on a tie the start held the value first
-    best_x = np.where(from_steps[:, None], low_x[level, chains], x0)
-    over = np.maximum(hi.max(axis=0) - domain.upper, domain.lower - lo.min(axis=0)).max(axis=1)
+        acceptance[i], left_box[i] = accepted.sum(axis=0) / m, outside.sum(axis=0)
+        level_low = values[k, chains]
+        new = level_low < low  # strictly, so the first level holding it stays
+        low[new], level[new], step[new] = level_low[new], i, k[new]
+        low_x[new] = states[k[new], chains[new]]
+        best[i] = np.minimum(best[i - 1] if i else fx0, level_low)  # the start included
+        np.minimum(lo, states.min(axis=0), out=lo)
+        np.maximum(hi, states.max(axis=0), out=hi)
+    # NaN runs: every value is NaN, so no level is lower, and step 1 holds the start
+    best_x = np.where((low < fx0)[:, None], low_x, x0)  # strictly: on a tie the start held it first
+    over = np.maximum(hi - domain.upper, domain.lower - lo).max(axis=1)
     return [AnnealResult(
-        best=best_x[c], best_value=float(best[-1, c]), eval_count=int(start_evals[c]) + len(t) * m,
-        config=cfg, iters_to_best=int(level[c] * m + k[level[c], c] + 1),
-        max_excursion=max(float(over[c]), 0.0),
+        best=best_x[c], best_value=float(signs[c] * best[-1, c]),
+        eval_count=int(start_evals[c]) + len(t) * m, config=cfg,
+        iters_to_best=int(level[c] * m + step[c] + 1), max_excursion=max(float(over[c]), 0.0),
         levels=LevelSummary(np.full(len(t), cfg.mode), np.full(len(t), cfg.seed),
                             np.arange(len(t)), t, acceptance[:, c], left_box[:, c],
-                            signs[c] * mean[:, c], signs[c] * best[:, c]),
-        sign=float(signs[c])) for c, cfg in enumerate(cfgs)]
+                            signs[c] * mean[:, c], signs[c] * best[:, c]))
+        for c, cfg in enumerate(cfgs)]

@@ -18,8 +18,8 @@ class GridBudgetExceeded(ValueError):
     """Raised when the requested tensor grid is larger than the evaluation budget."""
 
 
-def _best_finite(runs: list[AnnealResult]) -> AnnealResult:
-    """The run with the lowest best value, the first one on ties.
+def _best_finite(runs: list[AnnealResult], highest: bool = False) -> AnnealResult:
+    """The run with the lowest best value (the highest with ``highest``), the first one on ties.
 
     Best values are finite or NaN (see ``Objective``), and NaN is never
     chosen; ValueError when every one is NaN.
@@ -27,7 +27,7 @@ def _best_finite(runs: list[AnnealResult]) -> AnnealResult:
     values = np.array([r.best_value for r in runs])
     if np.isnan(values).all():
         raise ValueError("the objective returned no finite value")
-    return runs[int(np.nanargmin(values))]
+    return runs[int((np.nanargmax if highest else np.nanargmin)(values))]
 
 
 @dataclass
@@ -57,7 +57,7 @@ class RangeResult:
         width = self.f_max - self.f_min
         doc = {}
         for kind, runs in self.runs.items():
-            values = [r.sign * r.best_value for r in runs]
+            values = [r.best_value for r in runs]
             finite = [v for v in values if np.isfinite(v)]
             spread = max(finite) - min(finite)
             doc[kind] = {
@@ -92,7 +92,7 @@ def estimate_range(
     runs = run_many(f, domain, cfgs * 2, [1] * n_seeds + [-1] * n_seeds)
     min_runs, max_runs = runs[:n_seeds], runs[n_seeds:]
 
-    x_min, x_max = _best_finite(min_runs).best, _best_finite(max_runs).best
+    x_min, x_max = _best_finite(min_runs).best, _best_finite(max_runs, highest=True).best
 
     return RangeResult(
         f_min=f(x_min),

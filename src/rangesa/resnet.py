@@ -1,4 +1,9 @@
-"""Residual networks: construction, forward evaluation, weight files.
+"""ReLU residual networks: construction, forward evaluation, weight files.
+
+Every hidden layer applies ReLU, the experiments' only activation; a weight
+file says ``"activation": "relu"``, and ``load`` refuses any other value.
+The range method itself needs only point values, so a network of another
+architecture can be analysed as any ``Objective``.
 
 Evaluation is float64: ``Layer`` casts every weight and bias to float64, so
 the annealer, the grid oracle and the fit report see float64 values. The
@@ -31,51 +36,9 @@ class WeightFormatError(ValueError):
     """Raised when a weight file is malformed or violates the width chain."""
 
 
-def _relu(z, out=None):
-    return np.maximum(z, 0.0, out=out)
-
-
-# Each derivative is computed from the activation's output a = act(z), as
-# sigmoid' = s (1 - s) and tanh' = 1 - t ** 2, so the forward pass needs no
-# second array of z and can write the derivative into a buffer of its own.
-def _relu_deriv(a, out=None):
-    # z > 0 exactly where max(z, 0) > 0; subgradient 0 at exactly 0; a bool mask,
-    # since g * mask equals g * 1.0 or g * 0.0
-    return np.greater(a, 0.0, out=out)
-
-
-def _sigmoid(z, out=None):
-    # 1 / (1 + exp(-z)), one operation at a time so that ``out=z`` works in place
-    out = np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
-
-
-def _sigmoid_deriv(a, out=None):
-    # s * (1 - s) as (1 - s) * s: the product is commutative bit for bit
-    out = np.subtract(1.0, a, out=out)
-    out *= a
-    return out
-
-
-def _tanh_deriv(a, out=None):
-    # 1 - tanh(z) ** 2
-    out = np.square(a, out=out)
-    return np.subtract(1.0, out, out=out)
-
-
-_ACT_FNS = {
-    "relu": (_relu, _relu_deriv),
-    "sigmoid": (_sigmoid, _sigmoid_deriv),
-    "tanh": (np.tanh, _tanh_deriv),
-}
-ACTIVATIONS = tuple(_ACT_FNS)
-
-
 @dataclass
 class Layer:
-    """One affine stage, optionally followed by activation and identity skip."""
+    """One affine stage, optionally followed by ReLU and identity skip."""
 
     weights: np.ndarray  # (out_width, in_width)
     bias: np.ndarray     # (out_width,)
@@ -101,17 +64,14 @@ class Layer:
 
 @dataclass
 class ResNet:
-    """Scalar-output residual network: affine + activation (+ identity skip) stack."""
+    """Scalar-output residual network: affine + ReLU (+ identity skip) stack."""
 
     layers: list[Layer]
-    activation: str = "relu"
     input_dim: int = field(init=False)
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        if self.activation not in _ACT_FNS:
-            raise ValueError(f"unknown activation {self.activation!r}; one of {ACTIVATIONS}")
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_width != b.in_width:
                 raise ValueError(
@@ -134,26 +94,27 @@ class ResNet:
 
         Each layer computes its matmul result into a new array, or into the
         ``z`` of its ``(z, d)`` pair in ``buffers``, and applies the bias,
-        activation and skip to it in place; where ``d`` is not None, the
-        activation's derivative at the pre-activation goes into it (a bool
-        mask for ReLU). ``X`` is never written. Raises FloatingPointError
-        naming the first non-finite layer when the output is not finite;
-        training runs through here, so ``train`` may raise it too; with
-        ``strict=False`` the outputs are returned as computed. The arithmetic
-        is in the dtype of the layers' arrays.
+        ReLU and skip to it in place; where ``d`` is not None, ReLU's
+        derivative at the pre-activation goes into it as a bool mask. ``X`` is
+        never written. Raises FloatingPointError naming the first non-finite
+        layer when the output is not finite; training runs through here, so
+        ``train`` may raise it too; with ``strict=False`` the outputs are
+        returned as computed. The arithmetic is in the dtype of the layers'
+        arrays.
         """
         X = np.asarray(X, dtype=self.layers[0].weights.dtype)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
-        act, act_deriv = _ACT_FNS[self.activation]
         h = X
         for lyr, (z_out, d_out) in zip(self.layers, buffers or repeat((None, None))):
             z = np.matmul(h, lyr.weights.T, out=z_out)
             z += lyr.bias
             if lyr.has_activation:
-                act(z, out=z)
+                np.maximum(z, 0.0, out=z)
                 if d_out is not None:
-                    act_deriv(z, out=d_out)
+                    # z > 0 exactly where max(z, 0) > 0; subgradient 0 at exactly 0; a bool
+                    # mask, since g * mask equals g * 1.0 or g * 0.0
+                    np.greater(z, 0.0, out=d_out)
             if lyr.has_skip:
                 z += h
             h = z
@@ -174,15 +135,6 @@ class ResNet:
         return Objective(lambda X: self.forward(X, buffers._rows(len(X)), strict=False),
                          self.input_dim, name="resnet")
 
-    def copy(self) -> "ResNet":
-        return ResNet(
-            layers=[
-                Layer(lyr.weights.copy(), lyr.bias.copy(), lyr.has_activation, lyr.has_skip)
-                for lyr in self.layers
-            ],
-            activation=self.activation,
-        )
-
     # --- serialization -------------------------------------------------
 
     def save(self, path) -> None:
@@ -192,7 +144,7 @@ class ResNet:
         The text goes to the file in pieces, the weights a slice at a time,
         so memory stays bounded by one slice of Python floats.
         """
-        header = {"format_version": WEIGHT_FORMAT_VERSION, "activation": self.activation,
+        header = {"format_version": WEIGHT_FORMAT_VERSION, "activation": "relu",
                   "input_dim": self.input_dim}
         with open(path, "w") as f:
             f.write(json.dumps(header)[:-1] + ', "layers": [')
@@ -219,6 +171,9 @@ class ResNet:
             version = doc["format_version"]
             if version != WEIGHT_FORMAT_VERSION:
                 raise WeightFormatError(f"unsupported format_version {version}")
+            if doc["activation"] != "relu":
+                raise WeightFormatError(f"weight file {path}: field 'activation' is "
+                                        f"{doc['activation']!r}, but only 'relu' is supported")
             layers = []
             for i, entry in enumerate(doc["layers"]):
                 where = f"weight file {path}: layer {i}: field"
@@ -252,7 +207,7 @@ class ResNet:
                         has_skip=entry["has_skip"],
                     )
                 )
-            net = cls(layers=layers, activation=doc["activation"])
+            net = cls(layers=layers)
             if type(doc["input_dim"]) is not int or doc["input_dim"] != net.input_dim:
                 raise WeightFormatError(f"weight file {path}: field 'input_dim' is "
                                         f"{doc['input_dim']!r}, but layer 0 has in_width "
@@ -322,14 +277,10 @@ def _layer_arrays(obj: dict) -> dict:
     return obj
 
 
-def build_resnet(
-    widths: list[int],
-    activation: str = "relu",
-    seed: int = 0,
-) -> ResNet:
+def build_resnet(widths: list[int], seed: int = 0) -> ResNet:
     """Build a ResNet from the full width chain [d, h1, ..., hk, 1].
 
-    Hidden layers get the activation; the identity skip is active exactly on
+    Hidden layers get ReLU; the identity skip is active exactly on
     equal-width hidden transitions. Weights use uniform He-style init
     (+- sqrt(6/in_width)) from the seeded generator.
     """
@@ -350,4 +301,4 @@ def build_resnet(
                 has_skip=(not is_output) and i > 0 and n_in == n_out,
             )
         )
-    return ResNet(layers=layers, activation=activation)
+    return ResNet(layers=layers)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,21 +65,20 @@ class FitReport:
 class _TrainWorkspace:
     """Every array a training step writes, allocated once for batches of up to ``rows`` rows.
 
-    Each layer's output and activation derivative go into ``outputs[k]`` and
+    Each layer's output and ReLU derivative mask go into ``outputs[k]`` and
     ``derivs[k]`` (None without activation); a batch of n rows uses their
     leading n rows, which ``_rows(n)`` hands to ``ResNet.forward``. Beside
     those: the flat gradient ``grad``, in ``_layer_views``' order and with
     per-layer ``(dW, db)`` views in ``grads``; two dL/dh buffers sized to
     the widest layer, which the backward pass alternates between; and one
-    scratch array for Adam. All of them take the network's dtype, except a
-    ReLU's bool derivative mask.
+    scratch array for Adam. All of them take the network's dtype, except the
+    bool ReLU derivative masks.
     """
 
     def __init__(self, net: ResNet, rows: int):
         dtype = net.layers[0].weights.dtype
-        deriv_dtype = bool if net.activation == "relu" else dtype
         self.outputs = [np.empty((rows, lyr.out_width), dtype) for lyr in net.layers]
-        self.derivs = [np.empty((rows, lyr.out_width), deriv_dtype) if lyr.has_activation
+        self.derivs = [np.empty((rows, lyr.out_width), bool) if lyr.has_activation
                        else None for lyr in net.layers]
         self.grad = np.empty(net.num_params, dtype)
         self.grads = _layer_views(self.grad, net)
@@ -194,8 +193,9 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     if not all(-limit <= a.min() and a.max() <= limit for a in (data.inputs, data.targets)):
         raise ValueError(f"training data must be finite and within float32's range "
                          f"(|v| <= {limit:.4g}) to train in float32")
-    net = net.copy()
-    # every weight and bias becomes a view of one float32 buffer, in _layer_views' order
+    # every weight and bias of a copy of each layer becomes a view of one float32
+    # buffer, in _layer_views' order; the caller's layers keep their arrays
+    net = ResNet([replace(lyr) for lyr in net.layers])
     params = np.concatenate([a.ravel() for a in weights], dtype=np.float32)
     _bind(net, params)
     inputs, targets = data.inputs.astype(np.float32), data.targets.astype(np.float32)

@@ -44,13 +44,13 @@ def traced(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[tuple[Anne
 
     results = _results(copying(_lockstep(f, domain, cfgs, signs)), domain, cfgs, signs)
     (_, start_values, _), levels = records[0], records[1:]
-    t, proposals, states, values, accepted = zip(*levels)
+    proposals, states, values, accepted = zip(*levels)
     m = len(values[0])
     proposals, states, values, accepted = (np.concatenate(a)
                                            for a in (proposals, states, values, accepted))
     best_values = np.minimum.accumulate(np.concatenate([start_values[None], values]))[1:]
     left_box = ((proposals < domain.lower) | (proposals > domain.upper)).any(axis=2)
-    iterations, temperatures = np.arange(1, len(values) + 1), np.repeat(np.array(t), m)
+    iterations, temperatures = np.arange(1, len(values) + 1), np.repeat(cfgs[0].temperature_levels(), m)
     return [(r, Trace(iterations, temperatures, states[:, c], values[:, c], accepted[:, c],
                       best_values[:, c], left_box[:, c])) for c, r in enumerate(results)]
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from rangesa.anneal import LEVEL_COLUMNS, MODES, EvalBudgetExceeded, run_many
 from rangesa.objectives import _write_csv
 from support import Trace, fixed_temperature_chain, gibbs_density, run, traced
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
 PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")
 
@@ -496,6 +502,27 @@ class TestBatch:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert all(r.eval_count == 1 + 14 * 2000 for r in runs)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_memory_of_many_levels_grows_by_level_rows(self, tmp_path):
+        # 46,051 levels of one step for 2 chains: a tuple of 8 arrays kept per level
+        # peaked at about 119 MB; one row of a few floats per chain per level, about 52 MB.
+        # A fresh interpreter, whose VmHWM is its own peak.
+        script = textwrap.dedent("""
+            import re, sys
+            from rangesa.cli import main
+            rc = main(["estimate-range", "--fn", "ackley", "--n-seeds", "1", "--inner-iters",
+                       "1", "--t-min", "1", "--delta", "0.99995", "--out", sys.argv[1]])
+            with open("/proc/self/status") as status:
+                print(rc, int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1]) / 1024)
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rc, peak_mb = proc.stdout.split()
+        assert rc == "0" and float(peak_mb) < 80, proc.stdout
+        assert len((tmp_path / "levels.csv").read_text().splitlines()) == 1 + 2 * 46_051
 
     def test_nan_start_redrawn_from_own_generator(self):
         calls = []

@@ -686,6 +686,8 @@ def _malformed(doc, case):
         layer["has_activation"] = 1
     elif case == "input_dim":
         doc["input_dim"] = 3
+    elif case == "tanh":
+        doc["activation"] = "tanh"
 
 
 @pytest.mark.parametrize("case, message", [
@@ -709,6 +711,7 @@ def _malformed(doc, case):
     ("numeric_flag", "weight file {path}: layer 1: field 'has_activation' must be true or "
                      "false, got 1"),
     ("input_dim", "weight file {path}: field 'input_dim' is 3, but layer 0 has in_width 2"),
+    ("tanh", "weight file {path}: field 'activation' is 'tanh', but only 'relu' is supported"),
 ])
 def test_malformed_weight_values_exit_2(tmp_path, capsys, tiny_weights, case, message):
     doc = json.loads(tiny_weights.read_text())

@@ -107,15 +107,18 @@ class TestEstimateRange:
         res = estimate_range(f, dom, cfg, n_seeds=3)
         cfgs = [r.config for r in res.runs["min"]]
         batch = traced(f, dom, cfgs * 2, [1] * 3 + [-1] * 3)  # estimate_range's batch
-        for kind, g, records in (("min", f, batch[:3]), ("max", _negated(f), batch[3:])):
+        for kind, g, sign, records in (("min", f, 1, batch[:3]),
+                                       ("max", _negated(f), -1, batch[3:])):
             assert [r.config.seed for r in res.runs[kind]] == [7, 8, 9]
             for r, (same, trace) in zip(res.runs[kind], records):
                 single, single_trace = run(g, dom, r.config)
                 for name in ("iterations", "temperatures", "points", "values", "accepted",
                              "best_values"):
                     assert np.array_equal(getattr(trace, name), getattr(single_trace, name))
+                # both hold f's value; the single run minimized g = sign * f
+                assert r.best_value == same.best_value == sign * single.best_value
                 for other in (same, single):
-                    assert np.array_equal(r.best, other.best) and r.best_value == other.best_value
+                    assert np.array_equal(r.best, other.best)
                     assert r.eval_count == other.eval_count
                     assert r.iters_to_best == other.iters_to_best
                 for name in LEVEL_COLUMNS:
@@ -142,6 +145,23 @@ class TestEstimateRange:
         res = estimate_range(f, dom, AnnealConfig(seed=3), n_seeds=3)
         # both are inner approximations of the true min (-1); SA stays above it
         assert res.f_min >= -1.0 - 1e-12
+
+
+def test_tanh_network_is_analysed_as_a_black_box():
+    # the method needs only point values: a tanh MLP written here, no ResNet, runs
+    # through both. Its extremes lie on the box's faces, which the grid includes, so
+    # the inner interval lies within the grid's range, and reaches it within 1e-4
+    rng = np.random.default_rng(0)
+    W1, b1, w2 = rng.normal(size=(8, 2)), rng.normal(size=8), rng.normal(size=8)
+    f = Objective(lambda X: np.tanh(X @ W1.T + b1) @ w2, 2, name="tanh-mlp")
+    dom = BoxDomain.cube(-2, 2, 2)
+    res = estimate_range(f, dom, AnnealConfig(seed=0), n_seeds=3)
+    grid = grid_oracle(f, dom, 401)
+    for x, value in ((res.x_min, res.f_min), (res.x_max, res.f_max)):
+        assert dom.contains(x) and f(x) == value
+    width = grid.max_value - grid.min_value
+    assert grid.min_value <= res.f_min < grid.min_value + 1e-4 * width
+    assert grid.max_value - 1e-4 * width < res.f_max <= grid.max_value
 
 
 @pytest.mark.parametrize("call", [estimate_range, compare_modes])
@@ -205,7 +225,7 @@ def test_estimate_range_skips_nan_chains(seed):
                 assert r.eval_count == 1 + START_REDRAWS + len(trace)
                 assert not trace.accepted.any()
     finite_mins = [r.best_value for r in res.runs["min"] if np.isfinite(r.best_value)]
-    finite_maxs = [-r.best_value for r in res.runs["max"] if np.isfinite(r.best_value)]
+    finite_maxs = [r.best_value for r in res.runs["max"] if np.isfinite(r.best_value)]
     assert res.f_min == min(finite_mins) and res.f_max == max(finite_maxs)
     assert res.x_min[0] > 0.985 and res.x_max[0] > 0.985
     with pytest.raises(ValueError, match="no finite"):

@@ -8,7 +8,7 @@ import pytest
 
 from rangesa import Layer, ResNet, WeightFormatError, build_resnet
 from rangesa.presets import preset
-from rangesa.resnet import ACTIVATIONS, _Buffers
+from rangesa.resnet import _Buffers
 
 ACKLEY_WIDTHS = [2, 128, 256, 256, 256, 256, 128, 1]
 DROPWAVE_WIDTHS = [2, 128, 256, 256, 512, 512, 512, 256, 128, 1]
@@ -73,10 +73,9 @@ def test_nonfinite_error_names_layer():
 
 def _layer_buffers(net, n, derivs=True):
     """Per layer, a fresh (n, width) output array and, where the layer has an activation
-    and ``derivs`` is set, a derivative array (bool for ReLU)."""
-    d_dtype = bool if net.activation == "relu" else float
+    and ``derivs`` is set, a bool derivative mask."""
     return [(np.empty((n, lyr.out_width)),
-             np.empty((n, lyr.out_width), d_dtype) if derivs and lyr.has_activation else None)
+             np.empty((n, lyr.out_width), bool) if derivs and lyr.has_activation else None)
             for lyr in net.layers]
 
 
@@ -125,45 +124,30 @@ def test_forward_cache_holds_layer_inputs_and_preactivations():
     assert np.array_equal(buffers[1][0], np.maximum(z[1], 0.0) + buffers[0][0])
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-# activation and its derivative, every step a new array
-_ACT_FORMULAS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: z > 0.0),
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-}
-
-
 def _layer_formula(net, X):
-    """act(h @ W.T + b) (+ h) per layer, every step a new array."""
-    act, _ = _ACT_FORMULAS[net.activation]
+    """relu(h @ W.T + b) (+ h) per layer, every step a new array."""
     h = X
     for lyr in net.layers:
         z = h @ lyr.weights.T + lyr.bias
-        a = act(z) if lyr.has_activation else z
+        a = np.maximum(z, 0.0) if lyr.has_activation else z
         h = a + h if lyr.has_skip else a
     return h[..., 0]
 
 
-def _odd_skips_net(activation):
+def _odd_skips_net():
     # a skip on the first layer (its input is the caller's array) and one without activation
     rng = np.random.default_rng(8)
     return ResNet([
         Layer(rng.normal(size=(2, 2)), rng.normal(size=2), True, True),
         Layer(rng.normal(size=(2, 2)), rng.normal(size=2), False, True),
         Layer(rng.normal(size=(1, 2)), rng.normal(size=1), False, False),
-    ], activation=activation)
+    ])
 
 
-@pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (5000, 2)])
-def test_forward_bit_identical_to_layer_formula(activation, shape):
+def test_forward_bit_identical_to_layer_formula(shape):
     X = np.random.default_rng(4).uniform(-3, 3, size=shape)
-    for net in (build_resnet([2, 16, 16, 32, 32, 1], activation=activation, seed=3),
-                _odd_skips_net(activation)):
+    for net in (build_resnet([2, 16, 16, 32, 32, 1], seed=3), _odd_skips_net()):
         X_before = X.copy()
         out = net.forward(X)
         assert np.array_equal(out, _layer_formula(net, X))
@@ -171,31 +155,27 @@ def test_forward_bit_identical_to_layer_formula(activation, shape):
         assert np.array_equal(X, X_before)
 
 
-@pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_forward_cache_is_never_overwritten(activation):
+def test_forward_cache_is_never_overwritten():
     X = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
-    for net in (build_resnet([2, 8, 8, 1], activation=activation, seed=4),
-                _odd_skips_net(activation)):
+    for net in (build_resnet([2, 8, 8, 1], seed=4), _odd_skips_net()):
         buffers = _layer_buffers(net, len(X))
         out = net.forward(X, buffers)
-        act, deriv = _ACT_FORMULAS[activation]
         # after the pass, every buffer still holds its own layer's output and derivative
         inputs = [X] + [z for z, _ in buffers[:-1]]
         for lyr, (h_out, d), h_in in zip(net.layers, buffers, inputs):
             z = h_in @ lyr.weights.T + lyr.bias
-            a = act(z) if lyr.has_activation else z
+            a = np.maximum(z, 0.0) if lyr.has_activation else z
             assert np.array_equal(h_out, a + h_in if lyr.has_skip else a)
             if lyr.has_activation:
-                assert np.array_equal(d, deriv(z))
+                assert np.array_equal(d, z > 0.0)
             else:
                 assert d is None
         assert np.array_equal(out, buffers[-1][0][:, 0])
         assert np.array_equal(out, net.forward(X))
 
 
-@pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_derivative_written_only_where_given_and_input_never_written(activation):
-    net = _odd_skips_net(activation)  # layer 1 has an activation, layers 2 and 3 have none
+def test_derivative_written_only_where_given_and_input_never_written():
+    net = _odd_skips_net()  # layer 1 has an activation, layers 2 and 3 have none
     X = np.random.default_rng(6).uniform(-2, 2, size=(7, 2))
     X_before = X.copy()
     X.setflags(write=False)  # any write into X raises
@@ -203,8 +183,7 @@ def test_derivative_written_only_where_given_and_input_never_written(activation)
     given, unused = np.full((7, 2), 7.0), np.full((7, 1), 7.0)
     buffers[0], buffers[2] = (buffers[0][0], given), (buffers[2][0], unused)
     out = net.forward(X, buffers)
-    _, deriv = _ACT_FORMULAS[activation]
-    assert np.array_equal(given, deriv(X @ net.layers[0].weights.T + net.layers[0].bias))
+    assert np.array_equal(given, X @ net.layers[0].weights.T + net.layers[0].bias > 0.0)
     assert np.all(unused == 7.0)  # a layer without activation has no derivative to write
     assert np.array_equal(X, X_before) and np.array_equal(out, _layer_formula(net, X))
 
@@ -328,7 +307,7 @@ class TestSerialization:
         net.layers[0].bias[:2] = [np.nan, -np.inf]
         doc = {
             "format_version": 1,
-            "activation": net.activation,
+            "activation": "relu",
             "input_dim": net.input_dim,
             "layers": [
                 {"in_width": lyr.in_width, "out_width": lyr.out_width,
