@@ -50,7 +50,8 @@ def traced(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[tuple[Anne
                                            for a in (proposals, states, values, accepted))
     best_values = np.minimum.accumulate(np.concatenate([start_values[None], values]))[1:]
     left_box = ((proposals < domain.lower) | (proposals > domain.upper)).any(axis=2)
-    iterations, temperatures = np.arange(1, len(values) + 1), np.repeat(cfgs[0].temperature_levels(), m)
+    iterations = np.arange(1, len(values) + 1)
+    temperatures = np.repeat(cfgs[0].temperature_levels(), m)
     return [(r, Trace(iterations, temperatures, states[:, c], values[:, c], accepted[:, c],
                       best_values[:, c], left_box[:, c])) for c, r in enumerate(results)]
 
