@@ -20,7 +20,7 @@ from .objectives import Objective, _check_dims, _integer, _real, _write_csv
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
 # Chain steps x chains in one batch. This bounds a run's time. The kernel keeps one
-# level's steps, and per level one row per chain: run_many peaks at 104 bytes a row
+# level's steps, and per level one row per chain: run_many peaks at about 72 bytes a row
 # (the LevelSummary it returns included), so memory grows with the levels, not the steps.
 EVAL_BUDGET = 10**7
 START_REDRAWS = 100  # extra start draws for a chain whose start value is not finite
@@ -124,7 +124,7 @@ class LevelSummary:
     @classmethod
     def of(cls, labelled) -> "LevelSummary":
         """The rows of (kind, AnnealResult) pairs, chain after chain, labelled with kind."""
-        parts = [replace(r.levels, kind=np.full(len(r.levels.kind), kind)) for kind, r in labelled]
+        parts = [replace(r.levels, kind=_labels(kind, len(r.levels.kind))) for kind, r in labelled]
         return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in LEVEL_COLUMNS))
 
     def to_csv(self, path) -> None:
@@ -219,8 +219,8 @@ def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
         uniforms = np.stack([rng.uniform(size=m) for rng in rngs], axis=1)
         for k in range(m):
             y = np.add(x, noise[k], out=proposals[k])
-            if fold_any:
-                y = domain.reflect(y) if fold_all else np.where(fold, domain.reflect(y), y)
+            if fold_any:  # the fold returns y itself when every run is inside the box
+                y = domain._fold(y) if fold_all else np.where(fold, domain._fold(y), y)
             fy = signs * f.evaluate_many(y)
             acc = uniforms[k] <= acceptance_probability(fy - fx, t)
             taken = np.count_nonzero(acc)
@@ -229,7 +229,7 @@ def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
             if taken:
                 x, fx = y, fy
             states[k], values[k], accepted[k] = x, fx, acc
-        x = x.copy()  # unfolded, x may be a view of the proposals that the next level overwrites
+        x = x.copy()  # x may be a view of the proposals, which the next level overwrites
         yield proposals, states, values, accepted
 
 
@@ -264,11 +264,20 @@ def _results(levels, domain: BoxDomain, cfgs, signs: np.ndarray) -> list[AnnealR
     # NaN runs: every value is NaN, so no level is lower, and step 1 holds the start
     best_x = np.where((low < fx0)[:, None], low_x, x0)  # strictly: on a tie the start held it first
     over = np.maximum(hi - domain.upper, domain.lower - lo).max(axis=1)
+    numbers = np.arange(len(t))  # the level column, shared by the runs like t
     return [AnnealResult(
         best=best_x[c], best_value=float(signs[c] * best[-1, c]),
         eval_count=int(start_evals[c]) + len(t) * m, config=cfg,
         iters_to_best=int(level[c] * m + step[c] + 1), max_excursion=max(float(over[c]), 0.0),
-        levels=LevelSummary(np.full(len(t), cfg.mode), np.full(len(t), cfg.seed),
-                            np.arange(len(t)), t, acceptance[:, c], left_box[:, c],
+        levels=LevelSummary(_labels(cfg.mode, len(t)), np.full(len(t), cfg.seed), numbers, t,
+                            acceptance[:, c], left_box[:, c],
                             signs[c] * mean[:, c], signs[c] * best[:, c]))
         for c, cfg in enumerate(cfgs)]
+
+
+def _labels(label: str, n: int) -> np.ndarray:
+    """An object array of n references to one string: 8 bytes a row, where
+    ``np.full(n, label)`` takes 4 bytes a character a row."""
+    a = np.empty(n, dtype=object)
+    a.fill(label)
+    return a

@@ -15,7 +15,8 @@ import numpy as np
 class BoxDomain:
     """Product of closed intervals ``[l_j, u_j]``, one per input dimension.
 
-    ``lower``, ``upper`` and ``widths`` are read-only (d,) arrays.
+    ``lower``, ``upper``, ``widths`` and ``period`` (twice the widths, the
+    reflection's period) are read-only (d,) arrays.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -33,7 +34,9 @@ class BoxDomain:
                 raise ValueError(f"dimension {j}: [{lo}, {hi}] is too wide, its width overflows")
         object.__setattr__(self, "bounds", bounds)
         lower, upper = (np.array(side) for side in zip(*bounds))
-        for name, a in (("lower", lower), ("upper", upper), ("widths", upper - lower)):
+        widths = upper - lower
+        for name, a in (("lower", lower), ("upper", upper), ("widths", widths),
+                        ("period", 2.0 * widths)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -53,7 +56,7 @@ class BoxDomain:
         return bool(inside) if inside.ndim == 0 else inside
 
     def reflect(self, y) -> np.ndarray:
-        """Fold an arbitrary real vector into the box, component-wise.
+        """Fold an arbitrary real vector into the box, component-wise, into a new array.
 
         Components already inside are returned unchanged. The map is the
         period-2(u-l) triangle wave per coordinate: the fractional offset
@@ -62,14 +65,22 @@ class BoxDomain:
         """
         y = np.asarray(y, dtype=float)
         self._check_dim(y)
-        inside = (y >= self.lower) & (y <= self.upper)
+        folded = self._fold(y)
+        return y.copy() if folded is y else folded
+
+    def _fold(self, y: np.ndarray) -> np.ndarray:
+        """``reflect`` of a float array of the box's dimension, unchecked; ``y`` itself
+        when every component is inside, else a new array."""
+        lower, upper = self.lower, self.upper
+        inside = (y >= lower) & (y <= upper)
         if np.count_nonzero(inside) == inside.size:  # cheaper than inside.all() on small arrays
-            return y.copy()
-        w = self.widths
-        t = np.mod(y - self.lower, 2.0 * w)
-        folded = self.lower + np.where(t <= w, t, 2.0 * w - t)
-        # rounding at the period seam must never produce a point outside the box
-        return np.where(inside, y, np.clip(folded, self.lower, self.upper))
+            return y
+        t = np.mod(y - lower, self.period)
+        folded = lower + np.where(t <= self.widths, t, self.period - t)
+        # rounding at the period seam must never produce a point outside the box; the
+        # method runs np.clip's ufunc without np.clip's dispatch (np.minimum(np.maximum())
+        # differs from it on a tie of zeros of opposite sign)
+        return np.where(inside, y, folded.clip(lower, upper))
 
     def sample_uniform(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
         size = self.dim if n is None else (n, self.dim)

@@ -55,7 +55,9 @@ class Objective:
         values = self._block(X) if len(X) <= ROW_BLOCK else np.concatenate(
             [self._block(X[s : s + ROW_BLOCK]) for s in range(0, len(X), ROW_BLOCK)])
         finite = np.isfinite(values)
-        return values if finite.all() else np.where(finite, values, np.nan)
+        if np.count_nonzero(finite) == len(values):  # cheaper than finite.all() on small arrays
+            return values
+        return np.where(finite, values, np.nan)
 
     def _block(self, X: np.ndarray) -> np.ndarray:
         values = np.asarray(self._fn(X), dtype=float)

@@ -13,8 +13,12 @@ private copy whose weights are float32, since float32 matrix products run
 about twice as fast and Adam's noisy steps do not need float64; it returns
 each float32 weight parsed as float64 from numpy's shortest float32 repr.
 ``forward`` and the backward pass compute in the dtype of the network's own
-arrays. ``as_objective`` evaluates through ``forward`` into two buffers per
-thread, which the layers write by turns, so a batch allocates no layer output.
+arrays. ``forward`` checks its input and runs one private layer loop;
+``as_objective`` runs that loop directly, since ``Objective.evaluate_many``
+has checked the batch, into two buffers per thread, which the layers write
+by turns, so a batch allocates no layer output. A small batch, such as a
+chain step's one row per chain, adds each bias from a copy tiled to its
+rows, which needs no broadcast: the same sums, in half the time.
 """
 from __future__ import annotations
 
@@ -30,6 +34,9 @@ from .objectives import Objective, _integer
 
 WEIGHT_FORMAT_VERSION = 1
 _SAVE_SLICE = 4096  # floats turned into Python objects at a time by ResNet.save
+# as_objective adds the biases of a batch of up to this many rows (a chain step's: one
+# row per chain) from copies tiled to its rows: twice as fast as a broadcast row
+_TILE_ROWS = 64
 
 
 class WeightFormatError(ValueError):
@@ -105,35 +112,49 @@ class ResNet:
         X = np.asarray(X, dtype=self.layers[0].weights.dtype)
         if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
-        h = X
-        for lyr, (z_out, d_out) in zip(self.layers, buffers or repeat((None, None))):
-            z = np.matmul(h, lyr.weights.T, out=z_out)
-            z += lyr.bias
-            if lyr.has_activation:
-                np.maximum(z, 0.0, out=z)
-                if d_out is not None:
-                    # z > 0 exactly where max(z, 0) > 0; subgradient 0 at exactly 0; a bool
-                    # mask, since g * mask equals g * 1.0 or g * 0.0
-                    np.greater(z, 0.0, out=d_out)
-            if lyr.has_skip:
-                z += h
-            h = z
+        h = self._layers(X, buffers)
         if strict and not np.isfinite(h).all():
             # walk the layers again, each into an array of its own, to find the first bad one
             outputs = [np.empty(X.shape[:-1] + (lyr.out_width,), X.dtype) for lyr in self.layers]
-            self.forward(X, [(z, None) for z in outputs], strict=False)
+            self._layers(X, [(z, None) for z in outputs])
             layer = next(k for k, z in enumerate(outputs, start=1) if not np.isfinite(z).all())
             raise FloatingPointError(f"non-finite value at layer {layer}")
         out = h[..., 0]
         return out if out.ndim else float(out)
 
+    def _layers(self, h: np.ndarray, buffers=None, biases=None) -> np.ndarray:
+        """The layer loop of ``forward``, unchecked: ``h`` is a (d,) or (n, d) array in the
+        layers' dtype. ``biases`` default to the layers' own; ``_Buffers`` passes them
+        tiled to a small batch's rows, which add with no broadcast. Returns the output
+        layer's (..., 1) array."""
+        zero = np.zeros((), h.dtype)  # ReLU's 0.0, converted once rather than per layer
+        for lyr, (z_out, d_out), bias in zip(self.layers, buffers or repeat((None, None)),
+                                             biases or [lyr.bias for lyr in self.layers]):
+            z = np.dot(h, lyr.weights.T, out=z_out)  # matmul's BLAS call, less overhead
+            z += bias
+            if lyr.has_activation:
+                np.maximum(z, zero, out=z)
+                if d_out is not None:
+                    # z > 0 exactly where max(z, 0) > 0; subgradient 0 at exactly 0; a bool
+                    # mask, since g * mask equals g * 1.0 or g * 0.0
+                    np.greater(z, zero, out=d_out)
+            if lyr.has_skip:
+                z += h
+            h = z
+        return h
+
     def as_objective(self) -> Objective:
         """The network as a black box; a row whose output overflows evaluates to NaN
         (see ``Objective``), which the annealer rejects and the grid oracle skips.
-        Each calling thread's hidden layers write into buffers of its own (``_Buffers``)."""
+        ``Objective.evaluate_many`` checks each batch, so the layer loop runs unchecked.
+        Each calling thread's hidden layers write into buffers of its own, and a batch of
+        up to _TILE_ROWS rows adds biases tiled to its rows (``_Buffers``)."""
         buffers = _Buffers(self)
-        return Objective(lambda X: self.forward(X, buffers._rows(len(X)), strict=False),
-                         self.input_dim, name="resnet")
+
+        def evaluate(X):
+            rows = buffers._rows(len(X))
+            return self._layers(X, rows, buffers.biases)[:, 0]
+        return Objective(evaluate, self.input_dim, name="resnet")
 
     # --- serialization -------------------------------------------------
 
@@ -228,14 +249,18 @@ class _Buffers(threading.local):
     passes a larger batch a block at a time, and grow only when a larger
     batch arrives; the views for the last row count are kept, so a repeated
     batch size pays no slicing. The output layer's (n, 1) result is
-    allocated, so the values returned belong to the caller.
+    allocated, so the values returned belong to the caller. With the views,
+    ``biases`` holds each layer's bias: for a batch of up to _TILE_ROWS rows
+    a copy tiled to its rows, made when the row count changes (so it holds
+    the bias of that moment), else the layer's own array.
     """
 
     def __init__(self, net: ResNet):
+        self.layers = net.layers
         self.widths = [lyr.out_width for lyr in net.layers]
         self.dtype = net.layers[0].weights.dtype
         self.pair = (np.empty(0, self.dtype),) * 2
-        self.n, self.views = -1, []
+        self.n, self.views, self.biases = -1, [], []
 
     def _rows(self, n: int) -> list:
         """Per layer, the (n, width) view to write its output into (None for the output
@@ -246,6 +271,8 @@ class _Buffers(threading.local):
                 self.pair = (np.empty(size, self.dtype), np.empty(size, self.dtype))
             self.views = [(self.pair[k % 2][: n * w].reshape(n, w), None)
                           for k, w in enumerate(self.widths[:-1])] + [(None, None)]
+            self.biases = [np.tile(lyr.bias, (n, 1)) if n <= _TILE_ROWS else lyr.bias
+                           for lyr in self.layers]
             self.n = n
         return self.views
 

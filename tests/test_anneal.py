@@ -503,6 +503,27 @@ class TestBatch:
         assert peak < 8 * 2**20
         assert all(r.eval_count == 1 + 14 * 2000 for r in runs)
 
+    def test_level_rows_hold_no_per_run_copy_of_constants(self):
+        # 2 chains at 460 and 2,302 levels of one step: with a 9-character kind per row
+        # and a level column per run, a level row took 104 bytes; with those shared, 72
+        cfg = AnnealConfig(t_max=10.0, t_min=1.0, inner_iters=1)
+
+        def peak(delta):
+            cfgs = [replace(cfg, delta=delta, seed=s) for s in (0, 1)]
+            tracemalloc.start()
+            try:
+                runs = run_many(builtin("ackley"), self.dom, cfgs)
+                return tracemalloc.get_traced_memory()[1], runs
+            finally:
+                tracemalloc.stop()
+
+        peak(0.9)  # the first run's one-off allocations
+        (small, _), (large, runs) = peak(0.995), peak(0.999)
+        assert [len(r.levels.level) for r in runs] == [2_302] * 2
+        assert (large - small) / (2 * (2_302 - 460)) < 80
+        a, b = runs[0].levels, runs[1].levels
+        assert list(a.kind) == ["reflected"] * 2_302 and np.array_equal(a.level, b.level)
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_memory_of_many_levels_grows_by_level_rows(self, tmp_path):
         # 46,051 levels of one step for 2 chains: a tuple of 8 arrays kept per level

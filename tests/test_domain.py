@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangesa import BoxDomain
@@ -41,13 +41,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="too wide"):
             BoxDomain(bounds)
 
-    @pytest.mark.parametrize("name", ["lower", "upper", "widths"])
+    @pytest.mark.parametrize("name", ["lower", "upper", "widths", "period"])
     def test_bound_arrays_are_read_only(self, name):
         d = BoxDomain(((0, 1), (-2, 3)))
         with pytest.raises(ValueError, match="read-only"):
             getattr(d, name)[0] = 5.0
         assert d.bounds == ((0.0, 1.0), (-2.0, 3.0))
-        assert np.array_equal(d.widths, [1.0, 5.0])
+        assert np.array_equal(d.widths, [1.0, 5.0]) and np.array_equal(d.period, [2.0, 10.0])
 
 
 class TestContains:
@@ -87,6 +87,11 @@ class TestReflect:
         # (y - l) mod 2(u - l) exactly equal to u - l takes the first branch
         assert self.unit.reflect([1.0])[0] == 1.0
 
+    def test_inside_returns_a_new_array(self):
+        y = np.array([[0.0], [0.7], [1.0]])
+        out = self.unit.reflect(y)
+        assert not np.shares_memory(out, y) and np.array_equal(out, y)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             self.unit.reflect([0.5, 0.5])
@@ -96,6 +101,30 @@ bounds_st = st.tuples(
     st.floats(-100, 100, allow_nan=False),
     st.floats(0.01, 100, allow_nan=False),
 ).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def clip_fold(d, y):
+    # the reference: the fold clamped by numpy's clip
+    inside = (y >= d.lower) & (y <= d.upper)
+    w = d.widths
+    t = np.mod(y - d.lower, 2.0 * w)
+    folded = d.lower + np.where(t <= w, t, 2.0 * w - t)
+    return np.where(inside, y, np.clip(folded, d.lower, d.upper))
+
+
+@given(bounds_st, st.integers(-6, 6), st.floats(0, 1))
+@example((-1e16, 3.0), 1, 0.5)  # the fold of hi + period rounds to 4.0, and the clamp gives 3.0
+@example((-0.0, 1.0), 0, 0.0)  # lo - 5e-324 folds to +0.0, a tie with the bound -0.0
+def test_fold_is_reflect_byte_for_byte(b, k, frac):
+    # on both faces, inside, a float to either side of each, k periods out
+    d = BoxDomain((b,))
+    lo, hi = d.bounds[0]
+    y = np.array([lo, hi, lo + frac * (hi - lo)]) + k * d.period[0]
+    y = np.concatenate([y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf)])[:, None]
+    folded = d._fold(y)
+    assert folded.tobytes() == d.reflect(y).tobytes() == clip_fold(d, y).tobytes()
+    for row in y:  # a point inside comes back as the very array given
+        assert (d._fold(row) is row) == d.contains(row)
 
 
 @given(bounds_st, st.floats(-1e6, 1e6))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rangesa import Layer, ResNet, WeightFormatError, build_resnet
+from rangesa.objectives import ROW_BLOCK
 from rangesa.presets import preset
 from rangesa.resnet import _Buffers
 
@@ -144,7 +145,8 @@ def _odd_skips_net():
     ])
 
 
-@pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (5000, 2)])
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (5000, 2), (6, 2), (1025, 2),
+                                   (64, 2), (65, 2)])
 def test_forward_bit_identical_to_layer_formula(shape):
     X = np.random.default_rng(4).uniform(-3, 3, size=shape)
     for net in (build_resnet([2, 16, 16, 32, 32, 1], seed=3), _odd_skips_net()):
@@ -152,6 +154,14 @@ def test_forward_bit_identical_to_layer_formula(shape):
         out = net.forward(X)
         assert np.array_equal(out, _layer_formula(net, X))
         assert isinstance(out, float) if X.ndim == 1 else out.shape == shape[:1]
+        if X.ndim == 2:
+            # the objective runs forward's layer loop unchecked, a ROW_BLOCK of rows at a
+            # time (BLAS may round a row differently in a batch of another row count), and
+            # adds the biases of a batch of up to 64 rows from tiled copies
+            blocks = [net.forward(X[s : s + ROW_BLOCK], strict=False)
+                      for s in range(0, len(X), ROW_BLOCK)]
+            values = net.as_objective().evaluate_many(X)
+            assert values.tobytes() == np.concatenate(blocks).tobytes()
         assert np.array_equal(X, X_before)
 
 
