@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .domain import BoxDomain
-from .objectives import Objective, _check_dims, _integer, _real, _write_csv
+from .objectives import Objective, _check_dims, _integer, _real, _within_budget, _write_csv
 
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
@@ -24,10 +24,6 @@ COOLINGS = ("theorem", "algorithm1")
 # (the LevelSummary it returns included), so memory grows with the levels, not the steps.
 EVAL_BUDGET = 10**7
 START_REDRAWS = 100  # extra start draws for a chain whose start value is not finite
-
-
-class EvalBudgetExceeded(ValueError):
-    """Raised when a batch of annealing runs would take more steps than EVAL_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,11 @@ def acceptance_probability(delta_f, temperature):
 
 
 def _check_budget(cfg: AnnealConfig, n_chains: int) -> None:
-    """EvalBudgetExceeded when n_chains runs of cfg could take more than EVAL_BUDGET chain steps."""
-    max_levels = cfg._max_levels()
-    if max_levels * cfg.inner_iters * n_chains > EVAL_BUDGET:
-        raise EvalBudgetExceeded(
-            f"{n_chains} chains of up to {max_levels} temperature levels x "
-            f"{cfg.inner_iters} steps exceed the budget of {EVAL_BUDGET} chain steps; "
-            "lower n_seeds, delta or inner_iters, or raise t_min"
-        )
+    """ValueError when n_chains runs of cfg could take more than EVAL_BUDGET chain steps."""
+    levels, steps = cfg._max_levels(), cfg.inner_iters
+    _within_budget(levels * steps * n_chains, EVAL_BUDGET,
+                   f"{n_chains} chains of up to {levels} temperature levels x {steps} steps",
+                   "chain steps", "n_seeds, delta or inner_iters, or raise t_min")
 
 
 def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
@@ -173,9 +166,9 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     states, ``iters_to_best`` and ``max_excursion``; no per-step record is
     kept, so memory holds one level's steps and a row per run per level.
     Each result's ``best_value`` is f's value at its ``best``.
-    Raises ValueError (f and the domain differ in dimension, or the default
-    proposal variance overflows on the box) or EvalBudgetExceeded (over
-    EVAL_BUDGET chain steps) before any evaluation.
+    Raises ValueError before any evaluation when f and the domain differ in
+    dimension, when the default proposal variance overflows on the box or
+    when the runs could take over EVAL_BUDGET chain steps.
     Overflow and NaN raise no numpy warning here: f returns every non-finite
     value as NaN (see ``Objective``), so a non-finite start is redrawn and a
     non-finite proposal rejected.

@@ -289,8 +289,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func({k: v for k, v in vars(args).items()
                           if v is not None and k not in ("command", "func")})
-    # a bad input: the parser's or the library's ValueError names it (WeightFormatError,
-    # GridBudgetExceeded and EvalBudgetExceeded among them)
+    # a bad input: the parser's or the library's ValueError names it (WeightFormatError
+    # and every budget refusal among them)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

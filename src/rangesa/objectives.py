@@ -90,6 +90,13 @@ def _real(name: str, value):
     return value
 
 
+def _within_budget(count: int, budget: int, what: str, unit: str, lower: str) -> None:
+    """ValueError "<what> exceed the budget of <budget> <unit>; lower <lower>" when
+    count > budget. Every budget of a library entry point is checked here, before any work."""
+    if count > budget:
+        raise ValueError(f"{what} exceed the budget of {budget} {unit}; lower {lower}")
+
+
 def _check_dims(f: Objective, domain: BoxDomain) -> None:
     """ValueError unless the objective and the domain have the same dimension."""
     if f.dim != domain.dim:
@@ -165,12 +172,14 @@ class Dataset:
             "seed": self.seed,
             "domain": [list(b) for b in self.domain.bounds],
         }
-        sidecar_path(csv_path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        csv_path.with_suffix(".meta.json").write_text(text)
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
         """Read what ``save`` wrote; ValueError names a CSV or sidecar that does not parse."""
-        csv_path, meta_path = Path(csv_path), sidecar_path(csv_path)
+        csv_path = Path(csv_path)
+        meta_path = csv_path.with_suffix(".meta.json")
         try:
             with warnings.catch_warnings():  # numpy only warns on a file without rows
                 warnings.simplefilter("error", UserWarning)
@@ -181,7 +190,8 @@ class Dataset:
             meta = json.loads(meta_path.read_text())
             domain = BoxDomain(tuple(tuple(b) for b in meta["domain"]))
             source, noise_sd, seed = meta["source"], meta["noise_sd"], meta["seed"]
-        except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        # json.JSONDecodeError is a ValueError; OverflowError: a bound too large for a float
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed dataset sidecar {meta_path}: {exc!r}") from exc
         return cls(raw[:, :-1], raw[:, -1], source, noise_sd, seed, domain)
 
@@ -198,11 +208,6 @@ def _write_csv(path, header, columns) -> None:
             f.write("".join(",".join(row) + "\n" for row in rows))
 
 
-def sidecar_path(csv_path) -> Path:
-    csv_path = Path(csv_path)
-    return csv_path.with_suffix(".meta.json")
-
-
 def sample_dataset(
     f: Objective,
     domain: BoxDomain,
@@ -217,8 +222,7 @@ def sample_dataset(
     is finite and >= 0."""
     _check_dims(f, domain)
     m, seed = _integer("m", m, 1), _integer("seed", seed, 0)
-    if m > DATASET_BUDGET:
-        raise ValueError(f"m = {m} points exceed the budget of {DATASET_BUDGET}; lower m")
+    _within_budget(m, DATASET_BUDGET, f"m = {m} points", "points", "m")
     if not 0 <= _real("noise_sd", noise_sd) < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     noise_sd = float(noise_sd)

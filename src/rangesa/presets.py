@@ -11,7 +11,6 @@ from .resnet import ResNet, build_resnet
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     objective: Objective
     train_domain: BoxDomain
     eval_domain: BoxDomain
@@ -29,8 +28,7 @@ class Preset:
 
 PRESETS = {
     "ackley": Preset(
-        name="ackley",
-        objective=Objective(ackley, 2, name="ackley"),
+        objective=Objective(ackley, 2, "ackley"),
         train_domain=BoxDomain.cube(-4.0, 4.0, 2),
         eval_domain=BoxDomain.cube(-5.0, 5.0, 2),
         eval_n=1000,
@@ -38,8 +36,7 @@ PRESETS = {
         hidden=(128, 256, 256, 256, 256, 128),  # four 256-wide residual blocks
     ),
     "dropwave": Preset(
-        name="dropwave",
-        objective=Objective(drop_wave, 2, name="dropwave"),
+        objective=Objective(drop_wave, 2, "dropwave"),
         train_domain=BoxDomain.cube(-5.12, 5.12, 2),
         eval_domain=BoxDomain.cube(-5.12, 5.12, 2),
         eval_n=1500,
@@ -47,8 +44,7 @@ PRESETS = {
         hidden=(128, 256, 256, 512, 512, 512, 256, 128),  # deeper, 512-wide middle blocks
     ),
     "multimin": Preset(
-        name="multimin",
-        objective=Objective(multi_minima, 3, name="multimin"),
+        objective=Objective(multi_minima, 3, "multimin"),
         train_domain=BoxDomain.cube(-3.0, 3.0, 3),
         eval_domain=BoxDomain.cube(-3.0, 3.0, 3),
         eval_n=1500,

@@ -9,13 +9,9 @@ import numpy as np
 
 from .anneal import MODES, AnnealConfig, AnnealResult, _check_budget, run_many
 from .domain import BoxDomain
-from .objectives import ROW_BLOCK, Objective, _check_dims, _integer
+from .objectives import ROW_BLOCK, Objective, _check_dims, _integer, _within_budget
 
 GRID_BUDGET = 10**8
-
-
-class GridBudgetExceeded(ValueError):
-    """Raised when the requested tensor grid is larger than the evaluation budget."""
 
 
 def _best_finite(runs: list[AnnealResult], highest: bool = False) -> AnnealResult:
@@ -147,17 +143,15 @@ def grid_oracle(
     Evaluated ROW_BLOCK rows at a time by ``_oracle_workers()`` threads.
     Deterministic; ties resolve to the first grid point in row-major order.
     Only finite values count; ValueError when the grid has none, and before
-    any evaluation when f and the domain differ in dimension.
+    any evaluation when f and the domain differ in dimension or the grid has
+    over GRID_BUDGET points.
     """
     _check_dims(f, domain)
     points_per_dim = _integer("points_per_dim", points_per_dim, 2)
     d = domain.dim
     n_total = points_per_dim**d
-    if n_total > GRID_BUDGET:
-        raise GridBudgetExceeded(
-            f"grid of {n_total} points exceeds the {GRID_BUDGET} budget; "
-            "reduce points_per_dim"
-        )
+    _within_budget(n_total, GRID_BUDGET, f"{points_per_dim}^{d} = {n_total} grid points", "points",
+                   "points_per_dim")
     axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in domain.bounds]
 
     def points(idx):  # grid points by row-major index

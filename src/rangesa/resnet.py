@@ -14,11 +14,12 @@ about twice as fast and Adam's noisy steps do not need float64; it returns
 each float32 weight parsed as float64 from numpy's shortest float32 repr.
 ``forward`` and the backward pass compute in the dtype of the network's own
 arrays. ``forward`` checks its input and runs one private layer loop;
-``as_objective`` runs that loop directly, since ``Objective.evaluate_many``
-has checked the batch, into two buffers per thread, which the layers write
-by turns, so a batch allocates no layer output. A small batch, such as a
-chain step's one row per chain, adds each bias from a copy tiled to its
-rows, which needs no broadcast: the same sums, in half the time.
+``as_objective`` (whose batch ``Objective.evaluate_many`` has checked) and
+the training step run that loop directly, into buffers of their own:
+``as_objective``'s are two per thread, which the layers write by turns, so
+a batch allocates no layer output. A small batch, such as a chain step's
+one row per chain, adds each bias from a copy tiled to its rows, which
+needs no broadcast: the same sums, in half the time.
 """
 from __future__ import annotations
 
@@ -96,24 +97,16 @@ class ResNet:
     def widths(self) -> list[int]:
         return [self.input_dim] + [lyr.out_width for lyr in self.layers]
 
-    def forward(self, X, buffers=None, strict: bool = True):
+    def forward(self, X):
         """Network output at a (d,) point (a float) or an (n, d) batch (an (n,) array).
 
-        Each layer computes its matmul result into a new array, or into the
-        ``z`` of its ``(z, d)`` pair in ``buffers``, and applies the bias,
-        ReLU and skip to it in place; where ``d`` is not None, ReLU's
-        derivative at the pre-activation goes into it as a bool mask. ``X`` is
-        never written. Raises FloatingPointError naming the first non-finite
-        layer when the output is not finite; training runs through here, so
-        ``train`` may raise it too; with ``strict=False`` the outputs are
-        returned as computed. The arithmetic is in the dtype of the layers'
-        arrays.
+        Each layer computes into a new array; ``X`` is never written. Raises
+        FloatingPointError naming the first non-finite layer when the output
+        is not finite. The arithmetic is in the dtype of the layers' arrays.
         """
-        X = np.asarray(X, dtype=self.layers[0].weights.dtype)
-        if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
-            raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
-        h = self._layers(X, buffers)
-        if strict and not np.isfinite(h).all():
+        X = self._input(X)
+        h = self._layers(X)
+        if not np.isfinite(h).all():
             # walk the layers again, each into an array of its own, to find the first bad one
             outputs = [np.empty(X.shape[:-1] + (lyr.out_width,), X.dtype) for lyr in self.layers]
             self._layers(X, [(z, None) for z in outputs])
@@ -122,11 +115,22 @@ class ResNet:
         out = h[..., 0]
         return out if out.ndim else float(out)
 
+    def _input(self, X) -> np.ndarray:
+        """``X`` as an array in the layers' dtype; ValueError unless it is a (d,) point or
+        an (n, d) batch. ``forward`` and ``trainer.loss_and_gradients`` check it here."""
+        X = np.asarray(X, dtype=self.layers[0].weights.dtype)
+        if X.ndim not in (1, 2) or X.shape[-1] != self.input_dim:
+            raise ValueError(f"expected input of dimension {self.input_dim}, got shape {X.shape}")
+        return X
+
     def _layers(self, h: np.ndarray, buffers=None, biases=None) -> np.ndarray:
         """The layer loop of ``forward``, unchecked: ``h`` is a (d,) or (n, d) array in the
-        layers' dtype. ``biases`` default to the layers' own; ``_Buffers`` passes them
-        tiled to a small batch's rows, which add with no broadcast. Returns the output
-        layer's (..., 1) array."""
+        layers' dtype. Each layer computes its matmul result into a new array, or into the
+        ``z`` of its ``(z, d)`` pair in ``buffers``, and applies the bias, ReLU and skip to it
+        in place; where ``d`` is not None, ReLU's derivative at the pre-activation goes into
+        it as a bool mask. ``h`` is never written. ``biases`` default to the layers' own;
+        ``_Buffers`` passes them tiled to a small batch's rows, which add with no broadcast.
+        Returns the output layer's (..., 1) array."""
         zero = np.zeros((), h.dtype)  # ReLU's 0.0, converted once rather than per layer
         for lyr, (z_out, d_out), bias in zip(self.layers, buffers or repeat((None, None)),
                                              biases or [lyr.bias for lyr in self.layers]):
@@ -184,7 +188,7 @@ class ResNet:
         try:
             # each layer's weights and bias become arrays as soon as the layer is parsed
             doc = json.loads(Path(path).read_text(), object_hook=_layer_arrays)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, OverflowError) as exc:  # an integer too large for a float
             raise WeightFormatError(f"malformed weight file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise WeightFormatError(f"weight file {path} must hold a JSON object")

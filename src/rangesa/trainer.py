@@ -8,7 +8,7 @@ import numpy as np
 
 from .domain import BoxDomain
 from .objectives import (DATASET_BUDGET, ROW_BLOCK, Dataset, Objective, _check_dims, _integer,
-                         _real, _write_csv)
+                         _real, _within_budget, _write_csv)
 from .resnet import ResNet
 
 # Adam's decay rates and denominator guard, fixed at the values of Kingma & Ba (2015)
@@ -67,7 +67,7 @@ class _TrainWorkspace:
 
     Each layer's output and ReLU derivative mask go into ``outputs[k]`` and
     ``derivs[k]`` (None without activation); a batch of n rows uses their
-    leading n rows, which ``_rows(n)`` hands to ``ResNet.forward``. Beside
+    leading n rows, which ``_rows(n)`` hands to the layer loop. Beside
     those: the flat gradient ``grad``, in ``_layer_views``' order and with
     per-layer ``(dW, db)`` views in ``grads``; two dL/dh buffers sized to
     the widest layer, which the backward pass alternates between; and one
@@ -126,12 +126,14 @@ def loss_and_gradients(net: ResNet, X: np.ndarray, targets: np.ndarray,
     Returns (loss, grads) where grads is a list of (dW, db) per layer, views
     of ``ws.grad`` in the network's dtype; the inputs and targets should
     already have it. Without a workspace (``train`` passes its own), the
-    pass allocates one for the rows of X.
+    pass allocates one for the rows of X. The forward pass runs the network's
+    layer loop into the workspace unchecked, so a non-finite output gives a
+    non-finite loss (``train`` then asks ``forward`` which layer it was).
     """
     n = len(X)
     ws = _TrainWorkspace(net, n) if ws is None else ws
     layers = ws._rows(n)
-    resid = net.forward(X, layers) - targets
+    resid = net._layers(net._input(X), layers)[:, 0] - targets
     loss = float(np.mean(resid**2))
 
     g = (2.0 / n * resid)[:, None]  # dL/dh for the output layer, shape (n, 1)
@@ -168,22 +170,21 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
     seeded generator and all reductions run in fixed order. Raises
     ValueError, before any step, when a weight, a bias, an input or a target
     is not a finite float32, when the batch size exceeds the rows, when
-    rows x epochs exceed TRAIN_BUDGET or when batches x epochs exceed STEP_BUDGET;
-    TrainingDiverged on a non-finite loss, or the forward pass's
-    FloatingPointError when the network output itself is not finite. Since
-    those errors say where values stopped being finite, numpy's overflow and
-    invalid-value warnings are silenced.
+    rows x epochs exceed TRAIN_BUDGET or when batches x epochs exceed STEP_BUDGET.
+    On a non-finite loss it runs ``forward`` on that step's batch, which raises
+    FloatingPointError naming the first non-finite layer when the network output
+    itself is not finite; else it raises TrainingDiverged. Since those errors
+    say where values stopped being finite, numpy's overflow and invalid-value
+    warnings are silenced.
     """
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dimension {data.dim} != network input {net.input_dim}")
     batch = cfg.resolve_batch_size(len(data))
-    if len(data) * cfg.epochs > TRAIN_BUDGET:
-        raise ValueError(f"{len(data)} rows x {cfg.epochs} epochs exceed the budget of "
-                         f"{TRAIN_BUDGET} row passes; lower epochs or the rows")
-    batches = -(-len(data) // batch)
-    if batches * cfg.epochs > STEP_BUDGET:
-        raise ValueError(f"{batches} batches x {cfg.epochs} epochs exceed the budget of "
-                         f"{STEP_BUDGET} steps; lower epochs or raise the batch size")
+    rows, epochs, batches = len(data), cfg.epochs, -(-len(data) // batch)
+    _within_budget(rows * epochs, TRAIN_BUDGET, f"{rows} rows x {epochs} epochs", "row passes",
+                   "epochs or the rows")
+    _within_budget(batches * epochs, STEP_BUDGET, f"{batches} batches x {epochs} epochs", "steps",
+                   "epochs or raise the batch size")
     limit = float(np.finfo(np.float32).max)
     weights = [a for lyr in net.layers for a in (lyr.weights, lyr.bias)]
     if not all(np.all(np.abs(a) <= limit) for a in weights):
@@ -216,6 +217,7 @@ def train(net: ResNet, data: Dataset, cfg: TrainConfig) -> tuple[ResNet, list[fl
             idx = order[start : start + batch]
             loss, _ = loss_and_gradients(net, inputs[idx], targets[idx], ws)
             if not np.isfinite(loss):
+                net.forward(inputs[idx])  # names the first non-finite layer, if the output is one
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * len(idx)
             t += 1
@@ -250,16 +252,15 @@ def evaluate_fit(
 ) -> FitReport:
     """MAE/MSE between the network and the target on fresh uniform points.
 
-    The network runs ROW_BLOCK rows at a time, each block through the strict
-    ``forward``, which names the first non-finite layer. ValueError, before
-    any evaluation, when the dimensions differ or unless 1 <= n <=
-    DATASET_BUDGET and seed >= 0 are integers."""
+    The network runs ROW_BLOCK rows at a time, each block through ``forward``,
+    which names the first non-finite layer. ValueError, before any
+    evaluation, when the dimensions differ or unless 1 <= n <= DATASET_BUDGET
+    and seed >= 0 are integers."""
     if f.dim != net.input_dim:
         raise ValueError(f"network input dimension {net.input_dim} != objective dimension {f.dim}")
     _check_dims(f, eval_domain)
     n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
-    if n > DATASET_BUDGET:
-        raise ValueError(f"n = {n} points exceed the budget of {DATASET_BUDGET}; lower n")
+    _within_budget(n, DATASET_BUDGET, f"n = {n} points", "points", "n")
     rng = np.random.default_rng(seed)
     X = eval_domain.sample_uniform(rng, n)
     outputs = np.concatenate([net.forward(X[s : s + ROW_BLOCK]) for s in range(0, n, ROW_BLOCK)])

@@ -114,7 +114,7 @@ def flatten_gradients(grads) -> np.ndarray:
 
 
 def gradient(net: ResNet, x, target: float) -> np.ndarray:
-    """Gradient of (forward(net, x) - target)^2 over all parameters, flattened."""
+    """Gradient of (net.forward(x) - target)^2 over all parameters, flattened."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ValueError(f"expected input of dimension {net.input_dim}, got shape {x.shape}")

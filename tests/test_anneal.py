@@ -18,7 +18,7 @@ from rangesa import (
     compare_modes,
     estimate_range,
 )
-from rangesa.anneal import LEVEL_COLUMNS, MODES, EvalBudgetExceeded, run_many
+from rangesa.anneal import LEVEL_COLUMNS, MODES, run_many
 from rangesa.objectives import _write_csv
 from support import Trace, fixed_temperature_chain, gibbs_density, run, traced
 
@@ -485,7 +485,7 @@ class TestBatch:
         one_level = replace(self.cfg, t_max=2.0, t_min=1.0, delta=0.5, inner_iters=10**5)
         for cfgs in ([replace(self.cfg, delta=1 - 1e-12)],  # about 10^13 levels
                      [replace(one_level, seed=s) for s in range(100)]):  # 100 x 2 x 10^5 bound
-            with pytest.raises(EvalBudgetExceeded, match="budget"):
+            with pytest.raises(ValueError, match="exceed the budget"):
                 run_many(f, self.dom, cfgs)
         assert calls == []
 

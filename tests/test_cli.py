@@ -386,6 +386,9 @@ def test_help_exits_0(capsys):
     ("no_rows", "malformed dataset"),
     ("sidecar_not_json", "malformed dataset sidecar"),
     ("sidecar_without_source", "KeyError('source')"),
+    # numpy reads an integer too large for a float as inf, which train refuses
+    ("cell_too_large", "training data must be finite and within float32's range"),
+    ("sidecar_bound_too_large", "malformed dataset sidecar"),
 ])
 def test_bad_dataset_exits_2(tmp_path, capsys, case, message):
     data = tmp_path / "ackley_data.csv"
@@ -401,6 +404,13 @@ def test_bad_dataset_exits_2(tmp_path, capsys, case, message):
     elif case == "sidecar_without_source":
         meta = json.loads(sidecar.read_text())
         del meta["source"]
+        sidecar.write_text(json.dumps(meta))
+    elif case == "cell_too_large":
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:5] + [f"0.5,{10**400},1.0"] + lines[6:]) + "\n")
+    elif case == "sidecar_bound_too_large":
+        meta = json.loads(sidecar.read_text())
+        meta["domain"][0][1] = 10**400
         sidecar.write_text(json.dumps(meta))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -557,6 +567,11 @@ def test_zero_valued_flag_exits_2(tmp_path, capsys, tiny_weights, argv, flag):
         # 10^7 row passes, within their budget, in as many full-batch steps
         (["train", "--preset", "ackley", "--data", "DATA", "--epochs", "500000"],
          "1 batches x 500000 epochs exceed the budget of 100000 steps"),
+        (["oracle", "--fn", "ackley", "--points-per-dim", "100000"],
+         "100000^2 = 10000000000 grid points exceed the budget of 100000000 points"),
+        (["estimate-range", "--fn", "ackley", "--n-seeds", "100000"],
+         "200000 chains of up to 181 temperature levels x 100 steps exceed the budget of "
+         "10000000 chain steps"),
     ],
 )
 def test_over_budget_exits_2(tmp_path, capsys, tiny_weights, argv, message):
@@ -565,7 +580,8 @@ def test_over_budget_exits_2(tmp_path, capsys, tiny_weights, argv, message):
     argv = [{"WEIGHTS": str(tiny_weights), "DATA": str(data)}.get(a, a) for a in argv]
     rc = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert rc == 2 and err.startswith(f"error: {message};") and err.count("\n") == 1
+    assert rc == 2 and err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert re.fullmatch(r"error: .+ exceed the budget of \d+ [a-z ]+; lower .+\n", err)
     assert not (tmp_path / "out").exists()
 
 
@@ -688,6 +704,8 @@ def _malformed(doc, case):
         doc["input_dim"] = 3
     elif case == "tanh":
         doc["activation"] = "tanh"
+    elif case == "int_too_large":
+        layer["weights"][1] = 10**400
 
 
 @pytest.mark.parametrize("case, message", [
@@ -712,6 +730,7 @@ def _malformed(doc, case):
                      "false, got 1"),
     ("input_dim", "weight file {path}: field 'input_dim' is 3, but layer 0 has in_width 2"),
     ("tanh", "weight file {path}: field 'activation' is 'tanh', but only 'relu' is supported"),
+    ("int_too_large", "malformed weight file {path}: int too large to convert to float"),
 ])
 def test_malformed_weight_values_exit_2(tmp_path, capsys, tiny_weights, case, message):
     doc = json.loads(tiny_weights.read_text())

@@ -17,11 +17,14 @@ from rangesa import (
     estimate_range,
     evaluate_fit,
     grid_oracle,
+    run_many,
     sample_dataset,
     train,
 )
+from rangesa.anneal import EVAL_BUDGET
 from rangesa.objectives import DATASET_BUDGET
 from rangesa.presets import preset
+from rangesa.range_analysis import GRID_BUDGET
 from rangesa.trainer import STEP_BUDGET, TRAIN_BUDGET
 
 BOX = BoxDomain.cube(-1.0, 1.0, 2)
@@ -85,22 +88,37 @@ def _started(*args, **kwargs):
 ZEROS = Dataset(np.zeros((100, 2)), np.zeros(100), "zeros", 0.0, 0, BOX)
 ONE_ROW = Dataset(np.zeros((1, 2)), np.zeros(1), "zero", 0.0, 0, BOX)
 
+
+def two_levels(steps):
+    """A schedule of at most 2 temperature levels of ``steps`` steps each."""
+    return AnnealConfig(t_max=2.0, t_min=1.0, delta=0.5, inner_iters=steps)
+
+
 # entry point -> its budget, and a call of it with k points (k row passes for train,
-# k steps for train-steps)
+# k steps for train-steps, at least k grid points, k chain steps for the annealers)
 BUDGETS = {
     "train": (TRAIN_BUDGET, lambda f, k: train(NET, ZEROS, TrainConfig(epochs=k // 100))),
     "train-steps": (STEP_BUDGET, lambda f, k: train(NET, ONE_ROW, TrainConfig(epochs=k))),
     "sample_dataset": (DATASET_BUDGET, lambda f, k: sample_dataset(f, BOX, m=k)),
     "evaluate_fit": (DATASET_BUDGET, lambda f, k: evaluate_fit(NET, f, BOX, n=k)),
+    # the smallest square grid of at least k points
+    "grid_oracle": (GRID_BUDGET, lambda f, k: grid_oracle(f, BOX, math.isqrt(k - 1) + 1)),
+    "run_many": (EVAL_BUDGET, lambda f, k: run_many(f, BOX, [two_levels(k // 2)])),
+    # n_seeds runs on f and as many on -f
+    "estimate_range": (EVAL_BUDGET,
+                       lambda f, k: estimate_range(f, BOX, two_levels(k // 4), n_seeds=1)),
+    "compare_modes": (EVAL_BUDGET,
+                      lambda f, k: compare_modes(f, BOX, two_levels(k // 4), n_seeds=1)),
 }
 
 
 @pytest.mark.parametrize("entry", list(BUDGETS))
 def test_over_budget_refused_before_any_evaluation(entry, monkeypatch):
     budget, call = BUDGETS[entry]
-    monkeypatch.setattr(ResNet, "forward", _started)  # train and evaluate_fit evaluate here
+    # train's steps and evaluate_fit's forward passes run the network's layer loop
+    monkeypatch.setattr(ResNet, "_layers", _started)
     f = Objective(_started, 2)
-    with pytest.raises(ValueError, match=rf"exceed the budget of {budget}\b"):
+    with pytest.raises(ValueError, match=rf"\bexceed the budget of {budget} [a-z ]+; lower \w"):
         call(f, budget + 100)
     with pytest.raises(_Started):  # at the budget the work starts
         call(f, budget)
@@ -109,6 +127,6 @@ def test_over_budget_refused_before_any_evaluation(entry, monkeypatch):
 def test_one_row_at_the_row_pass_budget_refused_before_any_step(monkeypatch):
     # 1 row x TRAIN_BUDGET epochs stays within the row passes, yet would take 10^7 steps
     # of about a millisecond each; the first step raises, so a missing check fails fast
-    monkeypatch.setattr(ResNet, "forward", _started)
+    monkeypatch.setattr(ResNet, "_layers", _started)
     with pytest.raises(ValueError, match=rf"exceed the budget of {STEP_BUDGET} steps"):
         train(NET, ONE_ROW, TrainConfig(epochs=TRAIN_BUDGET))

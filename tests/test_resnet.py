@@ -9,7 +9,6 @@ import pytest
 from rangesa import Layer, ResNet, WeightFormatError, build_resnet
 from rangesa.objectives import ROW_BLOCK
 from rangesa.presets import preset
-from rangesa.resnet import _Buffers
 
 ACKLEY_WIDTHS = [2, 128, 256, 256, 256, 256, 128, 1]
 DROPWAVE_WIDTHS = [2, 128, 256, 256, 512, 512, 512, 256, 128, 1]
@@ -88,32 +87,13 @@ def test_nonfinite_batch_names_middle_layer():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
         net.forward(X)
-    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
-        net.forward(X, _layer_buffers(net, len(X)))
-
-
-def test_nonfinite_walk_names_layer_when_shared_buffers_are_overwritten():
-    # as_objective's two buffers, written by turns: layer 3's NaN overwrites layer 1's
-    # finite output, yet the re-walk into arrays of its own names layer 2
-    ident = Layer(np.eye(2), np.zeros(2), False, False)
-    big = Layer(np.full((2, 2), 1e308), np.zeros(2), False, False)
-    out = Layer(np.ones((1, 2)), np.zeros(1), False, False)
-    net = ResNet([ident, big, ident, out])
-    X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    buffers = _Buffers(net)._rows(len(X))
-    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="layer 2"):
-        net.forward(X, buffers)
-    assert not np.isfinite(buffers[0][0]).all()  # layer 1's buffer now holds layer 3's output
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in layer 3 is NaN
-        assert np.array_equal(net.forward(X, buffers, strict=False), [0.0, np.nan],
-                              equal_nan=True)
 
 
 def test_forward_cache_holds_layer_inputs_and_preactivations():
     net = build_resnet([2, 4, 4, 1], seed=7)
     X = np.random.default_rng(2).uniform(-1, 1, size=(5, 2))
     buffers = _layer_buffers(net, len(X))
-    out = net.forward(X, buffers)
+    out = net._layers(X, buffers)[:, 0]
     inputs = [X] + [z for z, _ in buffers[:-1]]
     z = [h_in @ lyr.weights.T + lyr.bias for lyr, h_in in zip(net.layers, inputs)]
     for lyr, (_, d), z_k in zip(net.layers, buffers, z):
@@ -158,7 +138,7 @@ def test_forward_bit_identical_to_layer_formula(shape):
             # the objective runs forward's layer loop unchecked, a ROW_BLOCK of rows at a
             # time (BLAS may round a row differently in a batch of another row count), and
             # adds the biases of a batch of up to 64 rows from tiled copies
-            blocks = [net.forward(X[s : s + ROW_BLOCK], strict=False)
+            blocks = [net._layers(X[s : s + ROW_BLOCK])[:, 0]
                       for s in range(0, len(X), ROW_BLOCK)]
             values = net.as_objective().evaluate_many(X)
             assert values.tobytes() == np.concatenate(blocks).tobytes()
@@ -169,7 +149,7 @@ def test_forward_cache_is_never_overwritten():
     X = np.random.default_rng(5).uniform(-2, 2, size=(9, 2))
     for net in (build_resnet([2, 8, 8, 1], seed=4), _odd_skips_net()):
         buffers = _layer_buffers(net, len(X))
-        out = net.forward(X, buffers)
+        out = net._layers(X, buffers)[:, 0]
         # after the pass, every buffer still holds its own layer's output and derivative
         inputs = [X] + [z for z, _ in buffers[:-1]]
         for lyr, (h_out, d), h_in in zip(net.layers, buffers, inputs):
@@ -192,7 +172,7 @@ def test_derivative_written_only_where_given_and_input_never_written():
     buffers = _layer_buffers(net, len(X), derivs=False)
     given, unused = np.full((7, 2), 7.0), np.full((7, 1), 7.0)
     buffers[0], buffers[2] = (buffers[0][0], given), (buffers[2][0], unused)
-    out = net.forward(X, buffers)
+    out = net._layers(X, buffers)[:, 0]
     assert np.array_equal(given, X @ net.layers[0].weights.T + net.layers[0].bias > 0.0)
     assert np.all(unused == 7.0)  # a layer without activation has no derivative to write
     assert np.array_equal(X, X_before) and np.array_equal(out, _layer_formula(net, X))

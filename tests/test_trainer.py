@@ -76,11 +76,12 @@ def finite_difference(net, x, target, h=1e-5):
 
 
 def min_preactivation(net, x):
-    """Smallest |pre-activation| over every layer at x, from the outputs forward writes."""
+    """Smallest |pre-activation| over every layer at x, from the outputs the layer loop
+    writes."""
     buffers = [(np.empty((1, lyr.out_width)),
                 np.empty((1, lyr.out_width), bool) if lyr.has_activation else None)
                for lyr in net.layers]
-    net.forward(np.asarray(x)[None, :], buffers)
+    net._layers(np.asarray(x)[None, :], buffers)
     inputs = [np.asarray(x)[None, :]] + [z for z, _ in buffers[:-1]]
     z = [h_in @ lyr.weights.T + lyr.bias for lyr, h_in in zip(net.layers, inputs)]
     for lyr, (_, d), z_k in zip(net.layers, buffers, z):
@@ -233,6 +234,15 @@ class TestTrain:
         net.layers[0].weights[...] = 1e30
         with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0"):
             train(net, data, TrainConfig(epochs=5, learning_rate=1e10, seed=0))
+
+    def test_non_finite_output_names_layer(self):
+        # 3e38 is a float32, but 3e38 (x1 + x2) >= 6e38 overflows float32 on [1, 2]^2
+        f = Objective(lambda x: np.full(x.shape[:-1], 1.0), 2)
+        data = sample_dataset(f, BoxDomain.cube(1.0, 2.0, 2), m=16, noise_sd=0.0, seed=0)
+        net = build_resnet([2, 4, 1], seed=0)
+        net.layers[0].weights[...] = 3e38
+        with pytest.raises(FloatingPointError, match="non-finite value at layer 1"):
+            train(net, data, TrainConfig(epochs=5, seed=0))
 
     @pytest.mark.parametrize("weight", [1e200, np.nan])
     def test_weights_beyond_float32_rejected_before_training(self, weight):
@@ -430,9 +440,9 @@ class TestEvaluateFit:
                               for s in range(0, n, ROW_BLOCK)]) - drop_wave(X)
         rows, forward = [], ResNet.forward
 
-        def counted(self, X, *args, **kwargs):
+        def counted(self, X):
             rows.append(len(X))
-            return forward(self, X, *args, **kwargs)
+            return forward(self, X)
 
         monkeypatch.setattr(ResNet, "forward", counted)
         report = evaluate_fit(net, builtin("dropwave"), box, n=n, seed=9)
