@@ -20,7 +20,7 @@ from .objectives import Objective, _check_dims, _integer, _real, _within_budget,
 MODES = ("reflected", "classical")
 COOLINGS = ("theorem", "algorithm1")
 # Chain steps x chains in one batch. This bounds a run's time. The kernel keeps one
-# level's steps, and per level one row per chain: run_many peaks at about 72 bytes a row
+# level's steps, and per level one row per chain: run_many peaks at about 48 bytes a row
 # (the LevelSummary it returns included), so memory grows with the levels, not the steps.
 EVAL_BUDGET = 10**7
 START_REDRAWS = 100  # extra start draws for a chain whose start value is not finite
@@ -92,43 +92,47 @@ class AnnealResult:
     best_value: float  # f's value at best: its lowest, or its highest on a run that maximized
     eval_count: int
     config: AnnealConfig
-    levels: "LevelSummary"  # the run's rows, labelled with its mode
+    levels: "LevelSummary"  # the run's statistics, one row per temperature level
     iters_to_best: int  # the first step that held the best value over the steps, from 1
     max_excursion: float  # largest componentwise overshoot of any state outside the box
 
 
 @dataclass
 class LevelSummary:
-    """One row per chain per temperature level, with values in f's units.
+    """One row per temperature level of one run, with values in f's units.
 
-    Each row reduces the level's inner_iters steps of one chain: the share of
+    Each row reduces the level's inner_iters steps of the chain: the share of
     accepted moves, the number of proposals that left the box before any
     fold, the mean value held after each step and the best value held by the
-    level's end (the running maximum of f on a run with sign -1). Levels
-    count from 0, so level i of theorem cooling has T = t_max delta^i.
+    level's end (the running maximum of f on a run with sign -1). Row i is
+    level i of the run's config, from 0: T = t_max delta^i in theorem cooling.
     """
 
-    kind: np.ndarray
-    seed: np.ndarray
-    level: np.ndarray
-    temperature: np.ndarray
     acceptance_rate: np.ndarray
     left_box: np.ndarray
     mean_value: np.ndarray
     best_value: np.ndarray
 
-    @classmethod
-    def of(cls, labelled) -> "LevelSummary":
-        """The rows of (kind, AnnealResult) pairs, chain after chain, labelled with kind."""
-        parts = [replace(r.levels, kind=_labels(kind, len(r.levels.kind))) for kind, r in labelled]
-        return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in LEVEL_COLUMNS))
 
-    def to_csv(self, path) -> None:
-        """One line per row under a header of LEVEL_COLUMNS."""
-        _write_csv(path, LEVEL_COLUMNS, [getattr(self, name) for name in LEVEL_COLUMNS])
+# levels.csv's columns: the labels save_levels adds, then the statistics
+LEVEL_COLUMNS = ("kind", "seed", "level", "temperature", *(f.name for f in fields(LevelSummary)))
 
 
-LEVEL_COLUMNS = tuple(f.name for f in fields(LevelSummary))
+def save_levels(labelled, path) -> None:
+    """Write levels.csv from (kind, AnnealResult) pairs: run after run, one line per level
+    under a header of LEVEL_COLUMNS, the run's statistics after its kind, its config's
+    seed, the level's number and its temperature."""
+    columns = {name: [] for name in LEVEL_COLUMNS}
+    for kind, run in labelled:
+        t = np.array(run.config.temperature_levels())
+        # the kind as references to one string, 8 bytes a row (np.full copies it per row)
+        labels = (np.array([kind] * len(t), dtype=object), np.full(len(t), run.config.seed),
+                  np.arange(len(t)), t)
+        stats = (getattr(run.levels, f.name) for f in fields(LevelSummary))
+        for name, values in zip(LEVEL_COLUMNS, (*labels, *stats)):
+            columns[name].append(values)
+    # pop: each column's per-run parts are freed once it is joined
+    _write_csv(path, LEVEL_COLUMNS, [np.concatenate(columns.pop(name)) for name in LEVEL_COLUMNS])
 
 
 def acceptance_probability(delta_f, temperature):
@@ -232,10 +236,10 @@ def _results(levels, domain: BoxDomain, cfgs, signs: np.ndarray) -> list[AnnealR
     into row i of arrays of one row per level and run, and into each run's lowest step so
     far and its state bounds; so memory grows by those rows alone, 32 bytes a run a level."""
     x0, fx0, start_evals = next(levels)
-    t, m = np.array(cfgs[0].temperature_levels()), cfgs[0].inner_iters
+    n_levels, m = len(cfgs[0].temperature_levels()), cfgs[0].inner_iters
     n, chains = len(cfgs), np.arange(len(cfgs))
-    acceptance, mean, best = np.empty((len(t), n)), np.empty((len(t), n)), np.empty((len(t), n))
-    left_box = np.empty((len(t), n), dtype=int)
+    acceptance, mean, best = (np.empty((n_levels, n)) for _ in range(3))
+    left_box = np.empty((n_levels, n), dtype=int)
     # per run, the first lowest step: its value, level, step in the level and state
     low, level, step, low_x = np.full(n, np.inf), np.zeros(n, int), np.zeros(n, int), x0.copy()
     lo, hi = np.full_like(x0, np.inf), np.full_like(x0, -np.inf)  # the states' bounds
@@ -257,20 +261,10 @@ def _results(levels, domain: BoxDomain, cfgs, signs: np.ndarray) -> list[AnnealR
     # NaN runs: every value is NaN, so no level is lower, and step 1 holds the start
     best_x = np.where((low < fx0)[:, None], low_x, x0)  # strictly: on a tie the start held it first
     over = np.maximum(hi - domain.upper, domain.lower - lo).max(axis=1)
-    numbers = np.arange(len(t))  # the level column, shared by the runs like t
     return [AnnealResult(
         best=best_x[c], best_value=float(signs[c] * best[-1, c]),
-        eval_count=int(start_evals[c]) + len(t) * m, config=cfg,
+        eval_count=int(start_evals[c]) + n_levels * m, config=cfg,
         iters_to_best=int(level[c] * m + step[c] + 1), max_excursion=max(float(over[c]), 0.0),
-        levels=LevelSummary(_labels(cfg.mode, len(t)), np.full(len(t), cfg.seed), numbers, t,
-                            acceptance[:, c], left_box[:, c],
+        levels=LevelSummary(acceptance[:, c], left_box[:, c],
                             signs[c] * mean[:, c], signs[c] * best[:, c]))
         for c, cfg in enumerate(cfgs)]
-
-
-def _labels(label: str, n: int) -> np.ndarray:
-    """An object array of n references to one string: 8 bytes a row, where
-    ``np.full(n, label)`` takes 4 bytes a character a row."""
-    a = np.empty(n, dtype=object)
-    a.fill(label)
-    return a

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anneal import COOLINGS, AnnealConfig, LevelSummary
+from .anneal import COOLINGS, AnnealConfig, save_levels
 from .domain import BoxDomain
 from .objectives import Dataset, Objective, _write_csv, sample_dataset
 from .presets import PRESETS, builtin, preset
@@ -127,6 +127,8 @@ def cmd_generate_data(opts: dict) -> int:
     data = sample_dataset(objective, domain, **_given(opts, "noise_sd", "seed", m=p.default_m))
     csv_path = _out_dir(opts) / f"{fn}_data.csv"
     data.save(csv_path)
+    # the dataset's report: the sampled box, also when it came from the preset
+    _write_json(csv_path.with_suffix(".meta.json"), {"domain": domain}, config=_echo_config(opts))
     log.info("wrote %d rows to %s", len(data), csv_path)
     return EXIT_OK
 
@@ -175,8 +177,8 @@ def cmd_estimate_range(opts: dict) -> int:
     config = {**asdict(cfg), "n_seeds": len(result.seeds_used), "domain": domain, **source}
     _write_json(out / "range_result.json", result, seed_agreement=result.seed_agreement(),
                 config=config)
-    labelled = [(kind, r) for kind, runs in result.runs.items() for r in runs]
-    LevelSummary.of(labelled).to_csv(out / "levels.csv")
+    save_levels([(kind, r) for kind, runs in result.runs.items() for r in runs],
+                out / "levels.csv")
     return EXIT_OK
 
 
@@ -197,7 +199,7 @@ def cmd_compare(opts: dict) -> int:
     rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
              "iters_to_best": r.iters_to_best, "max_excursion": r.max_excursion} for r in runs]
     out = _out_dir(opts)
-    LevelSummary.of((r.config.mode, r) for r in runs).to_csv(out / "levels.csv")
+    save_levels([(r.config.mode, r) for r in runs], out / "levels.csv")
     _write_csv(out / "compare_summary.csv", rows[0], [[row[k] for row in rows] for k in rows[0]])
     _write_json(out / "compare_summary.json", {"rows": rows}, config=_echo_config(opts))
     return EXIT_OK
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train a preset architecture on a dataset")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--preset", choices=sorted(PRESETS), required=True)
-    sp.add_argument("--data", required=True, help="dataset CSV (with .meta.json sidecar)")
+    sp.add_argument("--data", required=True, help="dataset CSV")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--learning-rate", dest="learning_rate", type=float)
     sp.add_argument("--batch-size", dest="batch_size", type=int)

@@ -1,12 +1,10 @@
 """Black-box objectives, analytic benchmark functions and noisy sample generation."""
 from __future__ import annotations
 
-import json
 import numbers
 import operator
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -137,14 +135,10 @@ def multi_minima(p):
 
 @dataclass
 class Dataset:
-    """Noisy sample (x_i, f(x_i) + eps_i) drawn uniformly from a box domain."""
+    """Noisy sample (x_i, f(x_i) + eps_i): the rows of a dataset CSV."""
 
     inputs: np.ndarray   # (m, d)
     targets: np.ndarray  # (m,)
-    source: str
-    noise_sd: float
-    seed: int
-    domain: BoxDomain
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -162,38 +156,20 @@ class Dataset:
         return self.inputs.shape[1]
 
     def save(self, csv_path) -> None:
-        """Write CSV (header x1,...,xd,target) plus a .meta.json sidecar."""
-        csv_path = Path(csv_path)
+        """Write the CSV: a header x1,...,xd,target, then one line per row."""
         header = [f"x{j+1}" for j in range(self.dim)] + ["target"]
         _write_csv(csv_path, header, [*self.inputs.T, self.targets])
-        meta = {
-            "source": self.source,
-            "noise_sd": self.noise_sd,
-            "seed": self.seed,
-            "domain": [list(b) for b in self.domain.bounds],
-        }
-        text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-        csv_path.with_suffix(".meta.json").write_text(text)
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
-        """Read what ``save`` wrote; ValueError names a CSV or sidecar that does not parse."""
-        csv_path = Path(csv_path)
-        meta_path = csv_path.with_suffix(".meta.json")
+        """Read what ``save`` wrote; ValueError names a CSV that does not parse."""
         try:
             with warnings.catch_warnings():  # numpy only warns on a file without rows
                 warnings.simplefilter("error", UserWarning)
                 raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         except (ValueError, UserWarning) as exc:
             raise ValueError(f"malformed dataset {csv_path}: {exc}") from exc
-        try:
-            meta = json.loads(meta_path.read_text())
-            domain = BoxDomain(tuple(tuple(b) for b in meta["domain"]))
-            source, noise_sd, seed = meta["source"], meta["noise_sd"], meta["seed"]
-        # json.JSONDecodeError is a ValueError; OverflowError: a bound too large for a float
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed dataset sidecar {meta_path}: {exc!r}") from exc
-        return cls(raw[:, :-1], raw[:, -1], source, noise_sd, seed, domain)
+        return cls(raw[:, :-1], raw[:, -1])
 
 
 def _write_csv(path, header, columns) -> None:
@@ -225,17 +201,9 @@ def sample_dataset(
     _within_budget(m, DATASET_BUDGET, f"m = {m} points", "points", "m")
     if not 0 <= _real("noise_sd", noise_sd) < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
-    noise_sd = float(noise_sd)
     rng = np.random.default_rng(seed)
     X = domain.sample_uniform(rng, m)
     y = f.evaluate_many(X)
     if noise_sd > 0:
         y = y + rng.normal(0.0, noise_sd, size=m)
-    return Dataset(
-        inputs=X,
-        targets=y,
-        source=f.name or "objective",
-        noise_sd=noise_sd,
-        seed=seed,
-        domain=domain,
-    )
+    return Dataset(X, y)

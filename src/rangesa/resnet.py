@@ -31,9 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .objectives import Objective, _integer
+from .objectives import Objective, _integer, _within_budget
 
 WEIGHT_FORMAT_VERSION = 1
+# Weights and biases of a network build_resnet makes: the full presets hold 0.26-0.92 M, and
+# a one-step train of 9.99 M peaked at 405 MB RSS, so memory grows about 40 bytes a parameter
+PARAM_BUDGET = 10**7
 _SAVE_SLICE = 4096  # floats turned into Python objects at a time by ResNet.save
 # as_objective adds the biases of a batch of up to this many rows (a chain step's: one
 # row per chain) from copies tiled to its rows: twice as fast as a broadcast row
@@ -313,10 +316,15 @@ def build_resnet(widths: list[int], seed: int = 0) -> ResNet:
 
     Hidden layers get ReLU; the identity skip is active exactly on
     equal-width hidden transitions. Weights use uniform He-style init
-    (+- sqrt(6/in_width)) from the seeded generator.
+    (+- sqrt(6/in_width)) from the seeded generator. ValueError, before any allocation,
+    unless each width is an integer >= 1 and the network has <= PARAM_BUDGET parameters.
     """
     if len(widths) < 2 or widths[-1] != 1:
         raise ValueError("widths must be [input_dim, hidden..., 1]")
+    widths = [_integer(f"widths[{i}]", w, 1) for i, w in enumerate(widths)]
+    params = sum((n_in + 1) * n_out for n_in, n_out in zip(widths, widths[1:]))
+    _within_budget(params, PARAM_BUDGET, f"{params} network parameters", "parameters",
+                   "the hidden widths or width_scale")
     rng = np.random.default_rng(_integer("seed", seed, 0))
     layers = []
     n_layers = len(widths) - 1

@@ -12,13 +12,14 @@ import pytest
 from rangesa import (
     AnnealConfig,
     BoxDomain,
+    LevelSummary,
     Objective,
     acceptance_probability,
     builtin,
     compare_modes,
     estimate_range,
 )
-from rangesa.anneal import LEVEL_COLUMNS, MODES, run_many
+from rangesa.anneal import MODES, run_many
 from rangesa.objectives import _write_csv
 from support import Trace, fixed_temperature_chain, gibbs_density, run, traced
 
@@ -428,8 +429,8 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.best, b.best)
     assert a.best_value == b.best_value and a.eval_count == b.eval_count
     assert (a.iters_to_best, a.max_excursion) == (b.iters_to_best, b.max_excursion)
-    for name in LEVEL_COLUMNS:
-        assert np.array_equal(getattr(a.levels, name), getattr(b.levels, name)), name
+    for field in fields(LevelSummary):
+        assert np.array_equal(getattr(a.levels, field.name), getattr(b.levels, field.name)), field
 
 
 class TestBatch:
@@ -505,7 +506,8 @@ class TestBatch:
 
     def test_level_rows_hold_no_per_run_copy_of_constants(self):
         # 2 chains at 460 and 2,302 levels of one step: with a 9-character kind per row
-        # and a level column per run, a level row took 104 bytes; with those shared, 72
+        # and a level column per run, a level row took 104 bytes; with those shared, 72;
+        # with the kind, seed, level and temperature left to the levels.csv writer, 48
         cfg = AnnealConfig(t_max=10.0, t_min=1.0, inner_iters=1)
 
         def peak(delta):
@@ -519,10 +521,10 @@ class TestBatch:
 
         peak(0.9)  # the first run's one-off allocations
         (small, _), (large, runs) = peak(0.995), peak(0.999)
-        assert [len(r.levels.level) for r in runs] == [2_302] * 2
-        assert (large - small) / (2 * (2_302 - 460)) < 80
-        a, b = runs[0].levels, runs[1].levels
-        assert list(a.kind) == ["reflected"] * 2_302 and np.array_equal(a.level, b.level)
+        assert [f.name for f in fields(runs[0].levels)] == \
+            ["acceptance_rate", "left_box", "mean_value", "best_value"]
+        assert [len(r.levels.best_value) for r in runs] == [2_302] * 2
+        assert (large - small) / (2 * (2_302 - 460)) < 60
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_memory_of_many_levels_grows_by_level_rows(self, tmp_path):

@@ -25,6 +25,7 @@ from rangesa.anneal import EVAL_BUDGET
 from rangesa.objectives import DATASET_BUDGET
 from rangesa.presets import preset
 from rangesa.range_analysis import GRID_BUDGET
+from rangesa.resnet import PARAM_BUDGET
 from rangesa.trainer import STEP_BUDGET, TRAIN_BUDGET
 
 BOX = BoxDomain.cube(-1.0, 1.0, 2)
@@ -64,6 +65,10 @@ PROBES = {
                                lambda f: estimate_range(f, BOX, AnnealConfig(), n_seeds=300_000)),
     "compare_modes-n_seeds": ("n_seeds",
                               lambda f: compare_modes(f, BOX, AnnealConfig(), n_seeds=300_000)),
+    "build_resnet-zero-width": ("widths", lambda f: build_resnet([2, 0, 1])),
+    "build_resnet-zero-input": ("widths", lambda f: build_resnet([0, 1])),
+    "build_resnet-fractional-width": ("widths", lambda f: build_resnet([2, 2.5, 1])),
+    "build_resnet-bool-width": ("widths", lambda f: build_resnet([True, 3, 1])),
 }
 
 
@@ -85,8 +90,8 @@ def _started(*args, **kwargs):
     raise _Started
 
 
-ZEROS = Dataset(np.zeros((100, 2)), np.zeros(100), "zeros", 0.0, 0, BOX)
-ONE_ROW = Dataset(np.zeros((1, 2)), np.zeros(1), "zero", 0.0, 0, BOX)
+ZEROS = Dataset(np.zeros((100, 2)), np.zeros(100))
+ONE_ROW = Dataset(np.zeros((1, 2)), np.zeros(1))
 
 
 def two_levels(steps):
@@ -109,6 +114,9 @@ BUDGETS = {
                        lambda f, k: estimate_range(f, BOX, two_levels(k // 4), n_seeds=1)),
     "compare_modes": (EVAL_BUDGET,
                       lambda f, k: compare_modes(f, BOX, two_levels(k // 4), n_seeds=1)),
+    # a [2, h, 1] network holds 4h + 1 parameters; the work is built, then run forward
+    "build_resnet": (PARAM_BUDGET,
+                     lambda f, k: build_resnet([2, (k - 1) // 4, 1]).forward([0.0, 0.0])),
 }
 
 

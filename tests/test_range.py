@@ -6,13 +6,15 @@ import textwrap
 import threading
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rangesa import (
-    AnnealConfig, BoxDomain, Objective, builtin, compare_modes, estimate_range, grid_oracle,
+    AnnealConfig, BoxDomain, LevelSummary, Objective, builtin, compare_modes, estimate_range,
+    grid_oracle,
 )
 from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS
 from rangesa.cli import _plain, _write_json, main
@@ -121,8 +123,9 @@ class TestEstimateRange:
                     assert np.array_equal(r.best, other.best)
                     assert r.eval_count == other.eval_count
                     assert r.iters_to_best == other.iters_to_best
-                for name in LEVEL_COLUMNS:
-                    assert np.array_equal(getattr(r.levels, name), getattr(same.levels, name))
+                for field in fields(LevelSummary):
+                    assert np.array_equal(getattr(r.levels, field.name),
+                                          getattr(same.levels, field.name))
         assert res.eval_count == 6 * res.runs["min"][0].eval_count + 2
 
     def test_interval_type_and_seed_bookkeeping(self, tmp_path):
