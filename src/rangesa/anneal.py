@@ -3,14 +3,15 @@
 A chain proposes Gaussian steps, folds them back into the box (reflected
 mode), and accepts with the Metropolis rule under a geometrically decreasing
 temperature. Classical mode runs the identical loop without the fold and may
-wander outside the box. One kernel advances a batch of chains in lockstep,
+wander outside the box. One kernel advances a batch of chains, each with its
+own seed, sign and mode, under one schedule (an ``AnnealConfig``) in lockstep,
 with one objective call per step for the whole batch.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,8 +34,6 @@ class AnnealConfig:
     delta: float = 0.95
     inner_iters: int = 100
     proposal_variance: float | None = None  # None: (0.1 * min side length)^2
-    seed: int = 0
-    mode: str = "reflected"
     cooling: str = "theorem"  # T_i = T0*delta^i; "algorithm1": T_i = T_{i-1}*delta^i
 
     def __post_init__(self):
@@ -43,12 +42,9 @@ class AnnealConfig:
         if not 0 < _real("delta", self.delta) < 1:
             raise ValueError("delta must be in (0, 1)")
         object.__setattr__(self, "inner_iters", _integer("inner_iters", self.inner_iters, 1))
-        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         variance = self.proposal_variance
         if variance is not None and not 0 < _real("proposal_variance", variance) < math.inf:
             raise ValueError("proposal_variance must be positive and finite")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if self.cooling not in COOLINGS:
             raise ValueError(f"cooling must be one of {COOLINGS}")
 
@@ -91,7 +87,9 @@ class AnnealResult:
     best: np.ndarray
     best_value: float  # f's value at best: its lowest, or its highest on a run that maximized
     eval_count: int
-    config: AnnealConfig
+    config: AnnealConfig  # the schedule, shared by every run of the batch
+    seed: int
+    mode: str  # "reflected" or "classical"
     levels: "LevelSummary"  # the run's statistics, one row per temperature level
     iters_to_best: int  # the first step that held the best value over the steps, from 1
     max_excursion: float  # largest componentwise overshoot of any state outside the box
@@ -105,7 +103,7 @@ class LevelSummary:
     accepted moves, the number of proposals that left the box before any
     fold, the mean value held after each step and the best value held by the
     level's end (the running maximum of f on a run with sign -1). Row i is
-    level i of the run's config, from 0: T = t_max delta^i in theorem cooling.
+    level i of the run's schedule, from 0: T = t_max delta^i in theorem cooling.
     """
 
     acceptance_rate: np.ndarray
@@ -120,13 +118,13 @@ LEVEL_COLUMNS = ("kind", "seed", "level", "temperature", *(f.name for f in field
 
 def save_levels(labelled, path) -> None:
     """Write levels.csv from (kind, AnnealResult) pairs: run after run, one line per level
-    under a header of LEVEL_COLUMNS, the run's statistics after its kind, its config's
-    seed, the level's number and its temperature."""
+    under a header of LEVEL_COLUMNS, the run's statistics after its kind, its seed, the
+    level's number and its temperature."""
     columns = {name: [] for name in LEVEL_COLUMNS}
     for kind, run in labelled:
         t = np.array(run.config.temperature_levels())
         # the kind as references to one string, 8 bytes a row (np.full copies it per row)
-        labels = (np.array([kind] * len(t), dtype=object), np.full(len(t), run.config.seed),
+        labels = (np.array([kind] * len(t), dtype=object), np.full(len(t), run.seed),
                   np.arange(len(t)), t)
         stats = (getattr(run.levels, f.name) for f in fields(LevelSummary))
         for name, values in zip(LEVEL_COLUMNS, (*labels, *stats)):
@@ -154,11 +152,13 @@ def _check_budget(cfg: AnnealConfig, n_chains: int) -> None:
                    "chain steps", "n_seeds, delta or inner_iters, or raise t_min")
 
 
-def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealResult]:
-    """Annealing runs advanced in lockstep, one per config; configs differ only in seed and mode.
+def run_many(f: Objective, domain: BoxDomain, cfg: AnnealConfig, seeds, signs=None,
+             modes=None) -> list[AnnealResult]:
+    """Annealing runs of one schedule, advanced in lockstep, one per seed.
 
-    Run c minimizes ``signs[c] * f`` (default +1; -1 maximizes f). Its own
-    ``default_rng(seed)`` draws the uniform start, redrawn up to START_REDRAWS
+    Run c minimizes ``signs[c] * f`` (default +1; -1 maximizes f) in mode
+    ``modes[c]`` (default "reflected"; "classical" does not fold). Its own
+    ``default_rng(seeds[c])`` draws the uniform start, redrawn up to START_REDRAWS
     times while its value is not finite, then per temperature level
     inner_iters x d Gaussian increments and then inner_iters uniforms. So its
     path depends only on its seed and the values it sees, which may depend on
@@ -170,31 +170,42 @@ def run_many(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[AnnealRe
     states, ``iters_to_best`` and ``max_excursion``; no per-step record is
     kept, so memory holds one level's steps and a row per run per level.
     Each result's ``best_value`` is f's value at its ``best``.
-    Raises ValueError before any evaluation when f and the domain differ in
-    dimension, when the default proposal variance overflows on the box or
-    when the runs could take over EVAL_BUDGET chain steps.
+    Raises ValueError before any evaluation when seeds, signs and modes differ
+    in length or are empty, a seed is not an integer of at least 0, a sign is
+    not 1 or -1, a mode is not in MODES, f and the domain differ in dimension,
+    the default proposal variance overflows on the box or the runs could take
+    over EVAL_BUDGET chain steps.
     Overflow and NaN raise no numpy warning here: f returns every non-finite
     value as NaN (see ``Objective``), so a non-finite start is redrawn and a
     non-finite proposal rejected.
     """
-    signs = np.ones(len(cfgs)) if signs is None else np.asarray(signs, dtype=float)
-    return _results(_lockstep(f, domain, cfgs, signs), domain, cfgs, signs)
+    seeds = [_integer("seed", s, 0) for s in seeds]
+    signs = [1] * len(seeds) if signs is None else list(signs)
+    modes = ["reflected"] * len(seeds) if modes is None else list(modes)
+    if not 0 < len(seeds) == len(signs) == len(modes):
+        raise ValueError("seeds, signs and modes need one entry per run, and at least one run; "
+                         f"got {len(seeds)}, {len(signs)} and {len(modes)}")
+    for name, values, allowed in (("signs", signs, (1, -1)), ("modes", modes, MODES)):
+        bad = [v for v in values if v not in allowed]
+        if bad:
+            raise ValueError(f"{name} must be in {allowed}, got {bad[0]!r}")
+    signs = np.array(signs, dtype=float)
+    return _results(_lockstep(f, domain, cfg, seeds, signs, modes), domain, cfg, seeds, signs,
+                    modes)
 
 
-def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
-    """The kernel of ``run_many``. Yields the runs' start points, values and start draws,
-    then per level ``(proposals, states, values, accepted)``: the unfolded proposals and
-    the states after each step, (m, n, d), with the states' values and accepted flags, (m, n),
-    for m = inner_iters. The next level overwrites these buffers."""
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed, mode=cfg.mode) != cfg for c in cfgs):
-        raise ValueError("runs in one batch may differ only in seed and mode")
+def _lockstep(f: Objective, domain: BoxDomain, cfg: AnnealConfig, seeds, signs, modes):
+    """The kernel of ``run_many``, on its checked runs. Yields the start points, values and
+    draws, then per level ``(start, noise, states, values, accepted)``: the states at its
+    start, (n, d), the Gaussian increments and states after each step, (m, n, d), and their
+    values and accepted flags, (m, n), for m = inner_iters. The next level overwrites the
+    states, values and flags in place."""
     _check_dims(f, domain)
-    _check_budget(cfg, len(cfgs))
-    m, d, n = cfg.inner_iters, domain.dim, len(cfgs)
+    _check_budget(cfg, len(seeds))
+    m, d, n = cfg.inner_iters, domain.dim, len(seeds)
     sd = np.sqrt(cfg.resolve_variance(domain))
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    fold = np.array([[c.mode == "reflected"] for c in cfgs])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    fold = np.array([[mode == "reflected"] for mode in modes])
     fold_all, fold_any = bool(fold.all()), bool(fold.any())
 
     x = np.array([domain.sample_uniform(rng) for rng in rngs])
@@ -209,13 +220,13 @@ def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
         start_evals[bad] += 1
     yield x, fx, start_evals
 
-    proposals, states = np.empty((m, n, d)), np.empty((m, n, d))
-    values, accepted = np.empty((m, n)), np.empty((m, n), dtype=bool)
+    states, values, accepted = np.empty((m, n, d)), np.empty((m, n)), np.empty((m, n), dtype=bool)
     for t in cfg.temperature_levels():
         noise = np.stack([rng.normal(0.0, sd, size=(m, d)) for rng in rngs], axis=1)
         uniforms = np.stack([rng.uniform(size=m) for rng in rngs], axis=1)
+        start = x
         for k in range(m):
-            y = np.add(x, noise[k], out=proposals[k])
+            y = x + noise[k]
             if fold_any:  # the fold returns y itself when every run is inside the box
                 y = domain._fold(y) if fold_all else np.where(fold, domain._fold(y), y)
             fy = signs * f.evaluate_many(y)
@@ -226,29 +237,30 @@ def _lockstep(f: Objective, domain: BoxDomain, cfgs, signs: np.ndarray):
             if taken:
                 x, fx = y, fy
             states[k], values[k], accepted[k] = x, fx, acc
-        x = x.copy()  # x may be a view of the proposals, which the next level overwrites
-        yield proposals, states, values, accepted
+        yield start, noise, states, values, accepted
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _results(levels, domain: BoxDomain, cfgs, signs: np.ndarray) -> list[AnnealResult]:
+def _results(levels, domain: BoxDomain, cfg: AnnealConfig, seeds, signs, modes):
     """The runs of ``_lockstep``'s records. Level i is reduced, before the next one starts,
     into row i of arrays of one row per level and run, and into each run's lowest step so
     far and its state bounds; so memory grows by those rows alone, 32 bytes a run a level."""
     x0, fx0, start_evals = next(levels)
-    n_levels, m = len(cfgs[0].temperature_levels()), cfgs[0].inner_iters
-    n, chains = len(cfgs), np.arange(len(cfgs))
+    n_levels, m, n = len(cfg.temperature_levels()), cfg.inner_iters, len(seeds)
+    chains = np.arange(n)
     acceptance, mean, best = (np.empty((n_levels, n)) for _ in range(3))
     left_box = np.empty((n_levels, n), dtype=int)
     # per run, the first lowest step: its value, level, step in the level and state
     low, level, step, low_x = np.full(n, np.inf), np.zeros(n, int), np.zeros(n, int), x0.copy()
     lo, hi = np.full_like(x0, np.inf), np.full_like(x0, -np.inf)  # the states' bounds
-    for i, (proposals, states, values, accepted) in enumerate(levels):
+    for i, (start, noise, states, values, accepted) in enumerate(levels):
         k = np.argmin(values, axis=0)  # per run, the level's first lowest step
         by_run = values.T.copy()  # one contiguous row of m values per run, summed pairwise
         mean[i] = by_run.sum(axis=1) / m
         big = np.isinf(mean[i])  # a sum past the largest float: add values / m instead
         mean[i, big] = (by_run[big] / m).sum(axis=1)
+        proposals = np.concatenate([start[None], states[:-1]])  # the state before each step,
+        proposals += noise  # plus its increment: the kernel's own addition, unfolded
         outside = ((proposals < domain.lower) | (proposals > domain.upper)).any(axis=2)
         acceptance[i], left_box[i] = accepted.sum(axis=0) / m, outside.sum(axis=0)
         level_low = values[k, chains]
@@ -263,8 +275,8 @@ def _results(levels, domain: BoxDomain, cfgs, signs: np.ndarray) -> list[AnnealR
     over = np.maximum(hi - domain.upper, domain.lower - lo).max(axis=1)
     return [AnnealResult(
         best=best_x[c], best_value=float(signs[c] * best[-1, c]),
-        eval_count=int(start_evals[c]) + n_levels * m, config=cfg,
+        eval_count=int(start_evals[c]) + n_levels * m, config=cfg, seed=seed, mode=mode,
         iters_to_best=int(level[c] * m + step[c] + 1), max_excursion=max(float(over[c]), 0.0),
         levels=LevelSummary(acceptance[:, c], left_box[:, c],
                             signs[c] * mean[:, c], signs[c] * best[:, c]))
-        for c, cfg in enumerate(cfgs)]
+        for c, (seed, mode) in enumerate(zip(seeds, modes))]

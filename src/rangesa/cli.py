@@ -4,7 +4,8 @@ Every command is deterministic given its configuration: all seeds are
 explicit and the config is echoed into every output artifact. Wall time goes
 to the log, never into output files. Flags are the only input: the commands
 pass on only the flags given, for the library to check and default. ``main``
-maps a ValueError, the parser's own errors among them, to exit code 2 and one
+maps a ValueError, the parser's own errors among them (an ``--out`` that names a
+file), and an input path that is missing or a directory to exit code 2 and one
 ``error:`` line. A command creates ``--out`` only once its work is done, so a
 refused input leaves nothing behind.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import asdict, fields, is_dataclass
@@ -99,22 +101,31 @@ def _echo_config(opts: dict) -> dict:
 
 
 def _plain(obj):
-    """json.dumps default: an ndarray as a list, a BoxDomain as its [lower, upper] pairs,
-    any other dataclass as the fields its repr shows; TypeError for anything else."""
+    """``obj`` in JSON's types, all the way down: an ndarray as a list, a BoxDomain as its
+    [lower, upper] pairs, any other dataclass as the fields its repr shows and a non-finite
+    float as None; TypeError for any other type that JSON lacks."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, BoxDomain):
-        return [list(b) for b in obj.bounds]
-    if is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
+        obj = obj.tolist()
+    elif isinstance(obj, BoxDomain):
+        obj = obj.bounds
+    elif is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float):  # numpy's float64 among them
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     raise TypeError(f"cannot write a {type(obj).__name__} to a report")
 
 
 def _write_json(path: Path, result, **keys) -> None:
-    """Write a report: the result's fields (see ``_plain``), or a dict's items, and ``keys``,
-    as JSON with sorted keys and two-space indents."""
-    doc = {**(result if isinstance(result, dict) else _plain(result)), **keys}
-    path.write_text(json.dumps(doc, default=_plain, indent=2, sort_keys=True) + "\n")
+    """Write a report: the result's fields, or a dict's items, and ``keys``, in JSON's
+    types (see ``_plain``), with sorted keys and two-space indents."""
+    doc = {**_plain(result), **_plain(keys)}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # --- commands ----------------------------------------------------------
@@ -167,14 +178,15 @@ def cmd_estimate_range(opts: dict) -> int:
     objective, domain = _load_objective(opts)
     cfg = _config(AnnealConfig, opts)
     t0 = time.perf_counter()
-    result = estimate_range(objective, domain, cfg, **_given(opts, "n_seeds"))
+    result = estimate_range(objective, domain, cfg, **_given(opts, "n_seeds", "seed"))
     log.info("range [%.6g, %.6g] in %.1f s (%d evaluations)",
              result.f_min, result.f_max, time.perf_counter() - t0, result.eval_count)
 
     out = _out_dir(opts)
     # the resolved schedule and the searched objective and box
     source = _echo_config({k: opts[k] for k in ("fn", "weights") if opts.get(k) is not None})
-    config = {**asdict(cfg), "n_seeds": len(result.seeds_used), "domain": domain, **source}
+    config = {**asdict(cfg), "seed": result.seeds_used[0], "n_seeds": len(result.seeds_used),
+              "domain": domain, **source}
     _write_json(out / "range_result.json", result, seed_agreement=result.seed_agreement(),
                 config=config)
     save_levels([(kind, r) for kind, runs in result.runs.items() for r in runs],
@@ -194,12 +206,13 @@ def cmd_oracle(opts: dict) -> int:
 
 def cmd_compare(opts: dict) -> int:
     objective, domain = _load_objective(opts)
-    runs = compare_modes(objective, domain, _config(AnnealConfig, opts), **_given(opts, "n_seeds"))
+    runs = compare_modes(objective, domain, _config(AnnealConfig, opts),
+                         **_given(opts, "n_seeds", "seed"))
     # max_excursion: the largest overshoot of a state outside the box (0 for reflected runs)
-    rows = [{"seed": r.config.seed, "mode": r.config.mode, "best_value": r.best_value,
+    rows = [{"seed": r.seed, "mode": r.mode, "best_value": r.best_value,
              "iters_to_best": r.iters_to_best, "max_excursion": r.max_excursion} for r in runs]
     out = _out_dir(opts)
-    save_levels([(r.config.mode, r) for r in runs], out / "levels.csv")
+    save_levels([(r.mode, r) for r in runs], out / "levels.csv")
     _write_csv(out / "compare_summary.csv", rows[0], [[row[k] for row in rows] for k in rows[0]])
     _write_json(out / "compare_summary.json", {"rows": rows}, config=_echo_config(opts))
     return EXIT_OK
@@ -211,6 +224,16 @@ def cmd_compare(opts: dict) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # main reports it: exit 2 and one line, no usage text
         raise ValueError(message)
+
+
+def _directory(path: str) -> str:
+    """--out's type: ``path``, if it or its nearest existing parent is a directory."""
+    parent = Path(path)
+    while not parent.exists():  # "." and "/" exist
+        parent = parent.parent
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{parent} is not a directory")
+    return path
 
 
 def _add_objective_flags(sp):
@@ -281,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compare)
 
     for sp in sub.choices.values():
-        sp.add_argument("--out", help="output directory (default: current)")
+        sp.add_argument("--out", type=_directory, help="output directory (default: current)")
     return parser
 
 
@@ -292,8 +315,8 @@ def main(argv=None) -> int:
         return args.func({k: v for k, v in vars(args).items()
                           if v is not None and k not in ("command", "func")})
     # a bad input: the parser's or the library's ValueError names it (WeightFormatError
-    # and every budget refusal among them)
-    except (ValueError, FileNotFoundError) as exc:
+    # and every budget refusal among them), or an input path is missing or a directory
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure

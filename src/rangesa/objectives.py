@@ -35,10 +35,9 @@ class Objective:
     redrawn) and the grid oracle skips.
     """
 
-    def __init__(self, fn, dim: int, name: str | None = None):
+    def __init__(self, fn, dim: int):
         self._fn = fn
         self.dim = int(dim)
-        self.name = name
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -63,9 +62,6 @@ class Objective:
             raise ValueError(f"objective returned shape {values.shape} for {len(X)} points, "
                              f"expected ({len(X)},)")
         return values
-
-    def __repr__(self):
-        return f"Objective(name={self.name!r}, dim={self.dim})"
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -184,13 +180,8 @@ def _write_csv(path, header, columns) -> None:
             f.write("".join(",".join(row) + "\n" for row in rows))
 
 
-def sample_dataset(
-    f: Objective,
-    domain: BoxDomain,
-    m: int,
-    noise_sd: float = 0.1,
-    seed: int = 0,
-) -> Dataset:
+def sample_dataset(f: Objective, domain: BoxDomain, m: int, noise_sd: float = 0.1,
+                   seed: int = 0) -> Dataset:
     """Draw m uniform points from the domain and record noisy function values.
 
     ValueError, before any evaluation, unless f and the domain have the same

@@ -28,7 +28,7 @@ class Preset:
 
 PRESETS = {
     "ackley": Preset(
-        objective=Objective(ackley, 2, "ackley"),
+        objective=Objective(ackley, 2),
         train_domain=BoxDomain.cube(-4.0, 4.0, 2),
         eval_domain=BoxDomain.cube(-5.0, 5.0, 2),
         eval_n=1000,
@@ -36,7 +36,7 @@ PRESETS = {
         hidden=(128, 256, 256, 256, 256, 128),  # four 256-wide residual blocks
     ),
     "dropwave": Preset(
-        objective=Objective(drop_wave, 2, "dropwave"),
+        objective=Objective(drop_wave, 2),
         train_domain=BoxDomain.cube(-5.12, 5.12, 2),
         eval_domain=BoxDomain.cube(-5.12, 5.12, 2),
         eval_n=1500,
@@ -44,7 +44,7 @@ PRESETS = {
         hidden=(128, 256, 256, 512, 512, 512, 256, 128),  # deeper, 512-wide middle blocks
     ),
     "multimin": Preset(
-        objective=Objective(multi_minima, 3, "multimin"),
+        objective=Objective(multi_minima, 3),
         train_domain=BoxDomain.cube(-3.0, 3.0, 3),
         eval_domain=BoxDomain.cube(-3.0, 3.0, 3),
         eval_n=1500,

@@ -3,7 +3,7 @@ the brute-force grid oracle."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,74 +47,51 @@ class RangeResult:
     def seed_agreement(self) -> dict:
         """Per kind: the seeds' best values, their spread and the spread's share of the range.
 
-        Non-finite best values are written as None and left out of the spread;
-        the share is None when the range has zero width.
+        Non-finite best values are left out of the spread; the share is None when
+        the range has zero width.
         """
         width = self.f_max - self.f_min
         doc = {}
         for kind, runs in self.runs.items():
             values = [r.best_value for r in runs]
-            finite = [v for v in values if np.isfinite(v)]
-            spread = max(finite) - min(finite)
-            doc[kind] = {
-                "best_values": [v if np.isfinite(v) else None for v in values],
-                "spread": spread,
-                "spread_share_of_range": spread / width if width > 0 else None,
-            }
+            spread = np.nanmax(values) - np.nanmin(values)
+            doc[kind] = {"best_values": values, "spread": spread,
+                         "spread_share_of_range": spread / width if width > 0 else None}
         return doc
 
 
-def estimate_range(
-    f: Objective,
-    domain: BoxDomain,
-    cfg: AnnealConfig,
-    n_seeds: int = 10,
-) -> RangeResult:
-    """Estimate [f_min, f_max] via n_seeds reflected annealing runs on f and on -f, in one batch.
+def estimate_range(f: Objective, domain: BoxDomain, cfg: AnnealConfig, n_seeds: int = 10,
+                   seed: int = 0) -> RangeResult:
+    """Estimate [f_min, f_max] via n_seeds reflected annealing runs of cfg on f and on -f.
 
-    The runs on -f reuse the same seeds, so estimate_range(-f) swaps and negates
-    the interval exactly. Each endpoint comes from the chain with the lowest
-    finite best value (the first seed on ties); ValueError when no chain saw a
-    finite value. Both argpoints are re-validated by a fresh evaluation of f.
-    The result keeps the runs, with their per-level rows, in ``runs``. Only reflected
-    chains stay in the box, so a classical cfg is refused, before any evaluation.
+    All run in one batch, both on the seeds seed, seed + 1, ..., so estimate_range(-f)
+    swaps and negates the interval exactly. Each endpoint comes from the chain with the
+    lowest finite best value (the first seed on ties); ValueError when no chain saw a
+    finite value. Both argpoints are re-validated by a fresh evaluation of f. The result
+    keeps the runs, with their per-level rows, in ``runs``. The runs are reflected: only
+    they stay in the box, so only their values are attained on it.
     """
-    if cfg.mode != "reflected":
-        raise ValueError(f"estimate_range runs reflected chains only, got mode {cfg.mode!r}")
-    n_seeds = _integer("n_seeds", n_seeds, 1)
-    _check_budget(cfg, 2 * n_seeds)  # before any config is built
-    seeds = [cfg.seed + k for k in range(n_seeds)]
-    cfgs = [replace(cfg, seed=s) for s in seeds]
-    runs = run_many(f, domain, cfgs * 2, [1] * n_seeds + [-1] * n_seeds)
+    n_seeds, seed = _integer("n_seeds", n_seeds, 1), _integer("seed", seed, 0)
+    _check_budget(cfg, 2 * n_seeds)  # before the seed list is built
+    seeds = list(range(seed, seed + n_seeds))
+    runs = run_many(f, domain, cfg, seeds * 2, [1] * n_seeds + [-1] * n_seeds)
     min_runs, max_runs = runs[:n_seeds], runs[n_seeds:]
-
     x_min, x_max = _best_finite(min_runs).best, _best_finite(max_runs, highest=True).best
-
-    return RangeResult(
-        f_min=f(x_min),
-        f_max=f(x_max),
-        x_min=x_min,
-        x_max=x_max,
-        eval_count=sum(r.eval_count for r in runs) + 2,
-        seeds_used=seeds,
-        runs={"min": min_runs, "max": max_runs},
-    )
+    return RangeResult(f_min=f(x_min), f_max=f(x_max), x_min=x_min, x_max=x_max,
+                       eval_count=sum(r.eval_count for r in runs) + 2, seeds_used=seeds,
+                       runs={"min": min_runs, "max": max_runs})
 
 
-def compare_modes(
-    f: Objective,
-    domain: BoxDomain,
-    cfg: AnnealConfig,
-    n_seeds: int = 10,
-) -> list[AnnealResult]:
-    """Reflected and classical runs of cfg on the seeds cfg.seed, cfg.seed + 1, ..., in one batch.
+def compare_modes(f: Objective, domain: BoxDomain, cfg: AnnealConfig, n_seeds: int = 10,
+                  seed: int = 0) -> list[AnnealResult]:
+    """Reflected and classical runs of cfg on the seeds seed, seed + 1, ..., in one batch.
 
     Returns the runs seed by seed, the reflected run first.
     """
-    n_seeds = _integer("n_seeds", n_seeds, 1)
-    _check_budget(cfg, 2 * n_seeds)  # before any config is built
-    cfgs = [replace(cfg, seed=cfg.seed + k, mode=mode) for k in range(n_seeds) for mode in MODES]
-    return run_many(f, domain, cfgs)
+    n_seeds, seed = _integer("n_seeds", n_seeds, 1), _integer("seed", seed, 0)
+    _check_budget(cfg, 2 * n_seeds)  # before the seed list is built
+    seeds = [s for s in range(seed, seed + n_seeds) for _ in MODES]
+    return run_many(f, domain, cfg, seeds, modes=list(MODES) * n_seeds)
 
 
 @dataclass
@@ -133,11 +110,7 @@ def _oracle_workers() -> int:
     return max(1, (cpus or 1) // int(blas)) if blas and blas.isdigit() and int(blas) else 1
 
 
-def grid_oracle(
-    f: Objective,
-    domain: BoxDomain,
-    points_per_dim: int,
-) -> OracleResult:
+def grid_oracle(f: Objective, domain: BoxDomain, points_per_dim: int) -> OracleResult:
     """Exhaustive evaluation on the uniform tensor grid (endpoints included).
 
     Evaluated ROW_BLOCK rows at a time by ``_oracle_workers()`` threads.

@@ -161,7 +161,7 @@ class ResNet:
         def evaluate(X):
             rows = buffers._rows(len(X))
             return self._layers(X, rows, buffers.biases)[:, 0]
-        return Objective(evaluate, self.input_dim, name="resnet")
+        return Objective(evaluate, self.input_dim)
 
     # --- serialization -------------------------------------------------
 

@@ -28,13 +28,17 @@ class Trace:
         return len(self.iterations)
 
 
-def traced(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[tuple[AnnealResult, Trace]]:
-    """``run_many(f, domain, cfgs, signs)``, each run paired with its per-step record.
+def traced(f: Objective, domain: BoxDomain, cfg: AnnealConfig, seeds, signs=None,
+           modes=None) -> list[tuple[AnnealResult, Trace]]:
+    """``run_many(f, domain, cfg, seeds, signs, modes)``, each run paired with its per-step
+    record.
 
-    The records are copies of the kernel's level buffers, taken as the
+    The records are copies of the kernel's level records, taken as the
     runs' results are reduced from them.
     """
-    signs = np.ones(len(cfgs)) if signs is None else np.asarray(signs, dtype=float)
+    n = len(seeds)
+    signs = np.ones(n) if signs is None else np.asarray(signs, dtype=float)
+    modes = ["reflected"] * n if modes is None else list(modes)
     records = []
 
     def copying(levels):
@@ -42,28 +46,32 @@ def traced(f: Objective, domain: BoxDomain, cfgs, signs=None) -> list[tuple[Anne
             records.append([np.copy(a) for a in record])
             yield record
 
-    results = _results(copying(_lockstep(f, domain, cfgs, signs)), domain, cfgs, signs)
+    results = _results(copying(_lockstep(f, domain, cfg, seeds, signs, modes)), domain, cfg,
+                       seeds, signs, modes)
     (_, start_values, _), levels = records[0], records[1:]
-    proposals, states, values, accepted = zip(*levels)
+    starts, noise, states, values, accepted = zip(*levels)
     m = len(values[0])
-    proposals, states, values, accepted = (np.concatenate(a)
-                                           for a in (proposals, states, values, accepted))
+    # each step's state before it plus its increment: the unfolded proposals
+    proposals = np.concatenate([np.concatenate([start[None], s[:-1]]) + dx
+                                for start, dx, s in zip(starts, noise, states)])
+    states, values, accepted = (np.concatenate(a) for a in (states, values, accepted))
     best_values = np.minimum.accumulate(np.concatenate([start_values[None], values]))[1:]
     left_box = ((proposals < domain.lower) | (proposals > domain.upper)).any(axis=2)
     iterations = np.arange(1, len(values) + 1)
-    temperatures = np.repeat(cfgs[0].temperature_levels(), m)
+    temperatures = np.repeat(cfg.temperature_levels(), m)
     return [(r, Trace(iterations, temperatures, states[:, c], values[:, c], accepted[:, c],
                       best_values[:, c], left_box[:, c])) for c, r in enumerate(results)]
 
 
-def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig) -> tuple[AnnealResult, Trace]:
+def run(f: Objective, domain: BoxDomain, cfg: AnnealConfig, seed: int = 0,
+        mode: str = "reflected") -> tuple[AnnealResult, Trace]:
     """Full annealing loop of one chain, and its per-step record.
 
     N inner steps per temperature level, then cool. The start point is
     uniform on the box; total objective evaluations are 1 + inner_iters *
     number of temperature levels, plus any start redraws.
     """
-    return traced(f, domain, [cfg])[0]
+    return traced(f, domain, cfg, [seed], modes=[mode])[0]
 
 
 def fixed_temperature_chain(
@@ -78,8 +86,8 @@ def fixed_temperature_chain(
     """Reflected Metropolis chain at one fixed temperature; returns post-burn-in points."""
     # a schedule of one level: T, then T / 2, which is not above t_min
     cfg = AnnealConfig(t_max=temperature, t_min=temperature / 2, delta=0.5,
-                       inner_iters=burn_in + n_steps, proposal_variance=variance, seed=seed)
-    return run(f, domain, cfg)[1].points[burn_in:]
+                       inner_iters=burn_in + n_steps, proposal_variance=variance)
+    return run(f, domain, cfg, seed)[1].points[burn_in:]
 
 
 def gibbs_density(

@@ -7,7 +7,6 @@ epochs), which must satisfy the same oracle-gap bound.
 """
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +128,7 @@ def test_c3_gradient_oracle():
 
 def test_c4_fixed_temperature_stationarity():
     t0 = time.perf_counter()
-    f = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")
+    f = Objective(lambda x: x[..., 0] ** 2, 1)
     dom = BoxDomain(((-1.0, 1.0),))
     temperature = 0.5
     pts = fixed_temperature_chain(
@@ -151,9 +150,8 @@ def test_c4_fixed_temperature_stationarity():
 
 
 def _seeded_best_values(fn, dom, n_seeds=20, **cfg_kwargs):
-    # one lockstep batch: each run is bit-identical to run(..., replace(cfg, seed=s))
-    cfg = AnnealConfig(**cfg_kwargs)
-    return run_many(builtin(fn), dom, [replace(cfg, seed=s) for s in range(n_seeds)])
+    # one lockstep batch: each run is bit-identical to run(..., cfg, s)
+    return run_many(builtin(fn), dom, AnnealConfig(**cfg_kwargs), range(n_seeds))
 
 
 def test_c5_ackley_minimization():
@@ -206,7 +204,7 @@ def _ackley_pipeline(width_scale, epochs, time_budget, criterion):
 
     obj = net.as_objective()
     oracle = grid_oracle(obj, dom, 801)
-    runs = run_many(obj, dom, [AnnealConfig(seed=s) for s in range(5)])
+    runs = run_many(obj, dom, AnnealConfig(), range(5))
     sa_min = min(r.best_value for r in runs)
     gap = abs(sa_min - oracle.min_value)
     elapsed = time.perf_counter() - t0
@@ -237,7 +235,7 @@ def test_c9_dropwave_pipeline():
 
     obj = net.as_objective()
     oracle = grid_oracle(obj, dom, 801)
-    runs = run_many(obj, dom, [AnnealConfig(seed=s) for s in range(5)])
+    runs = run_many(obj, dom, AnnealConfig(), range(5))
     sa_min = min(r.best_value for r in runs)
     gap = abs(sa_min - oracle.min_value)
     elapsed = time.perf_counter() - t0
@@ -257,8 +255,8 @@ def test_c10_classical_vs_reflected():
 
     wins = 0
     excursions_ok = True
-    runs = traced(f, dom, [replace(cfg, seed=s, mode=m) for s in range(20)
-                           for m in ("reflected", "classical")])
+    runs = traced(f, dom, cfg, [s for s in range(20) for _ in range(2)],
+                  modes=["reflected", "classical"] * 20)
     for (refl, refl_trace), (clas, clas_trace) in zip(runs[::2], runs[1::2]):
         excursions_ok &= clas.max_excursion > 0
         excursions_ok &= refl.max_excursion == 0

@@ -24,14 +24,18 @@ from rangesa.objectives import _write_csv
 from support import Trace, fixed_temperature_chain, gibbs_density, run, traced
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2, name="sphere")
-PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1, name="x2")
+SPHERE = Objective(lambda x: np.sum(np.asarray(x) ** 2, axis=-1), 2)
+PARABOLA_1D = Objective(lambda x: x[..., 0] ** 2, 1)
 
 
 class TestConfig:
     def test_defaults_valid(self):
-        cfg = AnnealConfig()
-        assert cfg.mode == "reflected" and cfg.cooling == "theorem"
+        assert AnnealConfig().cooling == "theorem"
+
+    def test_config_is_the_schedule_alone(self):
+        # a run's seed, sign and mode are run_many's per-run arguments
+        assert [f.name for f in fields(AnnealConfig)] == \
+            ["t_max", "t_min", "delta", "inner_iters", "proposal_variance", "cooling"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -41,7 +45,7 @@ class TestConfig:
             {"delta": 0.0},
             {"inner_iters": 0},
             {"proposal_variance": -1.0},
-            {"mode": "bogus"},
+            {"proposal_variance": 0.0},
             {"cooling": "bogus"},
             {"t_max": np.inf},
             {"t_min": np.nan},
@@ -115,12 +119,13 @@ class TestConfig:
         assert cfg.temperature_levels() == levels
 
     def test_numpy_integers_pass_as_ints(self):
-        cfg = AnnealConfig(inner_iters=np.int64(7), seed=np.uint8(3))
-        assert (cfg.inner_iters, cfg.seed) == (7, 3)
-        assert type(cfg.inner_iters) is int and type(cfg.seed) is int
+        cfg = AnnealConfig(inner_iters=np.int64(7))
+        assert cfg.inner_iters == 7 and type(cfg.inner_iters) is int
         res = estimate_range(SPHERE, BoxDomain.cube(-1, 1, 2), replace(cfg, t_min=5.0),
-                             n_seeds=np.int32(2))
+                             n_seeds=np.int32(2), seed=np.uint8(3))
         assert res.seeds_used == [3, 4]
+        runs = res.runs["min"] + res.runs["max"]
+        assert [r.seed for r in runs] == [3, 4, 3, 4] and all(type(r.seed) is int for r in runs)
 
     def test_default_variance_from_domain(self):
         cfg = AnnealConfig()
@@ -143,9 +148,9 @@ _CALLS = {  # the entry points that check their own integer and number fields
         ("AnnealConfig", "inner_iters", 1.5),
         ("AnnealConfig", "inner_iters", True),
         ("AnnealConfig", "inner_iters", "100"),
-        ("AnnealConfig", "seed", -1),
-        ("AnnealConfig", "seed", 2.0),
-        ("AnnealConfig", "seed", True),
+        ("estimate_range", "seed", -1),
+        ("estimate_range", "seed", 2.0),
+        ("estimate_range", "seed", True),
         ("AnnealConfig", "t_max", True),
         ("AnnealConfig", "t_min", True),
         ("AnnealConfig", "delta", np.True_),
@@ -154,6 +159,7 @@ _CALLS = {  # the entry points that check their own integer and number fields
         ("estimate_range", "n_seeds", 0),
         ("compare_modes", "n_seeds", 2.0),
         ("compare_modes", "n_seeds", np.False_),
+        ("compare_modes", "seed", -1),
     ],
 )
 def test_bad_field_value_raises_value_error_naming_it(call, field, value):
@@ -165,8 +171,8 @@ def _increments(variance, n_steps, seeds=(0,)):
     """Gaussian proposal increments of classical chains at T = 1e300, where every
     move is accepted, so consecutive trace points differ by exactly one increment."""
     cfg = AnnealConfig(t_max=1e300, t_min=5e299, delta=0.5, inner_iters=n_steps,
-                       proposal_variance=variance, mode="classical")
-    runs = traced(SPHERE, BoxDomain.cube(-1, 1, 2), [replace(cfg, seed=s) for s in seeds])
+                       proposal_variance=variance)
+    runs = traced(SPHERE, BoxDomain.cube(-1, 1, 2), cfg, seeds, modes=["classical"] * len(seeds))
     assert all(trace.accepted.all() for _, trace in runs)
     return np.concatenate([np.diff(trace.points, axis=0) for _, trace in runs])
 
@@ -242,15 +248,13 @@ def _recorded_sphere():
         seen.extend(v.tolist())
         return v
 
-    return Objective(fn, 2, name="sphere"), seen
+    return Objective(fn, 2), seen
 
 
-def _cold_config(temperature, variance, seed):
+def _cold_config(temperature, variance):
     # a single temperature level of 200 steps
-    return AnnealConfig(
-        t_max=2 * temperature, t_min=temperature, delta=0.5,
-        inner_iters=200, proposal_variance=variance, seed=seed,
-    )
+    return AnnealConfig(t_max=2 * temperature, t_min=temperature, delta=0.5, inner_iters=200,
+                        proposal_variance=variance)
 
 
 class TestStep:
@@ -258,37 +262,37 @@ class TestStep:
 
     dom = BoxDomain(((-1, 1), (-1, 1)))
 
-    def _steps(self, cfg):
+    def _steps(self, cfg, seed):
         # the record, value held before each step, value proposed, accepted flag
         f, seen = _recorded_sphere()
-        _, trace = run(f, self.dom, cfg)
+        _, trace = run(f, self.dom, cfg, seed)
         held = np.concatenate([[seen[0]], trace.values[:-1]])
         return trace, held, np.array(seen[1:]), trace.accepted
 
     def test_downhill_always_accepted(self):
         # at near-zero temperature only the q = 1 branch can move the chain,
         # so every move must be strictly downhill, and moves do happen
-        trace, held, proposed, accepted = self._steps(_cold_config(1e-300, 0.01, seed=3))
+        trace, held, proposed, accepted = self._steps(_cold_config(1e-300, 0.01), seed=3)
         assert np.all(accepted[proposed < held])
         assert np.all(trace.values[accepted] < held[accepted])
         assert accepted.sum() >= 5
 
     def test_cold_chain_rejects_uphill(self):
-        trace, held, proposed, accepted = self._steps(_cold_config(1e-12, 0.04, seed=4))
+        trace, held, proposed, accepted = self._steps(_cold_config(1e-12, 0.04), seed=4)
         uphill = proposed > held
         assert not np.any(accepted[uphill])
         assert np.all(trace.values[~accepted] == held[~accepted])
         assert uphill.sum() >= 150  # the chain settles and then mostly proposes uphill
 
     def test_reflected_stays_inside(self):
-        _, trace = run(SPHERE, self.dom, AnnealConfig(seed=5, proposal_variance=1.0, t_min=1.0))
+        _, trace = run(SPHERE, self.dom, AnnealConfig(proposal_variance=1.0, t_min=1.0), 5)
         assert np.all(self.dom.contains(trace.points))
         pts = fixed_temperature_chain(SPHERE, self.dom, 1.0, 1.0, 500, seed=5)
         assert np.all(self.dom.contains(pts))
 
     def test_best_value_never_increases(self):
         f, seen = _recorded_sphere()
-        res, trace = run(f, self.dom, AnnealConfig(seed=6))
+        res, trace = run(f, self.dom, AnnealConfig(), 6)
         best = trace.best_values
         assert np.all(np.diff(best) <= 0)
         assert np.array_equal(best, np.minimum.accumulate(np.minimum(trace.values, seen[0])))
@@ -299,8 +303,8 @@ class TestRun:
     dom = BoxDomain(((-1, 1), (-1, 1)))
 
     def test_constant_objective(self):
-        const = Objective(lambda x: np.full(np.asarray(x).shape[:-1], 4.2), 2, name="c")
-        res, trace = run(const, self.dom, AnnealConfig(seed=0))
+        const = Objective(lambda x: np.full(np.asarray(x).shape[:-1], 4.2), 2)
+        res, trace = run(const, self.dom, AnnealConfig(), 0)
         assert res.best_value == 4.2
         assert np.all(trace.accepted)  # dF = 0 means q = 1
         # every state ties: the start held the value first, and step 1 among the steps
@@ -311,25 +315,25 @@ class TestRun:
         # the objective's minimum is the start point, so no step reaches the start's value
         start = self.dom.sample_uniform(np.random.default_rng(7))
         f = Objective(lambda X: np.sum((X - start) ** 2, axis=-1), 2)
-        res, trace = run(f, self.dom, AnnealConfig(seed=7, t_min=1.0))
+        res, trace = run(f, self.dom, AnnealConfig(t_min=1.0), 7)
         assert res.best_value == 0.0 and np.array_equal(res.best, start)
         assert trace.values.min() > 0 and np.all(res.levels.best_value == 0.0)
         assert res.iters_to_best == 1 + np.argmin(trace.values)
 
     def test_eval_count_accounting(self):
-        cfg = AnnealConfig(seed=1)
-        res, trace = run(SPHERE, self.dom, cfg)
+        cfg = AnnealConfig()
+        res, trace = run(SPHERE, self.dom, cfg, 1)
         levels = len(cfg.temperature_levels())
         assert res.eval_count == 1 + cfg.inner_iters * levels
         assert len(trace) == cfg.inner_iters * levels
 
     def test_sphere_minimization(self):
-        runs = run_many(SPHERE, self.dom, [AnnealConfig(seed=s) for s in range(20)])
+        runs = run_many(SPHERE, self.dom, AnnealConfig(), range(20))
         wins = sum(res.best_value <= 1e-2 for res in runs)
         assert wins >= 19
 
     def test_trace_invariants(self):
-        res, t = run(SPHERE, self.dom, AnnealConfig(seed=2))
+        res, t = run(SPHERE, self.dom, AnnealConfig(), 2)
         assert np.all(np.diff(t.iterations) == 1)
         assert np.all(np.diff(t.best_values) <= 0)
         assert np.all(np.diff(np.unique(t.temperatures)[::-1]) < 0)
@@ -337,7 +341,7 @@ class TestRun:
         assert res.best_value == t.best_values[-1]
 
     def test_bit_identical_reruns(self):
-        (a, ta), (b, tb) = (run(SPHERE, self.dom, AnnealConfig(seed=3)) for _ in range(2))
+        (a, ta), (b, tb) = (run(SPHERE, self.dom, AnnealConfig(), 3) for _ in range(2))
         assert np.array_equal(ta.points, tb.points)
         assert np.array_equal(ta.values, tb.values)
         assert np.array_equal(ta.accepted, tb.accepted)
@@ -351,15 +355,15 @@ class TestRun:
             seen.extend(x.copy())
             return np.sum(x**2, axis=-1)
 
-        f = Objective(watched, 2, name="watched")
-        run(f, self.dom, AnnealConfig(seed=4, proposal_variance=4.0))
+        f = Objective(watched, 2)
+        run(f, self.dom, AnnealConfig(proposal_variance=4.0), 4)
         pts = np.array(seen)
         assert np.all(self.dom.contains(pts))
 
     def test_classical_mode_escapes_domain(self):
         f = builtin("ackley")
         dom = BoxDomain.cube(-4, 4, 2)
-        _, trace = run(f, dom, AnnealConfig(seed=5, mode="classical", proposal_variance=4.0))
+        _, trace = run(f, dom, AnnealConfig(proposal_variance=4.0), 5, "classical")
         assert not np.all(dom.contains(trace.points))
 
     def test_dimension_mismatch(self):
@@ -370,7 +374,7 @@ class TestRun:
         ackley = builtin("ackley")
         f = Objective(lambda X: calls.append(X) or ackley.evaluate_many(X), 2)
         with pytest.raises(ValueError, match="objective has dimension 2, the domain 3"):
-            run_many(f, BoxDomain.cube(-4, 4, 3), [AnnealConfig()])
+            run_many(f, BoxDomain.cube(-4, 4, 3), AnnealConfig(), [0])
         assert calls == []
 
 
@@ -441,11 +445,12 @@ class TestBatch:
 
     def test_mixed_modes_equal_single_runs(self):
         f = builtin("ackley")
-        cfgs = [replace(self.cfg, seed=s, mode=m) for s in (4, 5, 6) for m in MODES]
-        runs = traced(f, self.dom, cfgs)
-        assert [r.config for r, _ in runs] == cfgs
+        seeds, modes = [s for s in (4, 5, 6) for _ in MODES], list(MODES) * 3
+        runs = traced(f, self.dom, self.cfg, seeds, modes=modes)
+        assert [(r.config, r.seed, r.mode) for r, _ in runs] == \
+            [(self.cfg, s, m) for s, m in zip(seeds, modes)]
         for r, trace in runs:
-            _assert_same_run((r, trace), run(f, self.dom, r.config))
+            _assert_same_run((r, trace), run(f, self.dom, self.cfg, r.seed, r.mode))
             # the per-run scalars are those of the per-step record
             assert r.iters_to_best == trace.iterations[np.argmin(trace.values)]
             over = np.maximum(trace.points - self.dom.upper, self.dom.lower - trace.points)
@@ -453,41 +458,37 @@ class TestBatch:
         assert runs[1][0].max_excursion > 0  # classical rows do leave the box
 
     def test_lone_classical_chain_equals_its_row_in_a_mixed_batch(self):
-        # alone, a classical chain's state can be a view of the proposal buffer across a level
-        # boundary: cold levels of 10 steps often end before the next accepted move
-        cfg = AnnealConfig(t_max=1.0, t_min=1e-3, delta=0.7, inner_iters=10, mode="classical")
+        # alone, a classical chain holds its last accepted proposal itself, not a merged copy,
+        # and cold levels of 10 steps often end before the next accepted move
+        cfg = AnnealConfig(t_max=1.0, t_min=1e-3, delta=0.7, inner_iters=10)
         for seed in range(5):
-            alone = replace(cfg, seed=seed)
-            mixed = [alone, replace(alone, mode="reflected")]
-            _assert_same_run(traced(SPHERE, self.dom, [alone])[0],
-                             traced(SPHERE, self.dom, mixed)[0])
+            _assert_same_run(traced(SPHERE, self.dom, cfg, [seed], modes=["classical"])[0],
+                             traced(SPHERE, self.dom, cfg, [seed] * 2,
+                                    modes=["classical", "reflected"])[0])
 
     def test_compare_chains_equal_single_runs(self):
         f = builtin("ackley")
-        runs = compare_modes(f, self.dom, replace(self.cfg, seed=4), n_seeds=2)
-        assert [(r.config.seed, r.config.mode) for r in runs] == \
+        runs = compare_modes(f, self.dom, self.cfg, n_seeds=2, seed=4)
+        assert [(r.seed, r.mode) for r in runs] == \
             [(seed, mode) for seed in (4, 5) for mode in MODES]
-        # the records of compare_modes' batch, which is one lockstep batch of these configs
-        for r, (same, trace) in zip(runs, traced(f, self.dom, [r.config for r in runs])):
+        # the records of compare_modes' batch, which is one lockstep batch of these runs
+        batch = traced(f, self.dom, self.cfg, [r.seed for r in runs], modes=[r.mode for r in runs])
+        for r, (same, trace) in zip(runs, batch):
             _assert_same_result(r, same)
-            single_result, single = run(f, self.dom, r.config)
+            single_result, single = run(f, self.dom, self.cfg, r.seed, r.mode)
             _assert_same_result(r, single_result)
             for field in fields(Trace):
                 a, b = getattr(trace, field.name), getattr(single, field.name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 
-    def test_schedules_must_match(self):
-        with pytest.raises(ValueError, match="seed and mode"):
-            run_many(SPHERE, self.dom, [self.cfg, replace(self.cfg, delta=0.9)])
-
     def test_over_budget_refused_before_any_evaluation(self):
         calls = []
         f = Objective(lambda X: calls.append(X) or np.zeros(len(X)), 2)
         one_level = replace(self.cfg, t_max=2.0, t_min=1.0, delta=0.5, inner_iters=10**5)
-        for cfgs in ([replace(self.cfg, delta=1 - 1e-12)],  # about 10^13 levels
-                     [replace(one_level, seed=s) for s in range(100)]):  # 100 x 2 x 10^5 bound
+        for cfg, seeds in ((replace(self.cfg, delta=1 - 1e-12), [0]),  # about 10^13 levels
+                           (one_level, range(100))):  # 100 x 2 x 10^5 bound
             with pytest.raises(ValueError, match="exceed the budget"):
-                run_many(f, self.dom, cfgs)
+                run_many(f, self.dom, cfg, seeds)
         assert calls == []
 
     def test_memory_holds_one_level_of_steps(self):
@@ -497,7 +498,7 @@ class TestBatch:
         assert len(cfg.temperature_levels()) == 14
         tracemalloc.start()
         try:
-            runs = run_many(builtin("ackley"), self.dom, [replace(cfg, seed=s) for s in range(20)])
+            runs = run_many(builtin("ackley"), self.dom, cfg, range(20))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -511,10 +512,9 @@ class TestBatch:
         cfg = AnnealConfig(t_max=10.0, t_min=1.0, inner_iters=1)
 
         def peak(delta):
-            cfgs = [replace(cfg, delta=delta, seed=s) for s in (0, 1)]
             tracemalloc.start()
             try:
-                runs = run_many(builtin("ackley"), self.dom, cfgs)
+                runs = run_many(builtin("ackley"), self.dom, replace(cfg, delta=delta), [0, 1])
                 return tracemalloc.get_traced_memory()[1], runs
             finally:
                 tracemalloc.stop()
@@ -554,11 +554,11 @@ class TestBatch:
             calls.append(X.copy())
             return np.where(X[:, 0] < 0, np.nan, np.sum(X**2, axis=1))
 
-        cfgs = [replace(self.cfg, seed=s) for s in range(8)]
-        runs = traced(Objective(nan_left, 2), self.dom, cfgs)
+        seeds = range(8)
+        runs = traced(Objective(nan_left, 2), self.dom, self.cfg, seeds)
         draws = []  # each chain's starts, replayed from its seed: drawn until one is finite
-        for cfg, (r, trace) in zip(cfgs, runs):
-            rng = np.random.default_rng(cfg.seed)
+        for seed, (r, trace) in zip(seeds, runs):
+            rng = np.random.default_rng(seed)
             draws.append([self.dom.sample_uniform(rng)])
             while draws[-1][-1][0] < 0:
                 draws[-1].append(self.dom.sample_uniform(rng))
@@ -569,7 +569,7 @@ class TestBatch:
         for k in range(max(map(len, draws))):
             assert np.array_equal(calls[k], [d[k] for d in draws if len(d) > k])
         # then the steps evaluate every chain at once
-        assert all(len(X) == len(cfgs) for X in calls[max(map(len, draws)):])
+        assert all(len(X) == len(seeds) for X in calls[max(map(len, draws)):])
 
     def test_point_only_callable_rejected(self):
         # a callable that reduces the whole batch to one value must not reach the chains

@@ -162,12 +162,13 @@ class TestEstimateRange:
     def test_rerun_byte_identical(self, tmp_path):
         args = ["estimate-range", "--fn", "ackley", "--n-seeds", "1",
                 "--seed", "2", "--t-min", "0.2"]
-        cfg = AnnealConfig(seed=2, t_min=0.2)
+        cfg = AnnealConfig(t_min=0.2)
         records = []
         for sub in ("a", "b"):
             main(args + ["--out", str(tmp_path / sub)])
             # the records of estimate_range's batch: the seed on f, then on -f
-            records.append(traced(builtin("ackley"), BoxDomain.cube(-4, 4, 2), [cfg] * 2, [1, -1]))
+            records.append(traced(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg, [2, 2],
+                                  [1, -1]))
         for name in ("range_result.json", "levels.csv"):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
         for (_, a), (_, b) in zip(*records):
@@ -215,11 +216,10 @@ class TestCompare:
         main(["compare", "--fn", "ackley", "--n-seeds", "1", "--seed", "9",
               "--t-min", "1.0", "--out", str(tmp_path)])
         assert sorted(read_levels(tmp_path / "levels.csv")) == [("classical", 9), ("reflected", 9)]
-        runs = compare_modes(builtin("ackley"), BoxDomain.cube(-4, 4, 2),
-                             AnnealConfig(seed=9, t_min=1.0), n_seeds=1)
-        assert [(r.config.mode, r.config.seed) for r in runs] == [("reflected", 9),
-                                                                  ("classical", 9)]
-        records = traced(builtin("ackley"), BoxDomain.cube(-4, 4, 2), [r.config for r in runs])
+        cfg = AnnealConfig(t_min=1.0)
+        runs = compare_modes(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg, n_seeds=1, seed=9)
+        assert [(r.mode, r.seed) for r in runs] == [("reflected", 9), ("classical", 9)]
+        records = traced(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg, [9, 9], modes=MODES)
         assert all(len(trace) > 0 for _, trace in records)
 
 
@@ -242,7 +242,7 @@ class TestLevels:
     """levels.csv: one row per chain per temperature level, reduced from the chains' steps."""
 
     dom = BoxDomain.cube(-4, 4, 2)
-    cfg = AnnealConfig(seed=3, t_min=0.5)
+    cfg = AnnealConfig(t_min=0.5)
     args = ["--fn", "ackley", "--n-seeds", "2", "--seed", "3", "--t-min", "0.5"]
 
     def per_level(self, a):
@@ -259,7 +259,7 @@ class TestLevels:
         for (kind, seed), got in chains.items():
             sign = 1.0 if kind == "min" else -1.0
             g = f if kind == "min" else Objective(lambda X: -f.evaluate_many(X), 2)
-            _, trace = run(g, self.dom, replace(self.cfg, seed=seed))
+            _, trace = run(g, self.dom, self.cfg, seed)
             assert np.array_equal(got["level"], np.arange(n_levels))
             assert np.array_equal(got["temperature"], self.cfg.temperature_levels())
             assert np.array_equal(got["acceptance_rate"],
@@ -305,8 +305,8 @@ class TestLevels:
         n_levels = len(self.cfg.temperature_levels())
         assert all(len(c["level"]) == n_levels for c in chains.values()) and len(chains) == 4
         for (mode, seed), got in chains.items():
-            _, trace = run(builtin("ackley"), self.dom, replace(self.cfg, seed=seed, mode=mode,
-                                                                proposal_variance=4.0))
+            _, trace = run(builtin("ackley"), self.dom, replace(self.cfg, proposal_variance=4.0),
+                           seed, mode)
             assert np.array_equal(got["left_box"], self.per_level(trace.left_box).sum(axis=1))
             assert got["left_box"].sum() > 0
             if mode == "classical":  # an accepted move to a point outside was such a proposal
@@ -322,17 +322,17 @@ class TestLevels:
             for kind, r in labelled:
                 stats = [getattr(r.levels, f.name).tolist() for f in fields(LevelSummary)]
                 for i, t in enumerate(r.config.temperature_levels()):
-                    lines.append(",".join(map(str, [kind, r.config.seed, i, t,
+                    lines.append(",".join(map(str, [kind, r.seed, i, t,
                                                     *(column[i] for column in stats)])))
             return "".join(line + "\n" for line in lines)
 
         assert main(["compare", *self.args, "--out", str(tmp_path / "compare")]) == 0
-        runs = compare_modes(builtin("ackley"), self.dom, self.cfg, n_seeds=2)
-        assert {r.config.mode for r in runs} == set(MODES)
+        runs = compare_modes(builtin("ackley"), self.dom, self.cfg, n_seeds=2, seed=3)
+        assert {r.mode for r in runs} == set(MODES)
         assert (tmp_path / "compare" / "levels.csv").read_text() == \
-            reference((r.config.mode, r) for r in runs)
+            reference((r.mode, r) for r in runs)
         assert main(["estimate-range", *self.args, "--out", str(tmp_path / "range")]) == 0
-        res = estimate_range(builtin("ackley"), self.dom, self.cfg, n_seeds=2)
+        res = estimate_range(builtin("ackley"), self.dom, self.cfg, n_seeds=2, seed=3)
         assert (tmp_path / "range" / "levels.csv").read_text() == \
             reference((kind, r) for kind in ("min", "max") for r in res.runs[kind])
 
@@ -675,6 +675,55 @@ def test_library_refusal_exits_2(tmp_path, capsys, tiny_weights, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["weights_dir", "data_dir", "out_file", "out_under_file"])
+def test_bad_path_exits_2(tmp_path, capsys, monkeypatch, case):
+    # an input path that is a directory, or an --out that names a file or lies under one;
+    # --out is refused by the parser, before any work: the commands' work raises here
+    def work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr("rangesa.cli.grid_oracle", work)
+    monkeypatch.setattr("rangesa.cli.train", work)
+    (tmp_path / "file").write_text("")
+    out = {"out_file": tmp_path / "file", "out_under_file": tmp_path / "file" / "sub"}.get(
+        case, tmp_path / "out")
+    argv = (["train", "--preset", "ackley", "--data", str(tmp_path)] if case == "data_dir" else
+            ["oracle", "--weights" if case == "weights_dir" else "--fn",
+             str(tmp_path) if case == "weights_dir" else "ackley", "--domain=-1,1,-1,1",
+             "--points-per-dim", "3"])
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    if case.endswith("_dir"):
+        assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
+        assert not out.exists()
+    else:
+        assert err == f"error: argument --out: {tmp_path / 'file'} is not a directory\n"
+        assert (tmp_path / "file").read_text() == ""
+
+
+def test_non_finite_report_values_are_null(tmp_path):
+    # every output of this network overflows on the box, so every chain's best value is NaN;
+    # a report holds it as null, and every report parses as strict JSON
+    net = build_resnet([2, 4, 4, 1])
+    for lyr in net.layers:
+        lyr.weights[:] = 1e300
+    net.save(tmp_path / "weights.json")
+    assert main(["compare", "--weights", str(tmp_path / "weights.json"), "--domain=1,2,1,2",
+                 "--n-seeds", "1", "--t-min", "5", "--out", str(tmp_path / "out")]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((tmp_path / "out" / "compare_summary.json").read_text(),
+                     parse_constant=refuse)
+    assert [row["best_value"] for row in doc["rows"]] == [None, None]
+    _write_json(tmp_path / "report.json", {"x": np.array([1.5, np.nan, np.inf])},
+                y=[-np.inf, (np.float64(np.nan),)], z=BoxDomain.cube(-1, 1, 1))
+    assert json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse) == \
+        {"x": [1.5, None, None], "y": [None, [None]], "z": [[-1.0, 1.0]]}
+
+
 def test_diverging_training_prints_one_line(tmp_path, capsys):
     data = tmp_path / "ackley_data.csv"
     sample_dataset(builtin("ackley"), BoxDomain.cube(-4, 4, 2), 20, 0.1, 1).save(data)
@@ -812,12 +861,12 @@ class TestReports:
 
     def test_range_result_names_the_builtin_and_the_preset_box(self, tmp_path):
         assert self.estimate(tmp_path, ["--fn", "ackley"]) == {
-            **asdict(AnnealConfig(t_min=1.0)), "n_seeds": 2, "fn": "ackley",
+            **asdict(AnnealConfig(t_min=1.0)), "seed": 0, "n_seeds": 2, "fn": "ackley",
             "domain": [[-4.0, 4.0], [-4.0, 4.0]]}
 
     def test_range_result_names_the_weights_file_and_the_given_box(self, tmp_path, tiny_weights):
         assert self.estimate(tmp_path, ["--weights", str(tiny_weights), "--domain=-1,1,-3,2"]) == {
-            **asdict(AnnealConfig(t_min=1.0)), "n_seeds": 2, "weights": "weights.json",
+            **asdict(AnnealConfig(t_min=1.0)), "seed": 0, "n_seeds": 2, "weights": "weights.json",
             "domain": [[-1.0, 1.0], [-3.0, 2.0]]}
 
     def test_oracle_keys(self, tmp_path):

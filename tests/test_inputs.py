@@ -39,9 +39,16 @@ PROBES = {
     "evaluate_fit-seed": ("seed", lambda f: evaluate_fit(NET, f, BOX, n=5, seed=-1)),
     "estimate_range-wide-box": ("proposal_variance",
                                 lambda f: estimate_range(f, WIDE, AnnealConfig(), n_seeds=1)),
-    # a classical chain may leave the box, and its values would not be attained on it
-    "estimate_range-classical": ("mode", lambda f: estimate_range(
-        f, BOX, AnnealConfig(mode="classical"), n_seeds=1)),
+    "estimate_range-seed": ("seed",
+                            lambda f: estimate_range(f, BOX, AnnealConfig(), n_seeds=1, seed=-1)),
+    # run_many's per-run sequences: one entry per run in each, of the allowed values
+    "run_many-unequal-lengths": ("signs",
+                                 lambda f: run_many(f, BOX, AnnealConfig(), [0, 1], signs=[1])),
+    "run_many-zero-sign": ("signs", lambda f: run_many(f, BOX, AnnealConfig(), [0], signs=[0])),
+    "run_many-unknown-mode": ("modes",
+                              lambda f: run_many(f, BOX, AnnealConfig(), [0], modes=["bogus"])),
+    "run_many-negative-seed": ("seed", lambda f: run_many(f, BOX, AnnealConfig(), [-1])),
+    "run_many-no-runs": ("seeds", lambda f: run_many(f, BOX, AnnealConfig(), [])),
     "compare_modes-wide-box": ("proposal_variance",
                                lambda f: compare_modes(f, WIDE, AnnealConfig(), n_seeds=1)),
     "TrainConfig-fractional-epochs": ("epochs", lambda f: TrainConfig(epochs=2.5)),
@@ -108,7 +115,7 @@ BUDGETS = {
     "evaluate_fit": (DATASET_BUDGET, lambda f, k: evaluate_fit(NET, f, BOX, n=k)),
     # the smallest square grid of at least k points
     "grid_oracle": (GRID_BUDGET, lambda f, k: grid_oracle(f, BOX, math.isqrt(k - 1) + 1)),
-    "run_many": (EVAL_BUDGET, lambda f, k: run_many(f, BOX, [two_levels(k // 2)])),
+    "run_many": (EVAL_BUDGET, lambda f, k: run_many(f, BOX, two_levels(k // 2), [0])),
     # n_seeds runs on f and as many on -f
     "estimate_range": (EVAL_BUDGET,
                        lambda f, k: estimate_range(f, BOX, two_levels(k // 4), n_seeds=1)),

@@ -20,6 +20,7 @@ from rangesa.anneal import LEVEL_COLUMNS, START_REDRAWS
 from rangesa.cli import _plain, _write_json, main
 from rangesa.presets import preset
 from rangesa.objectives import ROW_BLOCK
+from rangesa import range_analysis
 from rangesa.range_analysis import RangeResult, _oracle_workers
 from rangesa.resnet import build_resnet
 from support import run, traced
@@ -33,7 +34,7 @@ def _negated(f):
 
 class TestGridOracle:
     def test_endpoints_on_linear(self):
-        f = Objective(lambda x: x[..., 0], 1, name="lin")
+        f = Objective(lambda x: x[..., 0], 1)
         res = grid_oracle(f, BoxDomain(((0, 1),)), points_per_dim=2)
         assert res.min_value == 0.0 and res.max_value == 1.0
         assert res.min_point[0] == 0.0 and res.max_point[0] == 1.0
@@ -66,26 +67,26 @@ class TestGridOracle:
 
 class TestEstimateRange:
     def test_constant_objective(self):
-        const = Objective(lambda x: np.full(np.asarray(x).shape[:-1], 3.0), 2, name="c")
-        res = estimate_range(const, BoxDomain.cube(-1, 1, 2), AnnealConfig(seed=0), n_seeds=2)
+        const = Objective(lambda x: np.full(np.asarray(x).shape[:-1], 3.0), 2)
+        res = estimate_range(const, BoxDomain.cube(-1, 1, 2), AnnealConfig(), n_seeds=2)
         assert res.f_min == 3.0 and res.f_max == 3.0
 
     def test_linear_objective_extremes_at_faces(self):
-        f = Objective(lambda x: x[..., 0], 2, name="x1")
-        res = estimate_range(f, BoxDomain.cube(0, 1, 2), AnnealConfig(seed=0), n_seeds=3)
+        f = Objective(lambda x: x[..., 0], 2)
+        res = estimate_range(f, BoxDomain.cube(0, 1, 2), AnnealConfig(), n_seeds=3)
         assert res.f_min == pytest.approx(0.0, abs=1e-2)
         assert res.f_max == pytest.approx(1.0, abs=1e-2)
 
     def test_dropwave_analytic_minimum(self):
         res = estimate_range(
-            builtin("dropwave"), BoxDomain.cube(-5.12, 5.12, 2), AnnealConfig(seed=0), n_seeds=5
+            builtin("dropwave"), BoxDomain.cube(-5.12, 5.12, 2), AnnealConfig(), n_seeds=5
         )
         assert res.f_min == pytest.approx(-1.0, abs=0.05)
 
     def test_witnesses_reproduce_endpoints(self):
         f = builtin("ackley")
         dom = BoxDomain.cube(-4, 4, 2)
-        res = estimate_range(f, dom, AnnealConfig(seed=1), n_seeds=2)
+        res = estimate_range(f, dom, AnnealConfig(), n_seeds=2, seed=1)
         assert f(res.x_min) == res.f_min
         assert f(res.x_max) == res.f_max
         assert dom.contains(res.x_min) and dom.contains(res.x_max)
@@ -93,9 +94,8 @@ class TestEstimateRange:
     def test_negation_duality_exact_with_shared_seeds(self):
         f = builtin("ackley")
         dom = BoxDomain.cube(-4, 4, 2)
-        cfg = AnnealConfig(seed=2)
-        a = estimate_range(f, dom, cfg, n_seeds=3)
-        b = estimate_range(_negated(f), dom, cfg, n_seeds=3)
+        a = estimate_range(f, dom, AnnealConfig(), n_seeds=3, seed=2)
+        b = estimate_range(_negated(f), dom, AnnealConfig(), n_seeds=3, seed=2)
         assert b.f_min == -a.f_max
         assert b.f_max == -a.f_min
         assert np.array_equal(b.x_min, a.x_max)
@@ -105,15 +105,15 @@ class TestEstimateRange:
         # the 2 x n_seeds lockstep chains are the runs on f and on -f, bit for bit
         f = builtin("ackley")
         dom = BoxDomain.cube(-4, 4, 2)
-        cfg = AnnealConfig(seed=7, t_min=0.05)
-        res = estimate_range(f, dom, cfg, n_seeds=3)
-        cfgs = [r.config for r in res.runs["min"]]
-        batch = traced(f, dom, cfgs * 2, [1] * 3 + [-1] * 3)  # estimate_range's batch
+        cfg = AnnealConfig(t_min=0.05)
+        res = estimate_range(f, dom, cfg, n_seeds=3, seed=7)
+        batch = traced(f, dom, cfg, [7, 8, 9] * 2, [1] * 3 + [-1] * 3)  # estimate_range's batch
         for kind, g, sign, records in (("min", f, 1, batch[:3]),
                                        ("max", _negated(f), -1, batch[3:])):
-            assert [r.config.seed for r in res.runs[kind]] == [7, 8, 9]
+            assert [(r.config, r.seed, r.mode) for r in res.runs[kind]] == \
+                [(cfg, s, "reflected") for s in (7, 8, 9)]
             for r, (same, trace) in zip(res.runs[kind], records):
-                single, single_trace = run(g, dom, r.config)
+                single, single_trace = run(g, dom, cfg, r.seed)
                 for name in ("iterations", "temperatures", "points", "values", "accepted",
                              "best_values"):
                     assert np.array_equal(getattr(trace, name), getattr(single_trace, name))
@@ -130,13 +130,13 @@ class TestEstimateRange:
 
     def test_interval_type_and_seed_bookkeeping(self, tmp_path):
         f = builtin("ackley")
-        res = estimate_range(f, BoxDomain.cube(-4, 4, 2), AnnealConfig(seed=5), n_seeds=3)
+        res = estimate_range(f, BoxDomain.cube(-4, 4, 2), AnnealConfig(), n_seeds=3, seed=5)
         assert res.interval_type == "inner"
         assert res.seeds_used == [5, 6, 7]
-        _write_json(tmp_path / "range.json", res, config=AnnealConfig(seed=5))
+        _write_json(tmp_path / "range.json", res, config=AnnealConfig(delta=0.9))
         doc = json.loads((tmp_path / "range.json").read_text())
         assert doc["interval_type"] == "inner" and "runs" not in doc
-        assert doc["config"]["seed"] == 5
+        assert doc["seeds_used"] == [5, 6, 7] and doc["config"]["delta"] == 0.9
 
     def test_n_seeds_validation(self):
         with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ class TestEstimateRange:
     def test_sa_never_beats_grid_oracle_min(self):
         f = builtin("dropwave")
         dom = BoxDomain.cube(-5.12, 5.12, 2)
-        res = estimate_range(f, dom, AnnealConfig(seed=3), n_seeds=3)
+        res = estimate_range(f, dom, AnnealConfig(), n_seeds=3, seed=3)
         # both are inner approximations of the true min (-1); SA stays above it
         assert res.f_min >= -1.0 - 1e-12
 
@@ -156,9 +156,9 @@ def test_tanh_network_is_analysed_as_a_black_box():
     # the inner interval lies within the grid's range, and reaches it within 1e-4
     rng = np.random.default_rng(0)
     W1, b1, w2 = rng.normal(size=(8, 2)), rng.normal(size=8), rng.normal(size=8)
-    f = Objective(lambda X: np.tanh(X @ W1.T + b1) @ w2, 2, name="tanh-mlp")
+    f = Objective(lambda X: np.tanh(X @ W1.T + b1) @ w2, 2)
     dom = BoxDomain.cube(-2, 2, 2)
-    res = estimate_range(f, dom, AnnealConfig(seed=0), n_seeds=3)
+    res = estimate_range(f, dom, AnnealConfig(), n_seeds=3)
     grid = grid_oracle(f, dom, 401)
     for x, value in ((res.x_min, res.f_min), (res.x_max, res.f_max)):
         assert dom.contains(x) and f(x) == value
@@ -169,10 +169,12 @@ def test_tanh_network_is_analysed_as_a_black_box():
 
 @pytest.mark.parametrize("call", [estimate_range, compare_modes])
 def test_over_budget_n_seeds_builds_no_config(monkeypatch, call):
-    # a config takes about 5 us and 0.13 KB, so 600,000 of them would take seconds
+    # the budget is checked on n_seeds itself, before a config, a list of 600,000 seeds or
+    # run_many, whose own check would see that list
     cfg, built = AnnealConfig(), []
     post_init = AnnealConfig.__post_init__
     monkeypatch.setattr(AnnealConfig, "__post_init__", lambda c: built.append(c) or post_init(c))
+    monkeypatch.setattr(range_analysis, "run_many", lambda *args, **kwargs: built.append(args))
     with pytest.raises(ValueError, match="n_seeds"):
         call(builtin("ackley"), BoxDomain.cube(-4, 4, 2), cfg, n_seeds=300_000)
     assert built == []
@@ -192,19 +194,18 @@ def _nan_left(x):
     return np.where(x[..., 0] < 0, np.nan, np.sum(x**2, axis=-1))
 
 
-NAN_LEFT = Objective(_nan_left, 2, name="nan_left")
-ALL_NAN = Objective(lambda x: np.full(np.shape(x)[:-1], np.nan), 2, name="all_nan")
+NAN_LEFT = Objective(_nan_left, 2)
+ALL_NAN = Objective(lambda x: np.full(np.shape(x)[:-1], np.nan), 2)
 # finite only on the strip x1 > 0.985, 0.75% of [-1, 1]^2
 NAN_BUT_STRIP = Objective(
-    lambda x: np.where(x[..., 0] > 0.985, np.sum(x**2, axis=-1), np.nan), 2, name="strip"
+    lambda x: np.where(x[..., 0] > 0.985, np.sum(x**2, axis=-1), np.nan), 2
 )
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_nan_start_is_redrawn(seed):
     # these seeds draw their start in the NaN half: the chain redraws it, then moves
-    cfg = AnnealConfig(seed=seed, delta=0.7)
-    r, trace = run(NAN_LEFT, BoxDomain.cube(-1, 1, 2), cfg)
+    r, trace = run(NAN_LEFT, BoxDomain.cube(-1, 1, 2), AnnealConfig(delta=0.7), seed)
     assert np.isfinite(r.best_value) and r.best[0] >= 0
     assert trace.accepted.any()
     assert r.eval_count > 1 + len(trace)  # the redraws are counted
@@ -215,10 +216,10 @@ def test_estimate_range_skips_nan_chains(seed):
     # some chains find no finite start within their redraws and never move;
     # the endpoints come from the others
     dom = BoxDomain.cube(-1, 1, 2)
-    cfg = AnnealConfig(seed=seed, delta=0.7)
-    res = estimate_range(NAN_BUT_STRIP, dom, cfg, n_seeds=4)
-    cfgs = [r.config for r in res.runs["min"]]
-    batch = traced(NAN_BUT_STRIP, dom, cfgs * 2, [1] * 4 + [-1] * 4)  # estimate_range's batch
+    cfg = AnnealConfig(delta=0.7)
+    res = estimate_range(NAN_BUT_STRIP, dom, cfg, n_seeds=4, seed=seed)
+    seeds = list(range(seed, seed + 4))
+    batch = traced(NAN_BUT_STRIP, dom, cfg, seeds * 2, [1] * 4 + [-1] * 4)  # estimate_range's
     for runs, records in ((res.runs["min"], batch[:4]), (res.runs["max"], batch[4:])):
         nan = [np.isnan(r.best_value) for r in runs]
         assert any(nan) and not all(nan)
@@ -232,7 +233,7 @@ def test_estimate_range_skips_nan_chains(seed):
     assert res.f_min == min(finite_mins) and res.f_max == max(finite_maxs)
     assert res.x_min[0] > 0.985 and res.x_max[0] > 0.985
     with pytest.raises(ValueError, match="no finite"):
-        estimate_range(ALL_NAN, dom, cfg, n_seeds=2)
+        estimate_range(ALL_NAN, dom, cfg, n_seeds=2, seed=seed)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
@@ -241,7 +242,7 @@ def test_infinite_strip_does_not_trap_chains(value):
     # and held for good; the objective returns it as NaN, which is rejected
     f = Objective(lambda x: np.where(x[:, 0] < -0.9, value, np.sum(x**2, axis=1)), 2)
     dom = BoxDomain.cube(-1, 1, 2)
-    cfg = AnnealConfig(t_max=1.0, t_min=1e-2, delta=0.9, inner_iters=50, seed=0)
+    cfg = AnnealConfig(t_max=1.0, t_min=1e-2, delta=0.9, inner_iters=50)
     res = estimate_range(f, dom, cfg, n_seeds=5)
     assert 0.0 <= res.f_min < 1e-3 and 1.9 < res.f_max <= 2.0
     assert res.x_min[0] >= -0.9 and res.x_max[0] >= -0.9
@@ -267,7 +268,7 @@ def test_estimate_range_survives_network_overflow(tmp_path):
     assert np.array_equal(np.isnan(f.evaluate_many([[1.0, 0.0], [-1.0, 0.0]])), [True, False])
 
     dom = BoxDomain.cube(-1, 1, 2)
-    res = estimate_range(f, dom, AnnealConfig(seed=0, delta=0.7), n_seeds=3)
+    res = estimate_range(f, dom, AnnealConfig(delta=0.7), n_seeds=3)
     assert res.f_min == 0.0 and 0.0 < res.f_max < np.inf
     assert f(res.x_max) == res.f_max and dom.contains(res.x_max)
     net.save(tmp_path / "weights.json")
@@ -297,7 +298,7 @@ def test_network_overflow_raises_no_warning(monkeypatch, openblas):
     f, dom = _overflowing_net().as_objective(), BoxDomain.cube(-1, 1, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = estimate_range(f, dom, AnnealConfig(seed=0, delta=0.7), n_seeds=3)
+        res = estimate_range(f, dom, AnnealConfig(delta=0.7), n_seeds=3)
         oracle = grid_oracle(f, dom, 101)
     assert res.f_min == oracle.min_value == 0.0
     assert 0.0 < res.f_max < np.inf and 0.0 < oracle.max_value < np.inf

@@ -195,7 +195,7 @@ class TestTrain:
     domain = BoxDomain(((-1, 1), (-1, 1)))
 
     def test_learns_constant_target(self):
-        const = Objective(lambda x: np.full(x.shape[:-1], 2.5), 2, name="const")
+        const = Objective(lambda x: np.full(x.shape[:-1], 2.5), 2)
         data = sample_dataset(const, self.domain, m=64, noise_sd=0.0, seed=0)
         net = build_resnet([2, 8, 8, 1], seed=0)
         net, history = train(net, data, TrainConfig(epochs=2000, learning_rate=0.01, seed=0))
@@ -410,7 +410,7 @@ class TestTrain:
 class TestEvaluateFit:
     def test_exact_model_gives_zero_error(self):
         net = ResNet([Layer(np.array([[1.0, 1.0]]), np.array([0.0]), False, False)])
-        f = Objective(lambda x: x[..., 0] + x[..., 1], 2, name="sum")
+        f = Objective(lambda x: x[..., 0] + x[..., 1], 2)
         report = evaluate_fit(net, f, BoxDomain.cube(-1, 1, 2), n=100, seed=0)
         assert report.mae == pytest.approx(0.0, abs=1e-12)
         assert report.mse == pytest.approx(0.0, abs=1e-12)
